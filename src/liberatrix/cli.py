@@ -22,7 +22,7 @@ import numpy as np
 
 from .continuation import liberate, realize_in_pattern, realize_spectrum
 from .directsum import directsum_liberation
-from .exactla import RatMatrix, parse_matrix_text
+from .exactla import RatMatrix, parse_entry, parse_matrix_text
 from .graphs import EdgeSet, Graph, catalog, read_graph
 from .liberation import (enumerate_minimal_liberation_sets,
                          is_graph_liberation_set, is_liberation_set)
@@ -98,7 +98,7 @@ def _parse_vertices(text: str):
 
 
 def _parse_spectrum(text: str):
-    vals = tuple(float(Fraction(tok)) for tok in text.split(",")
+    vals = tuple(float(parse_entry(tok)) for tok in text.split(",")
                  if tok.strip())
     if not vals:
         raise ValueError("empty spectrum")

@@ -29,7 +29,7 @@ from .graphs import Graph, add_edges, nonedge_set
 from .liberation import is_liberation_set
 from .numla import SymMatrix, multiplicity_list, random_orthogonal, sym_eigen
 from .patterns import in_class
-from .strongprops import has_strong_property, has_strong_property_wrt, normalize_kind
+from .strongprops import _verdict_wrt, has_strong_property, normalize_kind, psi
 
 EPS_SCHEDULE = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 MIN_ENTRY = 1e-6
@@ -131,10 +131,11 @@ class LiberateResult:
 
 
 def _numeric_liberation_precheck(arr, g, beta, kind):
+    vm = psi(arr, g, kind)
     for e in beta.pairs:
         rest = [f for f in beta.pairs if f != e]
         h = add_edges(g, rest) if rest else g
-        if not has_strong_property_wrt(arr, g, h, kind).answer:
+        if not _verdict_wrt(vm, h).answer:
             return False
     return True
 

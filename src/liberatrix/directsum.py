@@ -19,7 +19,7 @@ import numpy as np
 
 from .exactla import RatMatrix, rank
 from .graphs import EdgeSet, bridge_set
-from .numla import numeric_rank, sym_eigen
+from .numla import multiplicity_list, numeric_rank, sym_eigen
 from .patterns import pattern_of
 from .strongprops import has_strong_property, normalize_kind
 
@@ -44,22 +44,6 @@ class SylvesterSpace:
     eigvec_blocks: tuple  # ((U_A, U_B) per common value, column blocks)
 
 
-def _cluster_indices(values, tol):
-    """Group sorted positions of values by chained gaps <= tol."""
-    order = np.argsort(values, kind="stable")
-    groups = [[order[0]]] if len(order) else []
-    ambiguous = False
-    for prev, cur in zip(order, order[1:]):
-        gap = values[cur] - values[prev]
-        if gap <= tol:
-            groups[-1].append(cur)
-        else:
-            if gap < 10.0 * tol:
-                ambiguous = True
-            groups.append([cur])
-    return groups, ambiguous
-
-
 def sylvester_space(a, b, tol: float = 1e-8, kind: str = "ssp") -> SylvesterSpace:
     """Basis of the intertwining space of two symmetric blocks.
 
@@ -81,16 +65,21 @@ def sylvester_space(a, b, tol: float = 1e-8, kind: str = "ssp") -> SylvesterSpac
         ambiguous = any(
             tol < abs(v) < 10.0 * tol for v in list(vals_a) + list(vals_b))
     else:
+        # the clusters are consecutive runs of the sorted joint spectrum;
+        # positions below len(vals_a) belong to the first block
         joint = np.concatenate([vals_a, vals_b])
-        tags = [("a", i) for i in range(len(vals_a))] + \
-               [("b", j) for j in range(len(vals_b))]
-        groups, ambiguous = _cluster_indices(joint, tol)
+        order = np.argsort(joint, kind="stable")
+        ml = multiplicity_list(joint, tol)
+        ambiguous = ml.ambiguous
         pieces = []
-        for grp in groups:
-            ia = [tags[t][1] for t in grp if tags[t][0] == "a"]
-            ib = [tags[t][1] for t in grp if tags[t][0] == "b"]
+        start = 0
+        for value, mult in ml:
+            grp = order[start:start + mult]
+            start += mult
+            ia = [int(t) for t in grp if t < len(vals_a)]
+            ib = [int(t) - len(vals_a) for t in grp if t >= len(vals_a)]
             if ia and ib:
-                pieces.append((float(np.mean([joint[t] for t in grp])), ia, ib))
+                pieces.append((value, ia, ib))
     if ambiguous:
         warnings.warn("eigenvalue gap close to the clustering tolerance",
                       stacklevel=2)

@@ -418,6 +418,8 @@ def parse_entry(tok: str) -> Fraction:
     tok = tok.strip()
     if "/" in tok:
         num, den = tok.split("/")
+        if int(den) == 0:
+            raise ValueError("zero denominator in entry %r" % tok)
         return Fraction(int(num), int(den))
     if any(ch in tok for ch in ".eE") and not tok.lstrip("+-").isdigit():
         return Fraction(tok)

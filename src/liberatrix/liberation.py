@@ -30,8 +30,8 @@ from .exactla import (
     rank,
 )
 from .graphs import EdgeSet, Graph, add_edges, nonedge_set
-from .patterns import SAMPLE_MODES, sample_S
-from .strongprops import has_strong_property_wrt, normalize_kind, psi
+from .patterns import SAMPLE_MODES, CertificateError, sample_S
+from .strongprops import _verdict_wrt, normalize_kind, psi
 
 CRITERIA = ("definitional", "row-rank", "witness", "echelon")
 
@@ -106,7 +106,7 @@ def is_liberation_set(a, g: Graph, beta, kind: str = "ssp") -> LiberationCertifi
     for e in beta.pairs:
         rest = [f for f in beta.pairs if f != e]
         h = add_edges(g, rest) if rest else g
-        per.append((e, has_strong_property_wrt(a, g, h, kind).answer))
+        per.append((e, _verdict_wrt(vm, h).answer))
     c1 = all(ok for _, ok in per)
 
     c2 = all(
@@ -121,9 +121,11 @@ def is_liberation_set(a, g: Graph, beta, kind: str = "ssp") -> LiberationCertifi
     if alpha_rank_full and ech.block is not None:
         witness = _witness_from_block(ech.block, beta_idx, len(rows))
         if witness is not None:
-            assert col_space_contains(vm.matrix, list(witness))
-            assert all((witness[i] != 0) == (i in set(beta_idx))
-                       for i in range(len(rows)))
+            if not col_space_contains(vm.matrix, list(witness)):
+                raise CertificateError("witness is outside the column space")
+            if any((witness[i] != 0) != (i in set(beta_idx))
+                   for i in range(len(rows))):
+                raise CertificateError("witness support is not beta")
     c3 = alpha_rank_full and witness is not None
 
     verdicts = (c1, c2, c3, c4)

@@ -1,21 +1,18 @@
 """Floating-point symmetric eigencomputations and numeric rank.
 
-The eigensolver is a cyclic Jacobi iteration with two-sided rotations,
-deterministic for a given input, intended for the small dense matrices this
-package works with (n <= 64). Eigenvalues come back ascending with an
-orthonormal eigenvector matrix Q whose columns match.
+Eigensystems come from LAPACK through numpy.linalg.eigh: eigenvalues
+ascending with an orthonormal eigenvector matrix Q whose columns match.
+Eigenvalue clustering into a multiplicity list follows one rule, chained
+gaps at a tolerance, which every caller in the package shares.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exactla import parse_matrix_text
-
-_MAX_N = 64
 
 
 def _as_array(a):
@@ -62,58 +59,8 @@ class SymMatrix:
 
 
 def sym_eigen(a):
-    """Eigenvalues (ascending) and orthonormal Q for a symmetric matrix.
-
-    Cyclic Jacobi sweeps; converges quadratically once the off-diagonal mass
-    is small. Residual satisfies ||AQ - Q diag|| <= 1e-9 * ||A|| for the sizes
-    supported here.
-    """
-    a = _as_array(a).copy()
-    n = a.shape[0]
-    if n > _MAX_N:
-        raise ValueError("sym_eigen supports n <= %d" % _MAX_N)
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    v = np.eye(n)
-    norm = np.linalg.norm(a)
-    if norm == 0.0 or n == 1:
-        vals = np.diag(a).copy()
-        order = np.argsort(vals, kind="stable")
-        return vals[order], v[:, order]
-    eps = 1e-15 * norm
-    for _sweep in range(60):
-        strict = a - np.diag(np.diag(a))
-        off = float(np.linalg.norm(strict))
-        if off <= eps * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * norm:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[:, p].copy()
-                rq = a[:, q].copy()
-                a[:, p] = c * rp - s * rq
-                a[:, q] = s * rp + c * rq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise RuntimeError("Jacobi iteration did not converge")
-    vals = np.diag(a).copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order]
+    """Eigenvalues (ascending) and orthonormal Q for a symmetric matrix."""
+    return np.linalg.eigh(_as_array(a))
 
 
 @dataclass(frozen=True)

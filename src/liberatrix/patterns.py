@@ -24,6 +24,10 @@ from .graphs import Graph, build_graph
 CLASS_TAGS = ("S", "S_cl", "S_cl0")
 
 
+class CertificateError(RuntimeError):
+    """A computed certificate or sample failed its own re-check."""
+
+
 def _is_exact(a):
     return isinstance(a, RatMatrix)
 
@@ -190,5 +194,6 @@ def sample_S(g: Graph, seed, mode: str = "random-rational") -> RatMatrix:
             raise ValueError("diagonal collisions need at least two vertices")
         i, j = rng.sample(range(n), 2)
         m[j, j] = m[i, i]
-    assert in_class(m, g, "S")
+    if not in_class(m, g, "S"):
+        raise CertificateError("sample is not in S(g)")
     return m

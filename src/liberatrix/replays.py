@@ -17,6 +17,7 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -372,11 +373,10 @@ def _run_g151(run, seed):
 # ---------------------------------------------------------------------------
 # table rows built from two blocks joined by explicit bridges
 
-def _merge_row(a, b, entry_name, *, certify_beta=None, seed=0):
+def _merge_row(a, b, entry_name, *, seed=0):
     """Certify bridges of a catalog entry and grow the block matrix."""
     entry = catalog_entry(entry_name)
-    beta = certify_beta or entry.beta
-    cert = _certify(a, b, beta)
+    cert = _certify(a, b, entry.beta)
     if not cert.answer:
         raise RuntimeError("bridge certificate failed for %s" % entry_name)
     m = _block_diag(a, b)
@@ -504,16 +504,6 @@ def _row_g129(mults, values, seed):
     return _relabel(lib.matrix, _G129_PERM)
 
 
-def _row_g145(mults, values, seed):
-    parent = _row_g129(mults, values, seed)
-    return liberate(parent, catalog("G129"), ((2, 5),), seed=seed).matrix
-
-
-def _row_g153(mults, values, seed):
-    parent = _row_g129(mults, values, seed)
-    return liberate(parent, catalog("G129"), ((1, 6),), seed=seed).matrix
-
-
 _C5_LIFT = {
     (1, 2, 3): ((1, 2, 2), 2),
     (1, 3, 2): ((1, 2, 2), 1),
@@ -536,11 +526,6 @@ def _row_g171(mults, values, seed):
     lib = liberate(_block_diag(m, [[theta]]), base,
                    ((1, 6), (3, 6), (4, 6), (5, 6)), seed=seed)
     return lib.matrix
-
-
-def _row_g187(mults, values, seed):
-    parent = _row_g171(mults, values, seed)
-    return liberate(parent, catalog("G171"), ((2, 6),), seed=seed).matrix
 
 
 _G175_PERM = {1: 6, 2: 1, 3: 3, 4: 5, 5: 4, 6: 2}
@@ -926,11 +911,26 @@ TABLE6 = {
              (1, 3, 2), (2, 3, 1)),
 }
 
+# rows grown from a parent row by one more pair:
+# name -> (parent row builder, parent catalog graph, added pair)
+_ONE_PAIR_ROWS = {
+    "G145": (_row_g129, "G129", (2, 5)),
+    "G153": (_row_g129, "G129", (1, 6)),
+    "G187": (_row_g171, "G171", (2, 6)),
+}
+
+
+def _one_pair_row(name, mults, values, seed):
+    parent_row, parent_graph, pair = _ONE_PAIR_ROWS[name]
+    parent = parent_row(mults, values, seed)
+    return liberate(parent, catalog(parent_graph), (pair,), seed=seed).matrix
+
+
 _ROW_BUILDERS = {
     "G100": _row_g100, "G127": _row_g127, "G129": _row_g129,
-    "G145": _row_g145, "G151": _row_g151, "G153": _row_g153,
-    "G163": _row_g163, "G169": _row_g169, "G171": _row_g171,
-    "G175": _row_g175, "G187": _row_g187,
+    "G151": _row_g151, "G163": _row_g163, "G169": _row_g169,
+    "G171": _row_g171, "G175": _row_g175,
+    **{name: partial(_one_pair_row, name) for name in _ONE_PAIR_ROWS},
 }
 
 

@@ -6,9 +6,10 @@ nonedges of G, and [A, X] = O is X = O; the strong Arnold property (kind
 "sap") replaces the commutator condition with AX = O. Both reduce to full row
 rank of a verification matrix whose rows are indexed by the nonedges of G:
 the commutator rows are flattened over the strict upper triangle, the product
-rows over all n^2 slots. The relative variant "with respect to H", for a
-supergraph H of G, asks only the rows indexed by nonedges of H to be
-independent.
+rows over all n^2 slots. Each row is read off rows and columns i and j of A
+in closed form, with at most 4n nonzeros. The relative variant "with respect
+to H", for a supergraph H of G, asks only the rows indexed by nonedges of H
+to be independent.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .exactla import (
     RatMatrix,
     charpoly,
     commutator,
-    full_row_rank,
     kernel_basis,
     left_kernel_basis,
     poly_gcd,
@@ -31,7 +31,7 @@ from .exactla import (
 )
 from .graphs import Graph, complement
 from .numla import numeric_rank
-from .patterns import basis_X, in_class, vec_square, vec_wedge
+from .patterns import CertificateError, in_class, pair_position
 
 KINDS = ("ssp", "sap")
 
@@ -59,39 +59,64 @@ class VerificationMatrix:
         return self.rows.index(tuple(sorted(pair)))
 
 
-def _float_pair_matrix(n, i, j):
-    x = np.zeros((n, n))
-    x[i - 1, j - 1] = 1.0
-    x[j - 1, i - 1] = 1.0
-    return x
+def _pair_rows(a, pairs, kind):
+    """Verification rows of a for the given pairs, read off a in closed form.
+
+    With X the symmetric unit pair matrix at {i, j},
+      (A X)[k,l]   = A[k,i][l=j] + A[k,j][l=i]
+      [A, X][k,l]  = (A X)[k,l] - [k=i] A[j,l] - [k=j] A[i,l]    (k < l)
+    so every entry is one entry of A, or at (i, j) the difference
+    A[i,i] - A[j,j]. Exact for RatMatrix input, float otherwise.
+    """
+    exact = isinstance(a, RatMatrix)
+    ent = a.data if exact else np.asarray(a, dtype=float).tolist()
+    n = len(ent)
+    if kind == "ssp":
+        ncols = n * (n - 1) // 2
+
+        def pos(k, l):
+            return pair_position(n, k + 1, l + 1)
+    else:
+        ncols = n * n
+
+        def pos(k, l):
+            return k * n + l
+    zero = Fraction(0) if exact else 0.0
+    rows = []
+    for (i, j) in pairs:
+        i, j = i - 1, j - 1
+        row = [zero] * ncols
+        if kind == "ssp":
+            for k in range(j):
+                row[pos(k, j)] += ent[k][i]
+            for k in range(i):
+                row[pos(k, i)] += ent[k][j]
+            for l in range(i + 1, n):
+                row[pos(i, l)] -= ent[j][l]
+            for l in range(j + 1, n):
+                row[pos(j, l)] -= ent[i][l]
+        else:
+            for k in range(n):
+                row[pos(k, j)] = ent[k][i]
+                row[pos(k, i)] = ent[k][j]
+        rows.append(row)
+    if exact:
+        return RatMatrix(len(rows), ncols, rows)
+    return np.array(rows, dtype=float).reshape(len(rows), ncols)
 
 
 def psi(a, g: Graph, kind: str, tol: float = 1e-8) -> VerificationMatrix:
-    """Verification matrix of a over g; exact for rational input."""
+    """Verification matrix of a over g; exact for rational input.
+
+    Each row is read off rows and columns i and j of a in closed form.
+    """
     kind = normalize_kind(kind)
     if not in_class(a, g, "S_cl", tol):
         raise ValueError("matrix support must lie inside the graph's edges")
     if not in_class(a, g, "S", tol):
         warnings.warn("matrix has vanishing entries on some edges", stacklevel=2)
-    n = g.n
     nonedges = g.nonedges()
-    exact = isinstance(a, RatMatrix)
-    ncols = n * (n - 1) // 2 if kind == "ssp" else n * n
-    if exact:
-        rows = []
-        for (i, j) in nonedges:
-            x = basis_X(n, i, j)
-            rows.append(vec_wedge(commutator(a, x)) if kind == "ssp"
-                        else vec_square(a @ x))
-        m = RatMatrix.from_rows(rows) if rows else RatMatrix.zeros(0, ncols)
-    else:
-        arr = np.asarray(a, dtype=float)
-        m = np.zeros((len(nonedges), ncols))
-        for r, (i, j) in enumerate(nonedges):
-            x = _float_pair_matrix(n, i, j)
-            prod = arr @ x
-            m[r] = vec_wedge(prod - x @ arr) if kind == "ssp" else vec_square(prod)
-    return VerificationMatrix(kind, nonedges, m, a, g)
+    return VerificationMatrix(kind, nonedges, _pair_rows(a, nonedges, kind), a, g)
 
 
 @dataclass(frozen=True)
@@ -115,47 +140,55 @@ def _reassemble(coeffs, pairs, n):
     return x
 
 
-def _verify_certificate(a, g: Graph, kind, x, pairs_graph: Graph):
-    # the reassembled X must be a genuine obstruction
-    assert in_class(x, complement(pairs_graph), "S_cl0")
-    if kind == "ssp":
-        assert commutator(a, x).is_zero()
-    else:
-        assert (a @ x).is_zero()
-    assert not x.is_zero()
+def _verify_certificate(a, kind, x, pairs_graph: Graph):
+    """The reassembled X must be a genuine obstruction."""
+    if not in_class(x, complement(pairs_graph), "S_cl0"):
+        raise CertificateError("obstruction is not supported on the nonedges")
+    prod = commutator(a, x) if kind == "ssp" else a @ x
+    if not prod.is_zero():
+        raise CertificateError("obstruction does not annihilate the matrix")
+    if x.is_zero():
+        raise CertificateError("obstruction is zero")
 
 
-def _exact_verdict(a, g, kind, vm, sel_idx, sel_pairs, wrt_graph):
+def _exact_verdict(vm, sel_idx, sel_pairs, wrt_graph):
     sub = vm.matrix.submatrix(row_idx=sel_idx)
     r = rank(sub)
     m = len(sel_idx)
     if r == m:
-        return StrongPropertyResult(True, kind, r, 0, sel_pairs)
+        return StrongPropertyResult(True, vm.kind, r, 0, sel_pairs)
     cert = []
     lk = left_kernel_basis(sub)
     for t in range(lk.rows):
-        x = _reassemble(lk.row(t), sel_pairs, g.n)
-        _verify_certificate(a, g, kind, x, wrt_graph)
+        x = _reassemble(lk.row(t), sel_pairs, vm.graph.n)
+        _verify_certificate(vm.source, vm.kind, x, wrt_graph)
         cert.append(x)
-    return StrongPropertyResult(False, kind, r, m - r, sel_pairs, tuple(cert))
+    return StrongPropertyResult(False, vm.kind, r, m - r, sel_pairs, tuple(cert))
+
+
+def _numeric_verdict(vm, sel_idx, sel_pairs, tol):
+    sub = vm.matrix[sel_idx] if len(sel_idx) else np.zeros((0, vm.matrix.shape[1]))
+    r = numeric_rank(sub, tol)
+    m = len(sel_idx)
+    return StrongPropertyResult(r == m, vm.kind, r, m - r, sel_pairs)
+
+
+def _verdict_wrt(vm: VerificationMatrix, h: Graph,
+                 tol: float = 1e-8) -> StrongPropertyResult:
+    """Strong property relative to a supergraph h of vm.graph, from the rows
+    of vm indexed by nonedges of h; h = vm.graph gives the plain property."""
+    keep = set(h.nonedges())
+    sel_idx = [k for k, e in enumerate(vm.rows) if e in keep]
+    sel_pairs = tuple(vm.rows[k] for k in sel_idx)
+    if vm.exact:
+        return _exact_verdict(vm, sel_idx, sel_pairs, h)
+    return _numeric_verdict(vm, sel_idx, sel_pairs, tol)
 
 
 def has_strong_property(a, g: Graph, kind: str, tol: float = 1e-8) -> StrongPropertyResult:
     """Full-row-rank test of the verification matrix, with an obstruction
     certificate (kernel elements reassembled and re-verified) on failure."""
-    kind = normalize_kind(kind)
-    vm = psi(a, g, kind, tol)
-    idx = list(range(len(vm.rows)))
-    if vm.exact:
-        return _exact_verdict(a, g, kind, vm, idx, vm.rows, g)
-    return _numeric_verdict(vm, idx, vm.rows, tol, kind)
-
-
-def _numeric_verdict(vm, sel_idx, sel_pairs, tol, kind):
-    sub = vm.matrix[sel_idx] if len(sel_idx) else np.zeros((0, vm.matrix.shape[1]))
-    r = numeric_rank(sub, tol)
-    m = len(sel_idx)
-    return StrongPropertyResult(r == m, kind, r, m - r, sel_pairs)
+    return _verdict_wrt(psi(a, g, kind, tol), g, tol)
 
 
 def _require_spanning_subgraph(g: Graph, h: Graph):
@@ -172,13 +205,7 @@ def has_strong_property_wrt(a, g: Graph, h: Graph, kind: str,
     verification rows indexed by nonedges of h need to be independent."""
     kind = normalize_kind(kind)
     _require_spanning_subgraph(g, h)
-    vm = psi(a, g, kind, tol)
-    keep_set = set(h.nonedges())
-    sel_idx = [k for k, e in enumerate(vm.rows) if e in keep_set]
-    sel_pairs = tuple(vm.rows[k] for k in sel_idx)
-    if vm.exact:
-        return _exact_verdict(a, g, kind, vm, sel_idx, sel_pairs, h)
-    return _numeric_verdict(vm, sel_idx, sel_pairs, tol, kind)
+    return _verdict_wrt(psi(a, g, kind, tol), h, tol)
 
 
 def wrt_kernel_check(a: RatMatrix, g: Graph, h: Graph, kind: str) -> bool:
@@ -186,21 +213,14 @@ def wrt_kernel_check(a: RatMatrix, g: Graph, h: Graph, kind: str) -> bool:
     constraint map on matrices supported by the nonedges of h."""
     kind = normalize_kind(kind)
     _require_spanning_subgraph(g, h)
-    n = g.n
     pairs = h.nonedges()
-    ncols = n * (n - 1) // 2 if kind == "ssp" else n * n
-    cols = []
-    for (i, j) in pairs:
-        x = basis_X(n, i, j)
-        img = vec_wedge(commutator(a, x)) if kind == "ssp" else vec_square(a @ x)
-        cols.append(img)
-    if not cols:
+    if not pairs:
         return True
-    m = RatMatrix.from_rows(cols).transpose()  # positions x pairs
+    m = _pair_rows(a, pairs, kind).transpose()  # positions x pairs
     ker = kernel_basis(m)
     for t in range(ker.cols):
-        x = _reassemble(ker.col(t), pairs, n)
-        _verify_certificate(a, g, kind, x, h)
+        x = _reassemble(ker.col(t), pairs, g.n)
+        _verify_certificate(a, kind, x, h)
     return ker.cols == 0
 
 

@@ -94,6 +94,19 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
                  "--matrix", str(tmp_path / "missing.txt")]) == 2
 
 
+def test_zero_denominator_entry_exits_two(tmp_path, capsys):
+    p = tmp_path / "a.txt"
+    p.write_text("2 2\n1/0 1\n1 0\n")
+    assert main(["verify", "--kind", "ssp", "--graph", "catalog:P2",
+                 "--matrix", str(p)]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+def test_zero_denominator_spectrum_exits_two(capsys):
+    assert main(["realize", "--spectrum", "1/0,1,2", "--shape", "path"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
 def test_liberate_writes_matrix_and_report(k4k1_matrix, tmp_path, capsys):
     out = tmp_path / "lib.txt"
     rep = tmp_path / "rep.json"

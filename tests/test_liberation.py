@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from liberatrix import liberation, strongprops
 from liberatrix.exactla import RatMatrix, direct_sum
 from liberatrix.graphs import bridge_set, build_graph, catalog, catalog_entry, complement
 from liberatrix.liberation import (
@@ -54,6 +55,23 @@ def test_k4k1_pair_is_liberation_set():
     w = cert.witness
     assert w[0] == 0 and w[1] == 0
     assert w[2] == -w[3] != 0
+
+
+def test_certificate_builds_psi_once(monkeypatch):
+    # the drop-one checks read rows of the one verification matrix
+    calls = []
+    real = strongprops.psi
+
+    def counting_psi(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(liberation, "psi", counting_psi)
+    monkeypatch.setattr(strongprops, "psi", counting_psi)
+    cert = is_liberation_set(ones_block_plus(4), catalog("K4uK1"),
+                             [(2, 5), (3, 5), (4, 5)])
+    assert cert.answer and len(cert.per_beta_prime) == 3
+    assert len(calls) == 1
 
 
 def test_k4k1_singleton_fails():

@@ -58,8 +58,11 @@ def test_sym_eigen_edge_cases():
     assert vals.shape == (0,) and q.shape == (0, 0)
     vals, q = sym_eigen([[3.5]])
     assert vals[0] == 3.5 and q[0, 0] == 1.0
-    with pytest.raises(ValueError):
-        sym_eigen(np.zeros((65, 65)))
+    # no size cap: a 65 x 65 input is solved like any other
+    a = random_symmetric(np.random.default_rng(SEED), 65)
+    vals, q = sym_eigen(a)
+    assert vals.shape == (65,) and np.all(np.diff(vals) >= 0)
+    assert np.allclose(a @ q, q * vals, atol=1e-9)
 
 
 def test_symmatrix_guards_and_cache():

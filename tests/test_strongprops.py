@@ -1,12 +1,22 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liberatrix.exactla import RatMatrix, charpoly, direct_sum, poly_gcd, rank
+from liberatrix.exactla import (RatMatrix, charpoly, commutator, direct_sum,
+                                poly_gcd, rank)
 from liberatrix.graphs import add_edges, build_graph, catalog, disjoint_union
-from liberatrix.patterns import sample_S
+from liberatrix.patterns import (SAMPLE_MODES, basis_X, sample_S, vec_square,
+                                 vec_wedge)
 from liberatrix.strongprops import (
     has_strong_property,
     has_strong_property_wrt,
@@ -15,6 +25,8 @@ from liberatrix.strongprops import (
     spectra_disjoint,
     wrt_kernel_check,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SEED = 20260816
 
@@ -55,6 +67,64 @@ def test_psi_k4k1_matches_fixed_matrix():
     assert vm.rows == ((1, 5), (2, 5), (3, 5), (4, 5))
     assert vm.matrix == RatMatrix.from_rows(PSI_K4K1)
     assert vm.row_index((5, 2)) == 1
+
+
+@st.composite
+def patterned_matrices(draw):
+    n = draw(st.integers(2, 8))
+    pairs = list(combinations(range(1, n + 1), 2))
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    g = build_graph(n, [e for e, keep in zip(pairs, mask) if keep])
+    mode = draw(st.sampled_from(SAMPLE_MODES))
+    return g, sample_S(g, seed=draw(st.integers(0, 2**32)), mode=mode)
+
+
+@settings(max_examples=80, deadline=None)
+@given(patterned_matrices(), st.sampled_from(("ssp", "sap")), st.booleans())
+def test_closed_form_rows_match_commutator_oracle(case, kind, exact):
+    # the dense construction the closed form replaced, kept as the reference
+    g, a = case
+    if not exact:
+        a = a.to_float()
+    oracle = []
+    for (i, j) in g.nonedges():
+        x = basis_X(g.n, i, j)
+        if not exact:
+            x = x.to_float()
+        oracle.append(vec_wedge(commutator(a, x)) if kind == "ssp"
+                      else vec_square(a @ x))
+    got = psi(a, g, kind).matrix
+    if exact:
+        ncols = g.n * (g.n - 1) // 2 if kind == "ssp" else g.n * g.n
+        want = (RatMatrix.from_rows(oracle) if oracle
+                else RatMatrix.zeros(0, ncols))
+        assert got == want
+    else:
+        assert np.array_equal(got, np.array(oracle).reshape(got.shape))
+
+
+def test_forged_obstruction_rejected_under_optimize():
+    # the re-check must survive python -O, which strips assert statements
+    code = textwrap.dedent("""
+        import sys
+        from liberatrix.graphs import path_graph
+        from liberatrix.patterns import CertificateError, basis_X, sample_S
+        from liberatrix.strongprops import _verify_certificate
+        g = path_graph(3)
+        a = sample_S(g, seed=1)
+        x = basis_X(3, 1, 3)  # on the nonedge, but [a, x] has a21 at (2, 3)
+        try:
+            _verify_certificate(a, "ssp", x, g)
+        except CertificateError:
+            sys.exit(0 if sys.flags.optimize else 3)
+        sys.exit(1)
+    """)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_psi_validation():
