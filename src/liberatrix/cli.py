@@ -22,7 +22,7 @@ import numpy as np
 
 from .continuation import liberate, realize_in_pattern, realize_spectrum
 from .directsum import directsum_liberation
-from .exactla import RatMatrix, parse_entry, parse_matrix_text
+from .exactla import RatMatrix, parse_entry, read_matrix
 from .graphs import EdgeSet, Graph, catalog, read_graph
 from .liberation import (enumerate_minimal_liberation_sets,
                          is_graph_liberation_set, is_liberation_set)
@@ -61,11 +61,6 @@ def _load_graph(spec: str) -> Graph:
                          % spec) from None
 
 
-def _load_matrix(path: str) -> RatMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix_text(fh.read())
-
-
 def _parse_pairs(text: str, allow_equal=False):
     """Pair list "3-5,4-5" as 1-based tuples.
 
@@ -98,8 +93,11 @@ def _parse_vertices(text: str):
 
 
 def _parse_spectrum(text: str):
-    vals = tuple(float(parse_entry(tok)) for tok in text.split(",")
-                 if tok.strip())
+    try:
+        vals = tuple(float(parse_entry(tok)) for tok in text.split(",")
+                     if tok.strip())
+    except OverflowError:
+        raise ValueError("spectrum entry too large for a float") from None
     if not vals:
         raise ValueError("empty spectrum")
     return vals
@@ -162,7 +160,7 @@ def _default_seed():
 # subcommand handlers: each returns (exit_code, verdicts, certificates)
 
 def _cmd_verify(args):
-    a = _load_matrix(args.matrix)
+    a = read_matrix(args.matrix)
     g = _load_graph(args.graph)
     if args.wrt:
         h = _load_graph(args.wrt)
@@ -178,7 +176,7 @@ def _cmd_verify(args):
 
 
 def _cmd_liberate(args):
-    a = _load_matrix(args.matrix)
+    a = read_matrix(args.matrix)
     g = _load_graph(args.graph)
     beta = _parse_pairs(args.beta)
     res = liberate(a, g, beta, tol=args.tol, seed=args.seed)
@@ -203,7 +201,7 @@ def _cmd_liberate(args):
 
 
 def _cmd_libset(args):
-    a = _load_matrix(args.matrix)
+    a = read_matrix(args.matrix)
     g = _load_graph(args.graph)
     if args.enumerate:
         found = enumerate_minimal_liberation_sets(a, g, args.kind,
@@ -227,8 +225,8 @@ def _cmd_libset(args):
 
 
 def _cmd_directsum(args):
-    a = _load_matrix(args.matrix_a)
-    b = _load_matrix(args.matrix_b)
+    a = read_matrix(args.matrix_a)
+    b = read_matrix(args.matrix_b)
     beta = _parse_pairs(args.beta)
     cert = directsum_liberation(a, b, beta, kind=args.kind, tol=args.tol)
     print("direct-sum liberation: %s (intertwiner dimension %d)"
@@ -292,8 +290,8 @@ def _cmd_zf(args):
 
 
 def _cmd_zf_liberate(args):
-    a = _load_matrix(args.matrix_a)
-    b = _load_matrix(args.matrix_b)
+    a = read_matrix(args.matrix_a)
+    b = read_matrix(args.matrix_b)
     pairs = _parse_pairs(args.pairs, allow_equal=True)
     rep = zf_liberation(a, b, pairs, kind=args.kind, tol=args.tol)
     print("zero-forcing liberation: combinatorial=%s algebraic=%s agree=%s"

@@ -29,7 +29,8 @@ from .graphs import Graph, add_edges, nonedge_set
 from .liberation import is_liberation_set
 from .numla import SymMatrix, multiplicity_list, random_orthogonal, sym_eigen
 from .patterns import in_class
-from .strongprops import _verdict_wrt, has_strong_property, normalize_kind, psi
+from .strongprops import (_drop_one_verdicts, has_strong_property,
+                          normalize_kind, psi)
 
 EPS_SCHEDULE = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 MIN_ENTRY = 1e-6
@@ -130,37 +131,6 @@ class LiberateResult:
         return sym_eigen(self.matrix)[0]
 
 
-def _numeric_liberation_precheck(arr, g, beta, kind):
-    vm = psi(arr, g, kind)
-    for e in beta.pairs:
-        rest = [f for f in beta.pairs if f != e]
-        h = add_edges(g, rest) if rest else g
-        if not _verdict_wrt(vm, h).answer:
-            return False
-    return True
-
-
-def _verify_strong_after(a_new, h, kind):
-    """Re-check the strong property on the solver output.
-
-    Exact route when the entries admit a faithful small-denominator rational
-    reading; numeric rank of the verification matrix at 1e-8 otherwise.
-    """
-    from fractions import Fraction
-
-    rat_rows = []
-    faithful = True
-    for row in a_new:
-        rrow = [Fraction(float(v)).limit_denominator(10**6) for v in row]
-        if any(abs(float(fv) - v) > 1e-12 for fv, v in zip(rrow, row)):
-            faithful = False
-            break
-        rat_rows.append(rrow)
-    if faithful:
-        return has_strong_property(RatMatrix.from_rows(rat_rows), h, kind).answer
-    return has_strong_property(a_new, h, kind, tol=1e-8).answer
-
-
 def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
              seed=0, kind: str = "ssp") -> LiberateResult:
     """Grow a into the pattern of g plus beta without moving its spectrum.
@@ -182,9 +152,9 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
     if exact_input:
         if not is_liberation_set(a, g, beta, kind).answer:
             raise ValueError("the given pairs are not a liberation set here")
-    else:
-        if not _numeric_liberation_precheck(arr, g, beta, kind):
-            raise ValueError("the given pairs fail the numeric relative checks")
+    elif not all(ok for _, ok in _drop_one_verdicts(psi(arr, g, kind),
+                                                  beta.pairs)):
+        raise ValueError("the given pairs fail the numeric relative checks")
 
     h = add_edges(g, beta.pairs)
     slots = _pattern_slots(h)
@@ -221,7 +191,7 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
         if smallest < MIN_ENTRY:
             last_err = "a pattern entry collapsed below %g" % MIN_ENTRY
             continue
-        if not _verify_strong_after(a_new, h, kind):
+        if not has_strong_property(a_new, h, kind, tol=1e-8).answer:
             last_err = "output failed the strong-property re-check"
             continue
         res = float(np.max(np.abs(residual(x)))) / scale

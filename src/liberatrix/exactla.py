@@ -146,7 +146,11 @@ class RatMatrix:
 
     def to_float(self):
         import numpy as np
-        return np.array([[float(x) for x in row] for row in self.data], dtype=float)
+        try:
+            return np.array([[float(x) for x in row] for row in self.data],
+                            dtype=float)
+        except OverflowError:
+            raise ValueError("matrix entry too large for a float") from None
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -431,6 +435,8 @@ def parse_matrix_text(text: str) -> RatMatrix:
     if not lines:
         raise ValueError("empty matrix text")
     head = lines[0].split()
+    if len(head) != 2:
+        raise ValueError("matrix header must be 'rows cols', got %r" % lines[0])
     r, c = int(head[0]), int(head[1])
     if len(lines) - 1 != r:
         raise ValueError("expected %d entry rows, got %d" % (r, len(lines) - 1))

@@ -29,9 +29,9 @@ from .exactla import (
     full_row_rank,
     rank,
 )
-from .graphs import EdgeSet, Graph, add_edges, nonedge_set
+from .graphs import EdgeSet, Graph, nonedge_set
 from .patterns import SAMPLE_MODES, CertificateError, sample_S
-from .strongprops import _verdict_wrt, normalize_kind, psi
+from .strongprops import _drop_one_verdicts, normalize_kind, psi
 
 CRITERIA = ("definitional", "row-rank", "witness", "echelon")
 
@@ -102,11 +102,7 @@ def is_liberation_set(a, g: Graph, beta, kind: str = "ssp") -> LiberationCertifi
     beta_idx = [index[e] for e in beta.pairs]
     alpha_idx = [i for i in range(len(rows)) if i not in set(beta_idx)]
 
-    per = []
-    for e in beta.pairs:
-        rest = [f for f in beta.pairs if f != e]
-        h = add_edges(g, rest) if rest else g
-        per.append((e, _verdict_wrt(vm, h).answer))
+    per = _drop_one_verdicts(vm, beta.pairs)
     c1 = all(ok for _, ok in per)
 
     c2 = all(

@@ -27,11 +27,11 @@ from .directsum import directsum_liberation, is_generic, sylvester_space
 from .exactla import RatMatrix, charpoly, direct_sum
 from .graphs import (Graph, add_edges, build_graph, cartesian_product,
                      catalog, catalog_entry, cycle_graph, disjoint_union,
-                     empty_graph, path_graph, product_index, star_graph)
+                     path_graph, product_index, star_graph)
 from .liberation import (enumerate_minimal_liberation_sets,
                          is_graph_liberation_set, is_liberation_set)
 from .numla import multiplicity_list, sym_eigen
-from .patterns import in_class, pair_position
+from .patterns import in_class, pair_position, pattern_of
 from .strongprops import has_strong_property, has_strong_property_wrt, psi
 from .zeroforcing import is_local_zf_cover, is_zf_cover, zf_liberation
 
@@ -198,15 +198,6 @@ def _embed(n, placements):
     return out
 
 
-def _relabel(arr, perm):
-    n = arr.shape[0]
-    out = np.zeros_like(arr)
-    for i in range(n):
-        for j in range(n):
-            out[perm[i + 1] - 1, perm[j + 1] - 1] = arr[i, j]
-    return out
-
-
 def _sym2(lo, hi):
     """Edge block with spectrum {lo, hi} and nowhere-zero eigenvectors."""
     return np.array([[(lo + hi) / 2.0, (hi - lo) / 2.0],
@@ -231,16 +222,11 @@ def _two_double(p, q):
     return c * np.eye(4) + w * ring
 
 
-def _certify(a, b, beta, kind="ssp"):
+def _quiet(fn, *args, **kwargs):
+    """fn(*args, **kwargs) with its UserWarnings silenced."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        return directsum_liberation(a, b, beta, kind=kind)
-
-
-def _zf(a, b, f, kind="ssp"):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return zf_liberation(a, b, f, kind=kind)
+        return fn(*args, **kwargs)
 
 
 def _realize_ssp(g, spec, seed, tries=6):
@@ -371,53 +357,49 @@ def _run_g151(run, seed):
 
 
 # ---------------------------------------------------------------------------
-# table rows built from two blocks joined by explicit bridges
+# table rows built from two blocks joined by a catalog entry's bridges
 
-def _merge_row(a, b, entry_name, *, seed=0):
-    """Certify bridges of a catalog entry and grow the block matrix."""
-    entry = catalog_entry(entry_name)
-    cert = _certify(a, b, entry.beta)
-    if not cert.answer:
-        raise RuntimeError("bridge certificate failed for %s" % entry_name)
-    m = _block_diag(a, b)
-    lib = liberate(m, entry.base, entry.beta, seed=seed)
-    return lib.matrix
+def _merge_tail(name, a, b, seed):
+    """Certify the entry's bridges across blocks a, b and grow a + b onto it."""
+    entry = catalog_entry(name)
+    if not _quiet(directsum_liberation, a, b, entry.beta).answer:
+        raise RuntimeError("bridge certificate failed for %s" % name)
+    return liberate(_block_diag(a, b), entry.base, entry.beta,
+                    seed=seed).matrix
 
 
-def _row_g100(mults, values, seed):
-    v = values
+def _g100_blocks(mults, v, seed):
     a = realize_spectrum([v[0], v[1], v[1], v[2]], "star",
                          seed=_subseed(seed, "star")).array
-    b = _sym2(v[2], v[3])
-    return _merge_row(a, b, "G100", seed=seed)
+    return a, _sym2(v[2], v[3])
 
 
-def _row_g127(mults, values, seed):
-    v = values
-    a = _complete_block(3, v[0], v[3])
+def _g127_blocks(mults, v, seed):
     b = realize_spectrum([v[1], v[2], v[3]], "path",
                          seed=_subseed(seed, "path")).array
-    return _merge_row(a, b, "G127", seed=seed)
+    return _complete_block(3, v[0], v[3]), b
 
 
-def _row_g169(mults, values, seed):
-    v = values
+def _g169_blocks(mults, v, seed):
     other = v[2] if mults == (1, 3, 2) else v[0]
-    a = _complete_block(4, v[1], other)
-    b = _sym2(v[0], v[2])
-    return _merge_row(a, b, "G169", seed=seed)
+    return _complete_block(4, v[1], other), _sym2(v[0], v[2])
 
 
-def _row_g163(mults, values, seed):
-    w = values
+def _g163_blocks(mults, w, seed):
     if mults == (1, 1, 3, 1):
-        a = _complete_block(3, w[2], w[3])
-        bspec = [w[0], w[1], w[2]]
+        a, bspec = _complete_block(3, w[2], w[3]), [w[0], w[1], w[2]]
     else:  # (1, 3, 1, 1)
-        a = _complete_block(3, w[1], w[0])
-        bspec = [w[1], w[2], w[3]]
+        a, bspec = _complete_block(3, w[1], w[0]), [w[1], w[2], w[3]]
     b = realize_spectrum(bspec, "path", seed=_subseed(seed, "path")).array
-    return _merge_row(a, b, "G163", seed=seed)
+    return a, b
+
+
+_MERGE_ROWS = {"G100": _g100_blocks, "G127": _g127_blocks,
+               "G163": _g163_blocks, "G169": _g169_blocks}
+
+
+def _merge_row(name, mults, values, seed):
+    return _merge_tail(name, *_MERGE_ROWS[name](mults, values, seed), seed)
 
 
 _G151_FAMILY = ((1, 3, 1, 1), (1, 1, 3, 1), (1, 3, 2), (2, 3, 1))
@@ -455,13 +437,9 @@ def _g151_family_matrix(mults, values):
 
 
 def _row_g151(mults, values, seed):
-    entry = catalog_entry("G151")
     if mults in _G151_FAMILY:
         m6 = _g151_family_matrix(mults, values)
-        cert = _certify(m6[:4, :4], m6[4:, 4:], entry.beta)
-        if not cert.answer:
-            raise RuntimeError("family bridge certificate failed")
-        return liberate(m6, entry.base, entry.beta, seed=seed).matrix
+        return _merge_tail("G151", m6[:4, :4], m6[4:, 4:], seed)
     # (1,2,3) and (3,2,1) are out of the family's reach: the pattern also
     # splits as a signed 4-cycle on 1,3,5,4 plus the pair 2,6, which puts a
     # doubled value at either extreme.
@@ -472,36 +450,39 @@ def _row_g151(mults, values, seed):
         a, b = _two_double(v[0], v[1]), _sym2(v[0], v[2])
     else:
         raise ValueError("no construction for %s" % (mults,))
-    cert = _certify(a, b, ((1, 5), (3, 6), (4, 6)))
-    if not cert.answer:
+    if not _quiet(directsum_liberation, a, b, ((1, 5), (3, 6), (4, 6))).answer:
         raise RuntimeError("signed-cycle bridge certificate failed")
     m6 = _embed(6, (((1, 3, 5, 4), a), ((2, 6), b)))
     return liberate(m6, _G151_ALT_BASE, _G151_ALT_BETA, seed=seed).matrix
 
 
 # ---------------------------------------------------------------------------
-# rows grown from a block plus one loose vertex via a forcing cover
+# rows grown from two blocks along the bridges of a forcing cover
 
-_G129_PERM = {1: 4, 2: 3, 3: 2, 4: 1, 5: 6, 6: 5}
+def _cover_tail(a, b, cover, seed, place=None):
+    """Certify a forcing cover of blocks a, b; grow a + b along its bridges.
+
+    place gives the row's label for each vertex of a + b, when the catalog
+    labels the row's pattern differently.
+    """
+    rep = _quiet(zf_liberation, a, b, cover)
+    if not (rep.combinatorial and bool(rep)):
+        raise RuntimeError("forcing cover %s failed" % (cover,))
+    base = disjoint_union(pattern_of(a), pattern_of(b))
+    m = liberate(_block_diag(a, b), base, rep.beta, seed=seed).matrix
+    return m if place is None else _embed(len(place), ((place, m),))
 
 
-def _row_g129(mults, values, seed):
-    g30 = build_graph(5, ((1, 2), (2, 3), (3, 4), (3, 5)))
-    v = values
+def _g129_blocks(mults, v, seed):
     if mults == (1, 3, 1, 1):
         spec5, theta = [v[0], v[1], v[1], v[2], v[3]], v[1]
     elif mults == (1, 1, 3, 1):
         spec5, theta = [v[0], v[1], v[2], v[2], v[3]], v[2]
     else:
         raise ValueError("no construction for %s" % (mults,))
-    m = _realize_ssp(g30, spec5, _subseed(seed, "fork"))
-    rep = _zf(m, np.array([[theta]]), ((1, 1), (4, 1), (5, 1)))
-    if not (rep.combinatorial and bool(rep)):
-        raise RuntimeError("pendant cover failed")
-    base = disjoint_union(g30, empty_graph(1))
-    lib = liberate(_block_diag(m, [[theta]]), base,
-                   ((1, 6), (4, 6), (5, 6)), seed=seed)
-    return _relabel(lib.matrix, _G129_PERM)
+    fork = build_graph(5, ((1, 2), (2, 3), (3, 4), (3, 5)))
+    return (_realize_ssp(fork, spec5, _subseed(seed, "fork")),
+            np.array([[theta]]))
 
 
 _C5_LIFT = {
@@ -514,35 +495,53 @@ _C5_LIFT = {
 }
 
 
-def _row_g171(mults, values, seed):
+def _g171_blocks(mults, values, seed):
     base_mults, pos = _C5_LIFT[mults]
-    theta = values[pos]
-    c5 = cycle_graph(5)
-    m = _realize_ssp(c5, _expand(values, base_mults), _subseed(seed, "c5"))
-    rep = _zf(m, np.array([[theta]]), ((1, 1), (3, 1), (4, 1), (5, 1)))
-    if not (rep.combinatorial and bool(rep)):
-        raise RuntimeError("cycle cover failed")
-    base = disjoint_union(c5, empty_graph(1))
-    lib = liberate(_block_diag(m, [[theta]]), base,
-                   ((1, 6), (3, 6), (4, 6), (5, 6)), seed=seed)
-    return lib.matrix
+    m = _realize_ssp(cycle_graph(5), _expand(values, base_mults),
+                     _subseed(seed, "c5"))
+    return m, np.array([[values[pos]]])
 
 
-_G175_PERM = {1: 6, 2: 1, 3: 3, 4: 5, 5: 4, 6: 2}
-
-
-def _row_g175(mults, values, seed):
-    w = values
+def _g175_blocks(mults, w, seed):
     a = realize_spectrum([w[0], w[1], w[1], w[2]], "star",
                          seed=_subseed(seed, "star")).array
-    b = np.diag([w[1], w[2]] if mults == (1, 3, 2) else [w[0], w[1]])
-    rep = _zf(a, b, tuple((u, vv) for u in (2, 3, 4) for vv in (1, 2)))
-    if not (rep.combinatorial and bool(rep)):
-        raise RuntimeError("leaf cover failed")
-    base = build_graph(6, ((1, 2), (1, 3), (1, 4)))
-    beta = tuple((u, vv) for u in (2, 3, 4) for vv in (5, 6))
-    lib = liberate(_block_diag(a, b), base, beta, seed=seed)
-    return _relabel(lib.matrix, _G175_PERM)
+    return a, np.diag([w[1], w[2]] if mults == (1, 3, 2) else [w[0], w[1]])
+
+
+# name -> (block builder, cover, placement in the catalog's labels)
+_COVER_ROWS = {
+    "G129": (_g129_blocks, ((1, 1), (4, 1), (5, 1)), (4, 3, 2, 1, 6, 5)),
+    "G171": (_g171_blocks, ((1, 1), (3, 1), (4, 1), (5, 1)), None),
+    "G175": (_g175_blocks, tuple((u, v) for u in (2, 3, 4) for v in (1, 2)),
+             (6, 1, 3, 5, 4, 2)),
+}
+
+
+def _cover_row(name, mults, values, seed):
+    blocks, cover, place = _COVER_ROWS[name]
+    return _cover_tail(*blocks(mults, values, seed), cover, seed, place)
+
+
+# rows grown from a parent row by the pair their catalog entry adds:
+# name -> parent row
+_ONE_PAIR_ROWS = {"G145": "G129", "G153": "G129", "G187": "G171"}
+
+
+def _grow(parent, name, seed):
+    """Grow a parent row's matrix by the bridges of catalog entry name."""
+    entry = catalog_entry(name)
+    return liberate(parent, entry.base, entry.beta, seed=seed).matrix
+
+
+def _one_pair_row(name, mults, values, seed):
+    parent = _ROW_BUILDERS[_ONE_PAIR_ROWS[name]](mults, values, seed)
+    return _grow(parent, name, seed)
+
+
+def _build_list(name, mults, values, seed):
+    """Build one list realization of a table-6 row; check it against the row."""
+    m = _ROW_BUILDERS[name](mults, tuple(values), seed)
+    return (m,) + _realized_ok(name, mults, values, m)
 
 
 # ---------------------------------------------------------------------------
@@ -551,20 +550,18 @@ def _row_g175(mults, values, seed):
 def _run_g100(run, seed):
     rng = random.Random(_subseed(seed, "g100"))
     v = _draw_values(rng, 4)
-    a = realize_spectrum([v[0], v[1], v[1], v[2]], "star",
-                         seed=_subseed(seed, "star")).array
-    b = _sym2(v[2], v[3])
+    row_seed = _subseed(seed, "row")
+    a, b = _g100_blocks((1, 2, 2, 1), v, row_seed)
     run.check("block spectra on target",
               _spec_dev(a, [v[0], v[1], v[1], v[2]]) <= 1e-8
               and _spec_dev(b, [v[2], v[3]]) <= 1e-12)
     run.check("blocks carry the strong property",
               has_strong_property(a, star_graph(3), "ssp").answer
               and has_strong_property(b, path_graph(2), "ssp").answer)
-    cert = _certify(a, b, ((4, 5), (4, 6)))
+    cert = _quiet(directsum_liberation, a, b, catalog_entry("G100").beta)
     run.check("bridge pair certified", cert.answer,
               "intertwiner dimension %d" % cert.dimension)
-    m = _row_g100((1, 2, 2, 1), tuple(v), _subseed(seed, "row"))
-    ok, detail = _realized_ok("G100", (1, 2, 2, 1), v, m)
+    _, ok, detail = _build_list("G100", (1, 2, 2, 1), v, row_seed)
     run.check("merged matrix carries (1,2,2,1)", ok, detail)
     return {"targets": [float(x) for x in v]}
 
@@ -572,21 +569,19 @@ def _run_g100(run, seed):
 def _run_g127g169(run, seed):
     rng = random.Random(_subseed(seed, "g127g169"))
     v = _draw_values(rng, 4)
-    a = _complete_block(3, v[0], v[3])
-    b = realize_spectrum([v[1], v[2], v[3]], "path",
-                         seed=_subseed(seed, "path")).array
+    row_seed = _subseed(seed, "g127")
+    a, b = _g127_blocks((2, 1, 1, 2), v, row_seed)
     run.check("triangle and path blocks strong",
               has_strong_property(a, build_graph(3, ((1, 2), (1, 3), (2, 3))),
                                   "ssp").answer
               and has_strong_property(b, path_graph(3), "ssp").answer)
-    m127 = _row_g127((2, 1, 1, 2), tuple(v), _subseed(seed, "g127"))
-    ok, detail = _realized_ok("G127", (2, 1, 1, 2), v, m127)
+    _, ok, detail = _build_list("G127", (2, 1, 1, 2), v, row_seed)
     run.check("first split carries (2,1,1,2)", ok, detail)
 
     w = _draw_values(rng, 3)
     for mults in ((1, 3, 2), (2, 3, 1)):
-        m169 = _row_g169(mults, tuple(w), _subseed(seed, "g169", mults))
-        ok, detail = _realized_ok("G169", mults, w, m169)
+        _, ok, detail = _build_list("G169", mults, w,
+                                    _subseed(seed, "g169", mults))
         run.check("second split carries %s" % (mults,), ok, detail)
     return {"first_targets": [float(x) for x in v],
             "second_targets": [float(x) for x in w]}
@@ -603,8 +598,7 @@ def _run_g163(run, seed):
               sorted(len(t) for t in by_row.values()) == [2, 2],
               "rows %s" % sorted(by_row))
     for mults in ((1, 1, 3, 1), (1, 3, 1, 1)):
-        m = _row_g163(mults, tuple(w), _subseed(seed, mults))
-        ok, detail = _realized_ok("G163", mults, w, m)
+        _, ok, detail = _build_list("G163", mults, w, _subseed(seed, mults))
         run.check("split carries %s" % (mults,), ok, detail)
     return {"targets": [float(x) for x in w]}
 
@@ -667,9 +661,7 @@ def _run_c6c8(run, seed):
 
     s = r3 - 2.0
     sh = rep + s * np.eye(6)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        space = sylvester_space(sh, b)
+    space = _quiet(sylvester_space, sh, b)
     run.check("coupled solution space has dimension 4",
               space.dimension == 4 and len(space.common) == 1,
               "shared value %.6f with multiplicities (2, 2)"
@@ -682,12 +674,12 @@ def _run_c6c8(run, seed):
                                     for v in (7, 8, 9))),
                       ("3x2", tuple((u, v) for u in (1, 2, 3)
                                     for v in (7, 8)))):
-        printed_cert = _certify(shifted_printed, b, beta)
+        printed_cert = _quiet(directsum_liberation, shifted_printed, b, beta)
         run.check("grid %s certified on the printed pair (bridge side)" % tag,
                   printed_cert.answer,
                   "the bridge mechanism holds; only the block's own "
                   "property fails")
-        cert = _certify(sh, b, beta)
+        cert = _quiet(directsum_liberation, sh, b, beta)
         run.check("grid %s certified on the repaired pair" % tag, cert.answer)
         lib = liberate(_block_diag(sh, b), base14, beta,
                        seed=_subseed(seed, tag))
@@ -746,7 +738,7 @@ def _run_k13k13(run, seed):
     b = realize_spectrum([w[1], w[2], w[2], w[4]], "star",
                          seed=_subseed(seed, "b")).array
     beta = tuple((u, v) for u in (2, 3) for v in (6, 7, 8))
-    cert = _certify(a, b, beta)
+    cert = _quiet(directsum_liberation, a, b, beta)
     run.check("leaf grid certified", cert.answer,
               "intertwiner dimension %d" % cert.dimension)
     generic_ok, detail = cert.validator("generic-eigenspaces")
@@ -767,15 +759,13 @@ def _run_g129(run, seed):
     values, m = None, None
     for mults in ((1, 3, 1, 1), (1, 1, 3, 1)):
         values = _draw_values(rng, 4)
-        m = _row_g129(mults, tuple(values), _subseed(seed, "row", mults))
-        ok, detail = _realized_ok("G129", mults, values, m)
+        m, ok, detail = _build_list("G129", mults, values,
+                                    _subseed(seed, "row", mults))
         run.check("fork pattern carries %s" % (mults,), ok, detail)
-    grown = liberate(m, catalog("G129"), ((2, 5),),
-                     seed=_subseed(seed, "145")).matrix
+    grown = _grow(m, "G145", _subseed(seed, "145"))
     ok, detail = _realized_ok("G145", (1, 1, 3, 1), values, grown)
     run.check("one added pair reaches the next pattern", ok, detail)
-    grown = liberate(m, catalog("G129"), ((1, 6),),
-                     seed=_subseed(seed, "153")).matrix
+    grown = _grow(m, "G153", _subseed(seed, "153"))
     ok, detail = _realized_ok("G153", (1, 1, 3, 1), values, grown)
     run.check("a different added pair reaches the other pattern", ok, detail)
     return {"targets": [float(x) for x in values]}
@@ -787,11 +777,10 @@ def _run_g171(run, seed):
     for mults in ((1, 2, 3), (1, 3, 2), (3, 2, 1), (2, 3, 1),
                   (1, 1, 3, 1), (1, 3, 1, 1)):
         values = _draw_values(rng, len(mults))
-        m = _row_g171(mults, tuple(values), _subseed(seed, "row", mults))
-        ok, detail = _realized_ok("G171", mults, values, m)
+        m, ok, detail = _build_list("G171", mults, values,
+                                    _subseed(seed, "row", mults))
         run.check("cycle pattern carries %s" % (mults,), ok, detail)
-    grown = liberate(m, catalog("G171"), ((2, 6),),
-                     seed=_subseed(seed, "187")).matrix
+    grown = _grow(m, "G187", _subseed(seed, "187"))
     ok, detail = _realized_ok("G187", (1, 3, 1, 1), values, grown)
     run.check("one added pair reaches the densest pattern", ok, detail)
     return {"last_targets": [float(x) for x in values]}
@@ -800,16 +789,16 @@ def _run_g171(run, seed):
 def _run_g175(run, seed):
     rng = random.Random(_subseed(seed, "g175"))
     w = _draw_values(rng, 3)
-    a = realize_spectrum([w[0], w[1], w[1], w[2]], "star",
-                         seed=_subseed(seed, "star")).array
-    b = np.diag([w[1], w[2]])
-    cert = _certify(a, b, tuple((u, v) for u in (2, 3, 4) for v in (5, 6)))
-    run.check("six-pair cover certified with two shared values",
-              cert.answer and len(cert.common) == 2,
-              "intertwiner dimension %d" % cert.dimension)
     for mults in ((1, 3, 2), (2, 3, 1)):
-        m = _row_g175(mults, tuple(w), _subseed(seed, "row", mults))
-        ok, detail = _realized_ok("G175", mults, w, m)
+        row_seed = _subseed(seed, "row", mults)
+        a, b = _g175_blocks(mults, w, row_seed)
+        rep = _quiet(zf_liberation, a, b, _COVER_ROWS["G175"][1])
+        run.check("six-pair cover for %s certified with two shared values"
+                  % (mults,),
+                  rep.combinatorial and bool(rep)
+                  and len(rep.algebraic.common) == 2,
+                  "intertwiner dimension %d" % rep.algebraic.dimension)
+        _, ok, detail = _build_list("G175", mults, w, row_seed)
         run.check("double star carries %s" % (mults,), ok, detail)
     return {"targets": [float(x) for x in w]}
 
@@ -843,12 +832,12 @@ def _run_pmpn(run, seed):
     run.check("path blocks strong",
               has_strong_property(a, path_graph(3), "ssp").answer
               and has_strong_property(b, path_graph(4), "ssp").answer)
-    rep = _zf(a, b, f)
+    rep = _quiet(zf_liberation, a, b, f)
     run.check("cover certifies algebraically despite three shared values",
               rep.combinatorial and bool(rep) and rep.agree)
     base = disjoint_union(path_graph(3), path_graph(4))
-    beta = tuple((u, vv + 3) for (u, vv) in f)
-    lib = liberate(_block_diag(a, b), base, beta, seed=_subseed(seed, "lib"))
+    lib = liberate(_block_diag(a, b), base, rep.beta,
+                   seed=_subseed(seed, "lib"))
     ml = multiplicity_list(lib.spectrum, tol=1e-6)
     run.check("merged paths carry (2,2,2,1)",
               ml.multiplicities == (2, 2, 2, 1)
@@ -874,7 +863,7 @@ def _run_prism(run, seed):
               is_local_zf_cover(c4, k2, f)
               and not is_zf_cover(cartesian_product(c4, k2), filled))
 
-    rep = _zf(a, b, f, kind="sap")
+    rep = _quiet(zf_liberation, a, b, f, kind="sap")
     drops = [e for e, ok in rep.algebraic.per_beta_prime if not ok]
     run.check("every deletion stays certified", bool(rep) and not drops,
               "failing deletions: %s" % drops if drops else "all four hold")
@@ -911,25 +900,10 @@ TABLE6 = {
              (1, 3, 2), (2, 3, 1)),
 }
 
-# rows grown from a parent row by one more pair:
-# name -> (parent row builder, parent catalog graph, added pair)
-_ONE_PAIR_ROWS = {
-    "G145": (_row_g129, "G129", (2, 5)),
-    "G153": (_row_g129, "G129", (1, 6)),
-    "G187": (_row_g171, "G171", (2, 6)),
-}
-
-
-def _one_pair_row(name, mults, values, seed):
-    parent_row, parent_graph, pair = _ONE_PAIR_ROWS[name]
-    parent = parent_row(mults, values, seed)
-    return liberate(parent, catalog(parent_graph), (pair,), seed=seed).matrix
-
-
 _ROW_BUILDERS = {
-    "G100": _row_g100, "G127": _row_g127, "G129": _row_g129,
-    "G151": _row_g151, "G163": _row_g163, "G169": _row_g169,
-    "G171": _row_g171, "G175": _row_g175,
+    "G151": _row_g151,
+    **{name: partial(_merge_row, name) for name in _MERGE_ROWS},
+    **{name: partial(_cover_row, name) for name in _COVER_ROWS},
     **{name: partial(_one_pair_row, name) for name in _ONE_PAIR_ROWS},
 }
 
@@ -941,9 +915,8 @@ def _table6_row(name, seed, draws=2):
             rng = random.Random(_subseed(seed, "table6", name, mults, d))
             values = _draw_values(rng, len(mults))
             try:
-                m = _ROW_BUILDERS[name](mults, tuple(values),
-                                        _subseed(seed, "row", name, mults, d))
-                ok, detail = _realized_ok(name, mults, values, m)
+                _, ok, detail = _build_list(
+                    name, mults, values, _subseed(seed, "row", name, mults, d))
             except Exception as ex:
                 ok, detail = False, "%s: %s" % (type(ex).__name__, ex)
             if ok:

@@ -151,38 +151,42 @@ def _verify_certificate(a, kind, x, pairs_graph: Graph):
         raise CertificateError("obstruction is zero")
 
 
-def _exact_verdict(vm, sel_idx, sel_pairs, wrt_graph):
-    sub = vm.matrix.submatrix(row_idx=sel_idx)
-    r = rank(sub)
-    m = len(sel_idx)
-    if r == m:
-        return StrongPropertyResult(True, vm.kind, r, 0, sel_pairs)
-    cert = []
-    lk = left_kernel_basis(sub)
-    for t in range(lk.rows):
-        x = _reassemble(lk.row(t), sel_pairs, vm.graph.n)
-        _verify_certificate(vm.source, vm.kind, x, wrt_graph)
-        cert.append(x)
-    return StrongPropertyResult(False, vm.kind, r, m - r, sel_pairs, tuple(cert))
-
-
-def _numeric_verdict(vm, sel_idx, sel_pairs, tol):
+def _selected_rank(vm, sel_idx, tol):
+    if vm.exact:
+        return rank(vm.matrix.submatrix(row_idx=sel_idx))
     sub = vm.matrix[sel_idx] if len(sel_idx) else np.zeros((0, vm.matrix.shape[1]))
-    r = numeric_rank(sub, tol)
-    m = len(sel_idx)
-    return StrongPropertyResult(r == m, vm.kind, r, m - r, sel_pairs)
+    return numeric_rank(sub, tol)
 
 
 def _verdict_wrt(vm: VerificationMatrix, h: Graph,
                  tol: float = 1e-8) -> StrongPropertyResult:
     """Strong property relative to a supergraph h of vm.graph, from the rows
-    of vm indexed by nonedges of h; h = vm.graph gives the plain property."""
+    of vm indexed by nonedges of h; h = vm.graph gives the plain property.
+    Exact failures carry reassembled, re-verified obstructions."""
     keep = set(h.nonedges())
     sel_idx = [k for k, e in enumerate(vm.rows) if e in keep]
     sel_pairs = tuple(vm.rows[k] for k in sel_idx)
-    if vm.exact:
-        return _exact_verdict(vm, sel_idx, sel_pairs, h)
-    return _numeric_verdict(vm, sel_idx, sel_pairs, tol)
+    r, m = _selected_rank(vm, sel_idx, tol), len(sel_idx)
+    if r == m or not vm.exact:
+        return StrongPropertyResult(r == m, vm.kind, r, m - r, sel_pairs)
+    cert = []
+    lk = left_kernel_basis(vm.matrix.submatrix(row_idx=sel_idx))
+    for t in range(lk.rows):
+        x = _reassemble(lk.row(t), sel_pairs, vm.graph.n)
+        _verify_certificate(vm.source, vm.kind, x, h)
+        cert.append(x)
+    return StrongPropertyResult(False, vm.kind, r, m - r, sel_pairs, tuple(cert))
+
+
+def _drop_one_verdicts(vm: VerificationMatrix, beta, tol: float = 1e-8):
+    """((e, verdict), ...) over the pairs e of beta: does vm's matrix have the
+    property relative to vm.graph + (beta - e)? Rank only, no certificate:
+    the rows outside beta - e must be independent."""
+    out = []
+    for e in beta:
+        sel_idx = [k for k, f in enumerate(vm.rows) if f == e or f not in beta]
+        out.append((e, _selected_rank(vm, sel_idx, tol) == len(sel_idx)))
+    return tuple(out)
 
 
 def has_strong_property(a, g: Graph, kind: str, tol: float = 1e-8) -> StrongPropertyResult:

@@ -1,11 +1,13 @@
 """Zero forcing games and their bridge to direct-sum liberation sets.
 
 The color change rule: a blue vertex with exactly one white neighbor forces
-that neighbor blue. Covers are sets that keep forcing after any single
-removal; translated to bridging edges between the two summands of a direct
-sum, they certify liberation sets. The local variant on a Cartesian product
-restricts each force to the copy of one factor containing the forcing
-vertex, and certifies the kernel-sided property instead.
+that neighbor blue. One fixed-point loop runs it under two rules: the
+standard rule reads a vertex's whole neighborhood, the local rule on a
+Cartesian product reads the vertex's copy of each factor in turn. Covers are
+sets that keep forcing after any single removal; translated to bridging edges
+between the two summands of a direct sum, they certify liberation sets, in
+the spectral sense under the standard rule and in the kernel sense under the
+local one.
 """
 
 from __future__ import annotations
@@ -45,6 +47,33 @@ def _check_vertices(g: Graph, filled):
     return out
 
 
+def _first_force(order, blue, groups):
+    for u in order:
+        if u in blue:
+            for tag, nbrs in groups[u]:
+                whites = [w for w in nbrs if w not in blue]
+                if len(whites) == 1:
+                    return (u, whites[0], tag)
+    return None
+
+
+def _force(n, filled, schedule, groups, labels) -> ColorState:
+    """Fixed point of forcing over per-vertex neighbor groups.
+
+    groups[u] lists (tag, neighbors); a blue u forces the one white member of
+    the first of its groups that has exactly one. One force per step, taken
+    at the first able vertex in schedule order, so the log is reproducible.
+    """
+    order = list(schedule) if schedule is not None else list(range(1, n + 1))
+    if sorted(order) != list(range(1, n + 1)):
+        raise ValueError("schedule must be a permutation of the %s" % labels)
+    blue, log = set(filled), []
+    while (step := _first_force(order, blue, groups)) is not None:
+        blue.add(step[1])
+        log.append(step)
+    return ColorState(n, frozenset(blue), tuple(log))
+
+
 def closure(g: Graph, filled, schedule=None) -> ColorState:
     """Fixed point of the color change rule from the given blue set.
 
@@ -52,24 +81,10 @@ def closure(g: Graph, filled, schedule=None) -> ColorState:
     (ascending labels by default), so the log is reproducible. The final
     blue set does not depend on the schedule; the log may.
     """
-    blue = set(_check_vertices(g, filled))
-    order = list(schedule) if schedule is not None else list(range(1, g.n + 1))
-    if sorted(order) != list(range(1, g.n + 1)):
-        raise ValueError("schedule must be a permutation of the vertices")
-    adj = {v: sorted(g.neighbors(v)) for v in range(1, g.n + 1)}
-    log = []
-    while True:
-        for u in order:
-            if u not in blue:
-                continue
-            whites = [w for w in adj[u] if w not in blue]
-            if len(whites) == 1:
-                v = whites[0]
-                blue.add(v)
-                log.append((u, v, "standard"))
-                break
-        else:
-            return ColorState(g.n, frozenset(blue), tuple(log))
+    groups = {v: (("standard", sorted(g.neighbors(v))),)
+              for v in range(1, g.n + 1)}
+    return _force(g.n, _check_vertices(g, filled), schedule, groups,
+                  "vertices")
 
 
 def is_zf_set(g: Graph, filled) -> bool:
@@ -141,37 +156,13 @@ def local_closure(g: Graph, h: Graph, filled, schedule=None) -> ColorState:
     returned state are the product labels, row-major in (u, v).
     """
     pairs = _normalize_pairs(g, h, filled)
-    n = g.n * h.n
-
-    def label(u, v):
-        return product_index(u, v, h.n)
-
-    blue = set(label(u, v) for (u, v) in pairs)
-    order = list(schedule) if schedule is not None else list(range(1, n + 1))
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError("schedule must be a permutation of the product labels")
-    back = {label(u, v): (u, v) for u in range(1, g.n + 1)
-            for v in range(1, h.n + 1)}
-    log = []
-    while True:
-        for p in order:
-            if p not in blue:
-                continue
-            u, v = back[p]
-            g_whites = [label(w, v) for w in g.neighbors(u)
-                        if label(w, v) not in blue]
-            if len(g_whites) == 1:
-                blue.add(g_whites[0])
-                log.append((p, g_whites[0], "G-local"))
-                break
-            h_whites = [label(u, w) for w in h.neighbors(v)
-                        if label(u, w) not in blue]
-            if len(h_whites) == 1:
-                blue.add(h_whites[0])
-                log.append((p, h_whites[0], "H-local"))
-                break
-        else:
-            return ColorState(n, frozenset(blue), tuple(log))
+    groups = {
+        product_index(u, v, h.n): (
+            ("G-local", [product_index(w, v, h.n) for w in g.neighbors(u)]),
+            ("H-local", [product_index(u, w, h.n) for w in h.neighbors(v)]))
+        for u in range(1, g.n + 1) for v in range(1, h.n + 1)}
+    filled = [product_index(u, v, h.n) for (u, v) in pairs]
+    return _force(g.n * h.n, filled, schedule, groups, "product labels")
 
 
 def is_local_zf_cover(g: Graph, h: Graph, f) -> bool:

@@ -92,6 +92,20 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     assert main(["zf", "--closure", "--graph", "catalog:P4"]) == 2
     assert main(["verify", "--kind", "ssp", "--graph", "catalog:P4",
                  "--matrix", str(tmp_path / "missing.txt")]) == 2
+    header = tmp_path / "header.txt"
+    header.write_text("2\n1 1\n1 0\n")
+    assert main(["verify", "--kind", "ssp", "--graph", "catalog:P2",
+                 "--matrix", str(header)]) == 2
+    assert main(["realize", "--spectrum", "1e400,1,2",
+                 "--shape", "path"]) == 2
+    big = tmp_path / "big.txt"
+    big.write_text("2 2\n1e400 1\n1 0\n")
+    assert main(["liberate", "--graph", "catalog:2K1", "--matrix", str(big),
+                 "--beta", "1-2"]) == 2
+    one = tmp_path / "one.txt"
+    one.write_text("1 1\n1\n")
+    assert main(["directsum", "--matrix-a", str(big), "--matrix-b", str(one),
+                 "--beta", "1-3"]) == 2
 
 
 def test_zero_denominator_entry_exits_two(tmp_path, capsys):

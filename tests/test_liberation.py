@@ -5,7 +5,8 @@ import pytest
 
 from liberatrix import liberation, strongprops
 from liberatrix.exactla import RatMatrix, direct_sum
-from liberatrix.graphs import bridge_set, build_graph, catalog, catalog_entry, complement
+from liberatrix.graphs import (add_edges, bridge_set, build_graph, catalog,
+                               catalog_entry, complement)
 from liberatrix.liberation import (
     enumerate_minimal_liberation_sets,
     is_graph_liberation_set,
@@ -119,6 +120,36 @@ def test_g151_constructed_counterexample():
     assert not cert.answer
     per = dict(cert.per_beta_prime)
     assert per[(4, 6)] is False
+
+
+def test_drop_one_criterion_builds_no_certificate(monkeypatch):
+    # the definitional criterion reads verdicts only; the failing drop must
+    # not pay for a left kernel and its reassembled obstructions
+    a = direct_sum(
+        RatMatrix.from_rows([[0, 1, 1, 1], [1, -1, 0, 0],
+                             [1, 0, 0, 0], [1, 0, 0, 0]]),
+        RatMatrix.from_rows([[0, 1], [1, 1]]))
+    entry = catalog_entry("G151")
+    calls = []
+    real = strongprops.left_kernel_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(strongprops, "left_kernel_basis", counting)
+    cert = is_liberation_set(a, entry.base, entry.beta)
+    assert cert.per_beta_prime == (((2, 6), True), ((3, 5), True),
+                                   ((4, 5), True), ((4, 6), False))
+    assert calls == []
+    # the certificate route agrees, and does build the obstruction
+    for e, ok in cert.per_beta_prime:
+        rest = [f for f in entry.beta if f != e]
+        wrt = strongprops.has_strong_property_wrt(
+            a, entry.base, add_edges(entry.base, rest), "ssp")
+        assert wrt.answer == ok
+        assert bool(wrt.certificate) == (not ok)
+    assert len(calls) == 1
 
 
 def test_enumerate_k4k1_pairs():

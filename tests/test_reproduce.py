@@ -95,3 +95,12 @@ def test_g151_signed_route_list():
     m = rp._row_g151((1, 2, 3), values, seed=5)
     ok, detail = rp._realized_ok("G151", (1, 2, 3), values, m)
     assert ok, detail
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3, 4))
+@pytest.mark.parametrize(
+    "name", [n for n in rp.REGISTRY if n not in ("table6", "c6c8", "g129")])
+def test_replay_passes_at_other_seeds(name, seed):
+    rep = reproduce(name, seed=seed)
+    assert rep, "%s at seed %d failed at %s: %s" % (
+        name, seed, rep.failed_stage, rep.stages[-1].detail)

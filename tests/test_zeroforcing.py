@@ -2,6 +2,8 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liberatrix.exactla import RatMatrix
 from liberatrix.graphs import build_graph, cartesian_product, catalog, product_index
@@ -157,6 +159,51 @@ def test_standard_forces_are_locally_legal():
                            if product_index(pu, w, h.n) not in blue]
             assert copy_whites == [qv]
         blue.add(q)
+
+
+@st.composite
+def graphs(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return build_graph(n, [p for p, keep in zip(pairs, mask) if keep])
+
+
+@st.composite
+def products(draw):
+    g, h = draw(graphs(4)), draw(graphs(4))
+    pairs = draw(st.lists(st.tuples(st.integers(1, g.n), st.integers(1, h.n)),
+                          unique=True))
+    return g, h, pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(9), st.data())
+def test_closure_blue_set_ignores_schedule(g, data):
+    filled = data.draw(st.lists(st.integers(1, g.n), unique=True))
+    order = data.draw(st.permutations(range(1, g.n + 1)))
+    assert closure(g, filled, order).blue == closure(g, filled).blue
+
+
+@settings(max_examples=100, deadline=None)
+@given(products(), st.data())
+def test_local_closure_blue_set_ignores_schedule(gh, data):
+    g, h, pairs = gh
+    order = data.draw(st.permutations(range(1, g.n * h.n + 1)))
+    assert (local_closure(g, h, pairs, order).blue
+            == local_closure(g, h, pairs).blue)
+
+
+@settings(max_examples=100, deadline=None)
+@given(products())
+def test_standard_closure_inside_local_closure(gh):
+    # a standard force is unique among all neighbors, hence within the copy
+    # that holds it, so the per-copy rule forces at least as much
+    g, h, pairs = gh
+    labels = [product_index(u, v, h.n) for (u, v) in pairs]
+    standard = closure(cartesian_product(g, h), labels).blue
+    assert standard <= local_closure(g, h, pairs).blue
 
 
 def test_cover_to_bridge():
