@@ -484,8 +484,12 @@ def main(argv=None) -> int:
         report.timings = {"total_s": round(time.perf_counter() - t0, 6)}
     if args.json_path:
         payload = json.dumps(_jsonable(report), sort_keys=True, indent=2)
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as ex:
+            print("error: %s" % ex, file=sys.stderr)
+            return 2
     return code
 
 

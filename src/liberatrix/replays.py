@@ -6,6 +6,12 @@ pattern on the output. Stages are recorded in order and the first failure
 stops the run, so a broken step is named in the report instead of cascading
 into later noise. Everything is seeded; rerunning a target with the same
 seed replays the same draws.
+
+Every merge of blocks A and B takes one glue path, `_glue`: certify the
+bridges, liberate A + B along them and place it in the row's labels. The
+certificate comes in two kinds: bridges checked through the Sylvester
+intertwiner space (`directsum_liberation`) or a zero-forcing cover of the
+Cartesian product (`zf_liberation`).
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import math
 import random
 import warnings
 import zlib
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,9 +32,9 @@ from .continuation import (complete_pattern_low_rank, liberate,
                            realize_in_pattern, realize_spectrum)
 from .directsum import directsum_liberation, is_generic, sylvester_space
 from .exactla import RatMatrix, charpoly, direct_sum
-from .graphs import (Graph, add_edges, build_graph, cartesian_product,
-                     catalog, catalog_entry, cycle_graph, disjoint_union,
-                     path_graph, product_index, star_graph)
+from .graphs import (add_edges, build_graph, cartesian_product, catalog,
+                     catalog_entry, cycle_graph, disjoint_union, path_graph,
+                     product_index, star_graph)
 from .liberation import (enumerate_minimal_liberation_sets,
                          is_graph_liberation_set, is_liberation_set)
 from .numla import multiplicity_list, sym_eigen
@@ -357,16 +364,39 @@ def _run_g151(run, seed):
 
 
 # ---------------------------------------------------------------------------
-# table rows built from two blocks joined by a catalog entry's bridges
+# the glue step: certify two blocks, liberate their sum, place it
 
-def _merge_tail(name, a, b, seed):
-    """Certify the entry's bridges across blocks a, b and grow a + b onto it."""
-    entry = catalog_entry(name)
-    if not _quiet(directsum_liberation, a, b, entry.beta).answer:
-        raise RuntimeError("bridge certificate failed for %s" % name)
-    return liberate(_block_diag(a, b), entry.base, entry.beta,
-                    seed=seed).matrix
+# a, b: the blocks; cert: their DirectSumCertificate (bridges) or
+# ZfLiberationReport (cover); lib: the LiberateResult, in the labels of a + b;
+# matrix: the row's matrix, in the row's labels. lib and matrix are None when
+# the certificate fails.
+_Glue = namedtuple("_Glue", "a b cert lib matrix", defaults=(None, None))
 
+
+def _glue(a, b, seed, bridges=None, cover=None, place=None):
+    """Certify blocks a, b and liberate a + b along the certified bridges.
+
+    Give bridges in the labels of a + b or a forcing cover of the Cartesian
+    product. place gives the row's label for each vertex of a + b, when the
+    catalog labels the row differently.
+    """
+    if cover is None:
+        cert = _quiet(directsum_liberation, a, b, bridges)
+        ok = cert.answer
+    else:
+        cert = _quiet(zf_liberation, a, b, cover)
+        ok = cert.combinatorial and bool(cert)
+    if not ok:
+        return _Glue(a, b, cert)
+    base = disjoint_union(pattern_of(a), pattern_of(b))
+    lib = liberate(_block_diag(a, b), base, cert.beta, seed=seed)
+    if place is None:
+        return _Glue(a, b, cert, lib, lib.matrix)
+    return _Glue(a, b, cert, lib, _embed(len(place), ((place, lib.matrix),)))
+
+
+# ---------------------------------------------------------------------------
+# table rows glued from two blocks
 
 def _g100_blocks(mults, v, seed):
     a = realize_spectrum([v[0], v[1], v[1], v[2]], "star",
@@ -394,21 +424,8 @@ def _g163_blocks(mults, w, seed):
     return a, b
 
 
-_MERGE_ROWS = {"G100": _g100_blocks, "G127": _g127_blocks,
-               "G163": _g163_blocks, "G169": _g169_blocks}
-
-
-def _merge_row(name, mults, values, seed):
-    return _merge_tail(name, *_MERGE_ROWS[name](mults, values, seed), seed)
-
-
-_G151_FAMILY = ((1, 3, 1, 1), (1, 1, 3, 1), (1, 3, 2), (2, 3, 1))
-_G151_ALT_BASE = Graph(6, ((1, 3), (1, 4), (3, 5), (4, 5), (2, 6)))
-_G151_ALT_BETA = ((1, 2), (4, 6), (5, 6))
-
-
-def _g151_family_matrix(mults, values):
-    """Family member whose shifted spectrum hits the target values."""
+def _g151_family_blocks(mults, values, seed):
+    """Blocks of the family member whose spectrum hits the target values."""
     if mults == (1, 3, 1, 1):
         s = values[1]
         lam_m, two_a, lam_p = (values[0] - s, values[2] - s, values[3] - s)
@@ -433,44 +450,13 @@ def _g151_family_matrix(mults, values):
     for i in (4, 5):
         for j in (4, 5):
             m[i, j] = two_a / 2.0
-    return m + s * np.eye(6)
+    m = m + s * np.eye(6)
+    return m[:4, :4], m[4:, 4:]
 
 
-def _row_g151(mults, values, seed):
-    if mults in _G151_FAMILY:
-        m6 = _g151_family_matrix(mults, values)
-        return _merge_tail("G151", m6[:4, :4], m6[4:, 4:], seed)
-    # (1,2,3) and (3,2,1) are out of the family's reach: the pattern also
-    # splits as a signed 4-cycle on 1,3,5,4 plus the pair 2,6, which puts a
-    # doubled value at either extreme.
-    v = values
-    if mults == (1, 2, 3):
-        a, b = _two_double(v[1], v[2]), _sym2(v[0], v[2])
-    elif mults == (3, 2, 1):
-        a, b = _two_double(v[0], v[1]), _sym2(v[0], v[2])
-    else:
-        raise ValueError("no construction for %s" % (mults,))
-    if not _quiet(directsum_liberation, a, b, ((1, 5), (3, 6), (4, 6))).answer:
-        raise RuntimeError("signed-cycle bridge certificate failed")
-    m6 = _embed(6, (((1, 3, 5, 4), a), ((2, 6), b)))
-    return liberate(m6, _G151_ALT_BASE, _G151_ALT_BETA, seed=seed).matrix
-
-
-# ---------------------------------------------------------------------------
-# rows grown from two blocks along the bridges of a forcing cover
-
-def _cover_tail(a, b, cover, seed, place=None):
-    """Certify a forcing cover of blocks a, b; grow a + b along its bridges.
-
-    place gives the row's label for each vertex of a + b, when the catalog
-    labels the row's pattern differently.
-    """
-    rep = _quiet(zf_liberation, a, b, cover)
-    if not (rep.combinatorial and bool(rep)):
-        raise RuntimeError("forcing cover %s failed" % (cover,))
-    base = disjoint_union(pattern_of(a), pattern_of(b))
-    m = liberate(_block_diag(a, b), base, rep.beta, seed=seed).matrix
-    return m if place is None else _embed(len(place), ((place, m),))
+def _g151_signed_blocks(mults, v, seed):
+    doubled = (v[1], v[2]) if mults == (1, 2, 3) else (v[0], v[1])
+    return _two_double(*doubled), _sym2(v[0], v[2])
 
 
 def _g129_blocks(mults, v, seed):
@@ -508,18 +494,37 @@ def _g175_blocks(mults, w, seed):
     return a, np.diag([w[1], w[2]] if mults == (1, 3, 2) else [w[0], w[1]])
 
 
-# name -> (block builder, cover, placement in the catalog's labels)
-_COVER_ROWS = {
-    "G129": (_g129_blocks, ((1, 1), (4, 1), (5, 1)), (4, 3, 2, 1, 6, 5)),
-    "G171": (_g171_blocks, ((1, 1), (3, 1), (4, 1), (5, 1)), None),
-    "G175": (_g175_blocks, tuple((u, v) for u in (2, 3, 4) for v in (1, 2)),
-             (6, 1, 3, 5, 4, 2)),
+# name -> (block builder, _glue options): the catalog entry's bridges, or a
+# forcing cover and the placement of a + b in the catalog's labels
+_GLUE_ROWS = {
+    **{name: (blocks, {"bridges": catalog_entry(name).beta})
+       for name, blocks in (("G100", _g100_blocks), ("G127", _g127_blocks),
+                            ("G151", _g151_family_blocks),
+                            ("G163", _g163_blocks), ("G169", _g169_blocks))},
+    "G129": (_g129_blocks, {"cover": ((1, 1), (4, 1), (5, 1)),
+                            "place": (4, 3, 2, 1, 6, 5)}),
+    "G171": (_g171_blocks, {"cover": ((1, 1), (3, 1), (4, 1), (5, 1))}),
+    "G175": (_g175_blocks,
+             {"cover": tuple((u, v) for u in (2, 3, 4) for v in (1, 2)),
+              "place": (6, 1, 3, 5, 4, 2)}),
 }
 
+# G151's (1,2,3) and (3,2,1) are out of the family's reach: the pattern also
+# splits as a signed 4-cycle on 1,3,5,4 plus the pair 2,6, which puts a
+# doubled value at either extreme.
+_G151_SIGNED_LISTS = ((1, 2, 3), (3, 2, 1))
+_G151_SIGNED = (_g151_signed_blocks, {"bridges": ((1, 5), (3, 6), (4, 6)),
+                                      "place": (1, 3, 5, 4, 2, 6)})
 
-def _cover_row(name, mults, values, seed):
-    blocks, cover, place = _COVER_ROWS[name]
-    return _cover_tail(*blocks(mults, values, seed), cover, seed, place)
+
+def _glue_row(row, mults, values, seed):
+    blocks, options = row
+    return _glue(*blocks(mults, values, seed), seed, **options)
+
+
+def _row_g151(mults, values, seed):
+    row = _G151_SIGNED if mults in _G151_SIGNED_LISTS else _GLUE_ROWS["G151"]
+    return _glue_row(row, mults, values, seed)
 
 
 # rows grown from a parent row by the pair their catalog entry adds:
@@ -534,14 +539,19 @@ def _grow(parent, name, seed):
 
 
 def _one_pair_row(name, mults, values, seed):
-    parent = _ROW_BUILDERS[_ONE_PAIR_ROWS[name]](mults, values, seed)
-    return _grow(parent, name, seed)
+    """The parent row's glue record, its matrix grown by one pair."""
+    glue = _ROW_BUILDERS[_ONE_PAIR_ROWS[name]](mults, values, seed)
+    if glue.matrix is None:
+        return glue
+    return glue._replace(matrix=_grow(glue.matrix, name, seed))
 
 
 def _build_list(name, mults, values, seed):
-    """Build one list realization of a table-6 row; check it against the row."""
-    m = _ROW_BUILDERS[name](mults, tuple(values), seed)
-    return (m,) + _realized_ok(name, mults, values, m)
+    """Build one list realization of a table-6 row: (glue, ok, detail)."""
+    glue = _ROW_BUILDERS[name](mults, tuple(values), seed)
+    if glue.matrix is None:
+        return glue, False, "certificate failed for %s" % name
+    return (glue,) + _realized_ok(name, mults, values, glue.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -550,18 +560,17 @@ def _build_list(name, mults, values, seed):
 def _run_g100(run, seed):
     rng = random.Random(_subseed(seed, "g100"))
     v = _draw_values(rng, 4)
-    row_seed = _subseed(seed, "row")
-    a, b = _g100_blocks((1, 2, 2, 1), v, row_seed)
+    glue, ok, detail = _build_list("G100", (1, 2, 2, 1), v,
+                                   _subseed(seed, "row"))
+    a, b = glue.a, glue.b
     run.check("block spectra on target",
               _spec_dev(a, [v[0], v[1], v[1], v[2]]) <= 1e-8
               and _spec_dev(b, [v[2], v[3]]) <= 1e-12)
     run.check("blocks carry the strong property",
               has_strong_property(a, star_graph(3), "ssp").answer
               and has_strong_property(b, path_graph(2), "ssp").answer)
-    cert = _quiet(directsum_liberation, a, b, catalog_entry("G100").beta)
-    run.check("bridge pair certified", cert.answer,
-              "intertwiner dimension %d" % cert.dimension)
-    _, ok, detail = _build_list("G100", (1, 2, 2, 1), v, row_seed)
+    run.check("bridge pair certified", glue.cert.answer,
+              "intertwiner dimension %d" % glue.cert.dimension)
     run.check("merged matrix carries (1,2,2,1)", ok, detail)
     return {"targets": [float(x) for x in v]}
 
@@ -569,13 +578,11 @@ def _run_g100(run, seed):
 def _run_g127g169(run, seed):
     rng = random.Random(_subseed(seed, "g127g169"))
     v = _draw_values(rng, 4)
-    row_seed = _subseed(seed, "g127")
-    a, b = _g127_blocks((2, 1, 1, 2), v, row_seed)
+    glue, ok, detail = _build_list("G127", (2, 1, 1, 2), v,
+                                   _subseed(seed, "g127"))
     run.check("triangle and path blocks strong",
-              has_strong_property(a, build_graph(3, ((1, 2), (1, 3), (2, 3))),
-                                  "ssp").answer
-              and has_strong_property(b, path_graph(3), "ssp").answer)
-    _, ok, detail = _build_list("G127", (2, 1, 1, 2), v, row_seed)
+              has_strong_property(glue.a, cycle_graph(3), "ssp").answer
+              and has_strong_property(glue.b, path_graph(3), "ssp").answer)
     run.check("first split carries (2,1,1,2)", ok, detail)
 
     w = _draw_values(rng, 3)
@@ -667,7 +674,6 @@ def _run_c6c8(run, seed):
               "shared value %.6f with multiplicities (2, 2)"
               % space.common[0][0])
 
-    base14 = disjoint_union(cycle_graph(6), cycle_graph(8))
     shifted_printed = a + s * np.eye(6)
     lists = {}
     for tag, beta in (("2x3", tuple((u, v) for u in (1, 2)
@@ -679,15 +685,14 @@ def _run_c6c8(run, seed):
                   printed_cert.answer,
                   "the bridge mechanism holds; only the block's own "
                   "property fails")
-        cert = _quiet(directsum_liberation, sh, b, beta)
-        run.check("grid %s certified on the repaired pair" % tag, cert.answer)
-        lib = liberate(_block_diag(sh, b), base14, beta,
-                       seed=_subseed(seed, tag))
-        ml = multiplicity_list(lib.spectrum, tol=1e-6)
+        glue = _glue(sh, b, _subseed(seed, tag), bridges=beta)
+        run.check("grid %s certified on the repaired pair" % tag,
+                  glue.cert.answer)
+        ml = multiplicity_list(glue.lib.spectrum, tol=1e-6)
         run.check("grid %s yields (4,2,2,2,2,2) with the strong property"
                   % tag,
                   ml.multiplicities == (4, 2, 2, 2, 2, 2)
-                  and lib.strong_property_verified,
+                  and glue.lib.strong_property_verified,
                   "came out %s" % (ml.multiplicities,))
         lists[tag] = list(ml.multiplicities)
     return {"shift": s, "lists": lists}
@@ -737,35 +742,34 @@ def _run_k13k13(run, seed):
                          seed=_subseed(seed, "a")).array
     b = realize_spectrum([w[1], w[2], w[2], w[4]], "star",
                          seed=_subseed(seed, "b")).array
-    beta = tuple((u, v) for u in (2, 3) for v in (6, 7, 8))
-    cert = _quiet(directsum_liberation, a, b, beta)
+    glue = _glue(a, b, _subseed(seed, "lib"),
+                 bridges=tuple((u, v) for u in (2, 3) for v in (6, 7, 8)))
+    cert = glue.cert
     run.check("leaf grid certified", cert.answer,
               "intertwiner dimension %d" % cert.dimension)
     generic_ok, detail = cert.validator("generic-eigenspaces")
     run.check("hub rows break full genericity yet the grid still works",
               not generic_ok and cert.answer, detail)
-    base = disjoint_union(star_graph(3), star_graph(3))
-    lib = liberate(_block_diag(a, b), base, beta, seed=_subseed(seed, "lib"))
-    ml = multiplicity_list(lib.spectrum, tol=1e-6)
+    ml = multiplicity_list(glue.lib.spectrum, tol=1e-6)
     run.check("merged stars carry (1,1,4,1,1)",
               ml.multiplicities == (1, 1, 4, 1, 1)
-              and lib.strong_property_verified,
+              and glue.lib.strong_property_verified,
               "came out %s" % (ml.multiplicities,))
     return {"targets": [float(x) for x in w]}
 
 
 def _run_g129(run, seed):
     rng = random.Random(_subseed(seed, "g129"))
-    values, m = None, None
+    values, glue = None, None
     for mults in ((1, 3, 1, 1), (1, 1, 3, 1)):
         values = _draw_values(rng, 4)
-        m, ok, detail = _build_list("G129", mults, values,
-                                    _subseed(seed, "row", mults))
+        glue, ok, detail = _build_list("G129", mults, values,
+                                       _subseed(seed, "row", mults))
         run.check("fork pattern carries %s" % (mults,), ok, detail)
-    grown = _grow(m, "G145", _subseed(seed, "145"))
+    grown = _grow(glue.matrix, "G145", _subseed(seed, "145"))
     ok, detail = _realized_ok("G145", (1, 1, 3, 1), values, grown)
     run.check("one added pair reaches the next pattern", ok, detail)
-    grown = _grow(m, "G153", _subseed(seed, "153"))
+    grown = _grow(glue.matrix, "G153", _subseed(seed, "153"))
     ok, detail = _realized_ok("G153", (1, 1, 3, 1), values, grown)
     run.check("a different added pair reaches the other pattern", ok, detail)
     return {"targets": [float(x) for x in values]}
@@ -773,14 +777,14 @@ def _run_g129(run, seed):
 
 def _run_g171(run, seed):
     rng = random.Random(_subseed(seed, "g171"))
-    values, m = None, None
+    values, glue = None, None
     for mults in ((1, 2, 3), (1, 3, 2), (3, 2, 1), (2, 3, 1),
                   (1, 1, 3, 1), (1, 3, 1, 1)):
         values = _draw_values(rng, len(mults))
-        m, ok, detail = _build_list("G171", mults, values,
-                                    _subseed(seed, "row", mults))
+        glue, ok, detail = _build_list("G171", mults, values,
+                                       _subseed(seed, "row", mults))
         run.check("cycle pattern carries %s" % (mults,), ok, detail)
-    grown = _grow(m, "G187", _subseed(seed, "187"))
+    grown = _grow(glue.matrix, "G187", _subseed(seed, "187"))
     ok, detail = _realized_ok("G187", (1, 3, 1, 1), values, grown)
     run.check("one added pair reaches the densest pattern", ok, detail)
     return {"last_targets": [float(x) for x in values]}
@@ -790,15 +794,14 @@ def _run_g175(run, seed):
     rng = random.Random(_subseed(seed, "g175"))
     w = _draw_values(rng, 3)
     for mults in ((1, 3, 2), (2, 3, 1)):
-        row_seed = _subseed(seed, "row", mults)
-        a, b = _g175_blocks(mults, w, row_seed)
-        rep = _quiet(zf_liberation, a, b, _COVER_ROWS["G175"][1])
+        glue, ok, detail = _build_list("G175", mults, w,
+                                       _subseed(seed, "row", mults))
+        rep = glue.cert
         run.check("six-pair cover for %s certified with two shared values"
                   % (mults,),
                   rep.combinatorial and bool(rep)
                   and len(rep.algebraic.common) == 2,
                   "intertwiner dimension %d" % rep.algebraic.dimension)
-        _, ok, detail = _build_list("G175", mults, w, row_seed)
         run.check("double star carries %s" % (mults,), ok, detail)
     return {"targets": [float(x) for x in w]}
 
@@ -832,16 +835,14 @@ def _run_pmpn(run, seed):
     run.check("path blocks strong",
               has_strong_property(a, path_graph(3), "ssp").answer
               and has_strong_property(b, path_graph(4), "ssp").answer)
-    rep = _quiet(zf_liberation, a, b, f)
+    glue = _glue(a, b, _subseed(seed, "lib"), cover=f)
+    rep = glue.cert
     run.check("cover certifies algebraically despite three shared values",
               rep.combinatorial and bool(rep) and rep.agree)
-    base = disjoint_union(path_graph(3), path_graph(4))
-    lib = liberate(_block_diag(a, b), base, rep.beta,
-                   seed=_subseed(seed, "lib"))
-    ml = multiplicity_list(lib.spectrum, tol=1e-6)
+    ml = multiplicity_list(glue.lib.spectrum, tol=1e-6)
     run.check("merged paths carry (2,2,2,1)",
               ml.multiplicities == (2, 2, 2, 1)
-              and lib.strong_property_verified,
+              and glue.lib.strong_property_verified,
               "came out %s" % (ml.multiplicities,))
     return {"cover": [list(p) for p in f],
             "targets": [float(x) for x in v]}
@@ -901,9 +902,8 @@ TABLE6 = {
 }
 
 _ROW_BUILDERS = {
+    **{name: partial(_glue_row, row) for name, row in _GLUE_ROWS.items()},
     "G151": _row_g151,
-    **{name: partial(_merge_row, name) for name in _MERGE_ROWS},
-    **{name: partial(_cover_row, name) for name in _COVER_ROWS},
     **{name: partial(_one_pair_row, name) for name in _ONE_PAIR_ROWS},
 }
 
@@ -926,28 +926,21 @@ def _table6_row(name, seed, draws=2):
     return name, done, errors
 
 
-def _table6_task(args):
-    return _table6_row(*args)
-
-
 def _run_table6(run, seed, jobs=None):
     names = sorted(TABLE6)
-    results = {}
-    if jobs is not None and int(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
-            for name, done, errors in pool.map(
-                    _table6_task, [(n, seed) for n in names]):
-                results[name] = (done, errors)
+    seeds = [seed] * len(names)
+    # a pool starts all its workers at once; more than one per row is waste
+    workers = min(int(jobs or 1), len(names))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_table6_row, names, seeds))
     else:
-        for n in names:
-            _, done, errors = _table6_row(n, seed)
-            results[n] = (done, errors)
-    for n in names:
-        done, errors = results[n]
-        run.check("row %s holds %d list realizations" % (n, len(done)),
+        rows = list(map(_table6_row, names, seeds))
+    for name, done, errors in rows:
+        run.check("row %s holds %d list realizations" % (name, len(done)),
                   not errors,
                   "; ".join(errors) if errors else "every list at two draws")
-    return {"realizations": {n: len(results[n][0]) for n in names}}
+    return {"realizations": {name: len(done) for name, done, _ in rows}}
 
 
 _RUNNERS = {

@@ -106,6 +106,8 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     one.write_text("1 1\n1\n")
     assert main(["directsum", "--matrix-a", str(big), "--matrix-b", str(one),
                  "--beta", "1-3"]) == 2
+    assert main(["zf", "--number", "--graph", "catalog:P3",
+                 "--json", str(tmp_path / "no" / "such" / "r.json")]) == 2
 
 
 def test_zero_denominator_entry_exits_two(tmp_path, capsys):

@@ -219,3 +219,34 @@ def test_zero_by_k_matrices_allowed():
     assert rank(m) == 0 and full_row_rank(m)
     rr = rref(m)
     assert rr.rank == 0 and rr.pivot_cols == ()
+
+
+def _low_rank(rng, rows, cols):
+    k = rng.randint(1, min(rows, cols))
+    return rand_matrix(rng, rows, k, span=4) @ rand_matrix(rng, k, cols, span=4)
+
+
+def _to_sympy(sympy, m: RatMatrix):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
+                                         for row in m.data for x in row])
+
+
+def test_rank_kernel_charpoly_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261018)
+    for t in range(80):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        m = _low_rank(rng, r, c) if t % 2 else rand_matrix(rng, r, c, span=4)
+        sm = _to_sympy(sympy, m)
+        assert rank(m) == sm.rank()
+        ns = sm.nullspace()
+        kb = kernel_basis(m)
+        assert kb.cols == len(ns)
+        if ns:  # same span: ours is independent and adds nothing to sympy's
+            assert _to_sympy(sympy, kb).rank() == len(ns)
+            assert sympy.Matrix.hstack(_to_sympy(sympy, kb), *ns).rank() == len(ns)
+
+        n = rng.randint(1, 6)
+        sq = _low_rank(rng, n, n) if t % 2 else rand_matrix(rng, n, n, span=4)
+        want = _to_sympy(sympy, sq).charpoly(sympy.Symbol("x")).all_coeffs()
+        assert charpoly(sq) == [Fraction(int(q.p), int(q.q)) for q in reversed(want)]

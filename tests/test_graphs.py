@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from liberatrix.graphs import (
@@ -17,6 +19,7 @@ from liberatrix.graphs import (
     nonedge_set,
     parse_graph_text,
     path_graph,
+    product_index,
     star_graph,
 )
 
@@ -161,3 +164,28 @@ def test_prism_is_two_triangles_joined():
     assert g.degree_sequence() == (3, 3, 3, 3, 3, 3)
     assert g.has_edge(1, 2) and g.has_edge(1, 5) and g.has_edge(2, 5)
     assert g.has_edge(3, 4) and g.has_edge(3, 6) and g.has_edge(4, 6)
+
+
+def test_cartesian_product_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20261018)
+
+    def draw():
+        n = rng.randint(1, 5)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        return Graph(n, [p for p in pairs if rng.random() < 0.5])
+
+    def to_nx(g):
+        out = nx.Graph()
+        out.add_nodes_from(g.vertices)
+        out.add_edges_from(g.edges)
+        return out
+
+    for _ in range(60):
+        g, h = draw(), draw()
+        ref = nx.cartesian_product(to_nx(g), to_nx(h))
+        want = {tuple(sorted((product_index(*p, h.n), product_index(*q, h.n))))
+                for p, q in ref.edges}
+        prod = cartesian_product(g, h)
+        assert prod.n == ref.number_of_nodes() == g.n * h.n
+        assert set(prod.edges) == want

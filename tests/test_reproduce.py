@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from liberatrix import replays as rp
@@ -90,10 +92,52 @@ def test_table6_single_row():
     assert len(done) == 2
 
 
-def test_g151_signed_route_list():
+def test_table6_workers_capped_at_row_count(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(rp, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(rp, "_table6_row",
+                        lambda name, seed: (name, ["stub draw"], []))
+    pooled = reproduce("table6", seed=0, jobs=10000)
+    assert pooled and started == [len(rp.TABLE6)]
+    serial = reproduce("table6", seed=0, jobs=1)
+    assert started == [len(rp.TABLE6)]  # one job runs without a pool
+    assert serial.stages == pooled.stages
+    assert pooled.data == {"realizations": {n: 1 for n in rp.TABLE6}}
+
+
+def test_failed_certificate_stops_at_its_stage(monkeypatch):
+    real_ds, real_zf = rp.directsum_liberation, rp.zf_liberation
+    monkeypatch.setattr(rp, "directsum_liberation", lambda *a, **k: replace(
+        real_ds(*a, **k), answer=False))
+    monkeypatch.setattr(rp, "zf_liberation", lambda *a, **k: replace(
+        real_zf(*a, **k), combinatorial=False))
+    assert reproduce("g100").failed_stage == "bridge pair certified"
+    assert reproduce("g175").failed_stage.startswith("six-pair cover")
+    for name in ("G100", "G145"):
+        _, done, errors = rp._table6_row(name, 0, draws=1)
+        assert not done and all("certificate failed" in e for e in errors)
+
+
+@pytest.mark.parametrize("mults", ((1, 2, 3), (3, 2, 1)), ids=("123", "321"))
+def test_g151_signed_route_list(mults):
     values = (-2.0, 0.5, 3.0)
-    m = rp._row_g151((1, 2, 3), values, seed=5)
-    ok, detail = rp._realized_ok("G151", (1, 2, 3), values, m)
+    glue = rp._row_g151(mults, values, seed=5)
+    assert glue.cert.answer and glue.lib.strong_property_verified
+    ok, detail = rp._realized_ok("G151", mults, values, glue.matrix)
     assert ok, detail
 
 
