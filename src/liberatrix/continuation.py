@@ -123,7 +123,7 @@ class LiberateResult:
     attempts: int
     eps: float
     seed: object
-    min_pattern_entry: float
+    min_pattern_entry: float   # smallest edge entry; the diagonal is free
     strong_property_verified: bool
 
     @property
@@ -187,7 +187,8 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
             last_err = "eigenvalue polish stalled"
             continue
         a_new = _build_from_slots(g.n, slots, x)
-        smallest = min(abs(x[k]) for k in range(len(slots)))
+        # edge slots only: the diagonal is free and may pass through zero
+        smallest = min(abs(x[k]) for k in range(g.n, len(slots)))
         if smallest < MIN_ENTRY:
             last_err = "a pattern entry collapsed below %g" % MIN_ENTRY
             continue

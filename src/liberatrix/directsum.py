@@ -27,8 +27,7 @@ from .strongprops import has_strong_property, normalize_kind
 def _block_array(x):
     if isinstance(x, RatMatrix):
         return x.to_float()
-    arr = getattr(x, "array", x)
-    arr = np.asarray(arr, dtype=float)
+    arr = np.asarray(x, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("blocks must be square matrices")
     return arr

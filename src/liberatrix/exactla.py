@@ -1,10 +1,12 @@
 """Exact dense linear algebra over the rationals.
 
 Entries are fractions.Fraction throughout; nothing here ever touches floating
-point. Row-echelon pivoting always takes the first nonzero entry in column
-order, so echelon forms are reproducible. Rank-only queries run through a
-fraction-free integer elimination, which is exact and much faster than
-reduced-form computation.
+point. One elimination serves every echelon query: a fraction-free
+Gauss-Jordan pass over the rows scaled to integers, whose divisions are all
+exact (Bareiss). Its pivot count is the rank; dividing each pivot row by its
+pivot entry gives the reduced row echelon form, on which kernels, column
+echelon forms and solves are read off. Pivoting always takes the first
+nonzero entry in column order, so echelon forms are reproducible.
 """
 
 from __future__ import annotations
@@ -188,35 +190,6 @@ class RrefResult(NamedTuple):
     rank: int
 
 
-def rref(m: RatMatrix) -> RrefResult:
-    """Reduced row echelon form; pivot = first nonzero entry in column order."""
-    a = [row[:] for row in m.data]
-    rows, cols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pv = a[r][c]
-        if pv != 1:
-            a[r] = [x / pv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return RrefResult(RatMatrix(rows, cols, a), tuple(pivots), r)
-
-
 def _int_rows(m: RatMatrix):
     """Rows rescaled to integers (row scaling preserves rank and row spans)."""
     out = []
@@ -224,41 +197,59 @@ def _int_rows(m: RatMatrix):
         denom = 1
         for x in row:
             denom = lcm(denom, x.denominator)
-        ints = [int(x * denom) for x in row]
+        ints = [x.numerator * (denom // x.denominator) for x in row]
         g = 0
         for v in ints:
-            g = gcd(g, abs(v))
+            g = gcd(g, v)
         if g > 1:
             ints = [v // g for v in ints]
         out.append(ints)
     return out
 
 
-def rank(m: RatMatrix) -> int:
-    """Exact rank via fraction-free (Bareiss) elimination."""
+def _eliminate(m: RatMatrix):
+    """Fraction-free Gauss-Jordan: (integer rows, pivot columns).
+
+    At each pivot every other row becomes (pv * row - f * pivot_row) // prev,
+    with pv the new pivot entry and prev the one before it; every entry is
+    then a minor of the integer-scaled input, so each division is exact. Rows
+    past the last pivot end up zero.
+    """
     a = _int_rows(m)
-    rows, cols = m.rows, m.cols
-    r = 0
+    rows = m.rows
+    pivots = []
     prev = 1
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                pivot_row = i
-                break
+    for c in range(m.cols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, rows) if a[i][c]), None)
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        pv = a[r][c]
         ar = a[r]
-        for i in range(r + 1, rows):
-            fi = a[i][c]
-            a[i] = [(pv * x - fi * y) // prev for x, y in zip(a[i], ar)]
+        pv = ar[c]
+        for i in range(rows):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], ar)]
         prev = pv
-        r += 1
-        if r == rows:
+        pivots.append(c)
+        if len(pivots) == rows:
             break
-    return r
+    return a, pivots
+
+
+def rref(m: RatMatrix) -> RrefResult:
+    """Reduced row echelon form; pivot = first nonzero entry in column order."""
+    a, pivots = _eliminate(m)
+    out = [[Fraction(x, a[r][c]) for x in a[r]] for r, c in enumerate(pivots)]
+    out += [[Fraction(0)] * m.cols for _ in range(m.rows - len(pivots))]
+    return RrefResult(RatMatrix(m.rows, m.cols, out), tuple(pivots),
+                      len(pivots))
+
+
+def rank(m: RatMatrix) -> int:
+    """Exact rank: the pivot count of the one elimination."""
+    return len(_eliminate(m)[1])
 
 
 def full_row_rank(m: RatMatrix) -> bool:

@@ -16,8 +16,6 @@ from .exactla import parse_matrix_text
 
 
 def _as_array(a):
-    if isinstance(a, SymMatrix):
-        return a.array
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
         raise ValueError("expected a 2-d array")
@@ -45,6 +43,9 @@ class SymMatrix:
     @property
     def array(self):
         return self._a
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._a, dtype=dtype, copy=copy)
 
     def eigensystem(self):
         if self._eig is None:

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .directsum import directsum_liberation
-from .exactla import RatMatrix
 from .graphs import Graph, bridge_set, cartesian_product, product_index
-from .numla import SymMatrix
 from .patterns import pattern_of
 from .strongprops import normalize_kind
 
@@ -181,14 +179,6 @@ def cover_to_bridge(g: Graph, h: Graph, f):
 # ---------------------------------------------------------------------------
 # The bridge to liberation certificates
 
-def _pattern(block, tol):
-    if isinstance(block, RatMatrix):
-        return pattern_of(block)
-    if isinstance(block, SymMatrix):
-        return pattern_of(block.array, tol=tol)
-    return pattern_of(block, tol=tol)
-
-
 @dataclass(frozen=True)
 class ZfLiberationReport:
     kind: str
@@ -216,8 +206,8 @@ def zf_liberation(a, b, f, kind: str = "ssp", tol: float = 1e-8) -> ZfLiberation
     with a passing certificate is reported, not raised.
     """
     kind = normalize_kind(kind)
-    g = _pattern(a, tol)
-    h = _pattern(b, tol)
+    g = pattern_of(a, tol=tol)
+    h = pattern_of(b, tol=tol)
     pairs = _normalize_pairs(g, h, f)
     if not pairs:
         raise ValueError("a candidate cover must be nonempty")

@@ -8,11 +8,13 @@ from liberatrix.continuation import (
     realize_in_pattern,
     realize_spectrum,
 )
+from liberatrix.directsum import is_generic
 from liberatrix.exactla import RatMatrix, charpoly
 from liberatrix.graphs import Graph, add_edges, build_graph, catalog
 from liberatrix.numla import sym_eigen
-from liberatrix.patterns import in_class, sample_S
-from liberatrix.strongprops import numeric_strong_property
+from liberatrix.patterns import in_class, pattern_of, sample_S
+from liberatrix.strongprops import (has_strong_property,
+                                    numeric_strong_property, psi)
 
 SEED = 20260816
 
@@ -95,6 +97,26 @@ def test_realize_complete_and_diagonal():
         realize_spectrum([], "path")
 
 
+def test_realized_symmatrix_is_accepted_like_its_array():
+    m = realize_spectrum([-1.0, 0.0, 0.0, 3.0], "star")
+    arr = m.array
+    g = catalog("K1,3")
+    for kind in ("ssp", "sap"):
+        got = has_strong_property(m, g, kind)
+        want = has_strong_property(arr, g, kind)
+        assert (got.answer, got.rank) == (want.answer, want.rank)
+    assert np.array_equal(psi(m, g, "ssp").matrix, psi(arr, g, "ssp").matrix)
+    assert in_class(m, g, "S") and pattern_of(m) == pattern_of(arr) == g
+    beta = [(2, 3), (3, 4)]
+    assert np.array_equal(liberate(m, g, beta, seed=SEED).matrix,
+                          liberate(arr, g, beta, seed=SEED).matrix)
+    c4 = catalog("C4")
+    assert np.array_equal(complete_pattern_low_rank(m, c4, seed=SEED).matrix,
+                          complete_pattern_low_rank(arr, c4, seed=SEED).matrix)
+    k = realize_spectrum([1.0, 2.0, 4.0], "complete", seed=3)
+    assert is_generic(k) == is_generic(k.array)
+
+
 def test_liberate_block_star_plus_edge():
     a = ones_block_plus(4)
     g = catalog("K4uK1")
@@ -108,6 +130,17 @@ def test_liberate_block_star_plus_edge():
     assert res.min_pattern_entry >= 1e-6
     assert in_class(res.matrix, add_edges(g, beta), "S")
     assert np.allclose(sym_eigen(res.matrix)[0], [0, 0, 0, 4, 4], atol=1e-7)
+
+
+def test_liberate_zero_diagonal_is_not_a_collapsed_entry():
+    # J_4 - I has a zero diagonal; the free diagonal may stay near zero
+    a = block_diag(np.ones((4, 4)) - np.eye(4), np.array([[3.0]]))
+    beta = [(3, 5), (4, 5)]
+    res = liberate(a, catalog("K4uK1"), beta, seed=10)
+    assert res.attempts == 1
+    edge_min = min(abs(res.matrix[i - 1, j - 1]) for i, j in res.graph.edges)
+    assert res.min_pattern_entry == edge_min >= 1e-6
+    assert np.allclose(sym_eigen(res.matrix)[0], [-1, -1, -1, 3, 3], atol=1e-7)
 
 
 def test_liberate_rejects_bad_set():

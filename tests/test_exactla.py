@@ -231,22 +231,32 @@ def _to_sympy(sympy, m: RatMatrix):
                                          for row in m.data for x in row])
 
 
+def _check_against_sympy(sympy, m: RatMatrix):
+    sm = _to_sympy(sympy, m)
+    assert rank(m) == sm.rank()
+    rr, (want, want_pivots) = rref(m), sm.rref()
+    assert _to_sympy(sympy, rr.matrix) == want
+    assert rr.pivot_cols == tuple(want_pivots) and rr.rank == len(want_pivots)
+    ns = sm.nullspace()
+    kb = kernel_basis(m)
+    assert kb.cols == len(ns)
+    if ns:  # same span: ours is independent and adds nothing to sympy's
+        assert _to_sympy(sympy, kb).rank() == len(ns)
+        assert sympy.Matrix.hstack(_to_sympy(sympy, kb), *ns).rank() == len(ns)
+
+
 def test_rank_kernel_charpoly_match_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(20261018)
     for t in range(80):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         m = _low_rank(rng, r, c) if t % 2 else rand_matrix(rng, r, c, span=4)
-        sm = _to_sympy(sympy, m)
-        assert rank(m) == sm.rank()
-        ns = sm.nullspace()
-        kb = kernel_basis(m)
-        assert kb.cols == len(ns)
-        if ns:  # same span: ours is independent and adds nothing to sympy's
-            assert _to_sympy(sympy, kb).rank() == len(ns)
-            assert sympy.Matrix.hstack(_to_sympy(sympy, kb), *ns).rank() == len(ns)
+        _check_against_sympy(sympy, m)
 
         n = rng.randint(1, 6)
         sq = _low_rank(rng, n, n) if t % 2 else rand_matrix(rng, n, n, span=4)
         want = _to_sympy(sympy, sq).charpoly(sympy.Symbol("x")).all_coeffs()
         assert charpoly(sq) == [Fraction(int(q.p), int(q.q)) for q in reversed(want)]
+    for k in range(4):
+        _check_against_sympy(sympy, RatMatrix.zeros(0, k))
+        _check_against_sympy(sympy, RatMatrix.zeros(k, 0))
