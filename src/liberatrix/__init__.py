@@ -23,7 +23,6 @@ from .numla import (MultiplicityList, SymMatrix, multiplicity_list,
                     numeric_rank, random_orthogonal, read_float_matrix,
                     sym_eigen)
 from .patterns import in_class, pair_position, pattern_of, sample_S
-from .replays import REGISTRY, ReproduceReport, reproduce
 from .strongprops import (StrongPropertyResult, VerificationMatrix,
                           has_strong_property, has_strong_property_wrt, psi,
                           wrt_kernel_check)
@@ -65,3 +64,12 @@ __all__ = [
     # replays
     "REGISTRY", "ReproduceReport", "reproduce",
 ]
+
+
+def __getattr__(name):
+    # The replay corpus is the package's largest module and only reproduce()
+    # needs it, so it is imported on first use of one of its names.
+    if name in ("REGISTRY", "ReproduceReport", "reproduce"):
+        from . import replays
+        return getattr(replays, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -28,7 +28,6 @@ from .liberation import (enumerate_minimal_liberation_sets,
                          is_graph_liberation_set, is_liberation_set)
 from .numla import SymMatrix, multiplicity_list, sym_eigen
 from .patterns import in_class
-from .replays import REGISTRY, reproduce
 from .strongprops import has_strong_property, has_strong_property_wrt
 from .zeroforcing import (closure, is_local_zf_cover, is_zf_cover,
                           local_closure, zero_forcing_number, zf_liberation)
@@ -330,6 +329,8 @@ def _cmd_realize(args):
 
 
 def _cmd_reproduce(args):
+    from .replays import reproduce
+
     rep = reproduce(args.name, seed=args.seed, jobs=args.jobs)
     print("%s: %s" % (rep.name, "pass" if rep.ok else "FAIL"))
     print("  claim: %s" % rep.claim)
@@ -351,6 +352,8 @@ def _cmd_reproduce(args):
 # parser assembly
 
 def _build_parser():
+    from .replays import REGISTRY
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: env LIBERATRIX_SEED or 0)")

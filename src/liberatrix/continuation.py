@@ -1,20 +1,24 @@
-"""Spectrum-preserving perturbation by Gauss-Newton continuation.
+"""Spectrum-preserving perturbation by Newton on the isospectral manifold.
 
 liberate() fills a certified set of nonedges with nonzero entries while
-keeping the spectrum fixed. The solve runs in two stages: Gauss-Newton on
-the characteristic polynomial coefficients first (smooth in the entries even
-at repeated eigenvalues, so it travels well), then a lift-and-project polish
-that alternates replacing the current eigenvalues by the target ones against
-re-imposing the pattern, which pins repeated eigenvalues far more tightly
-than coefficient matching can. The solver works on the free entries of the
-closed pattern class of the grown graph, so entries outside that pattern are
-exactly zero by construction, not merely small.
+keeping the spectrum fixed. Its solver is Newton's method on the matrices
+with the target spectrum (Friedland, Nocedal & Overton, SIAM J. Numer.
+Anal. 24, 1987): each step factors A = Q diag(lam) Q^T and takes the
+minimum-norm change of the free entries that moves the eigenvalues onto the
+target and keeps every repeated eigenvalue's block scalar, to first order.
+That step system is onto exactly when A has the strong spectral property
+relative to the free entries, so the certificate that licenses a growth
+step is also what makes the solve well posed, and there Newton converges
+quadratically. The solver works on the free entries of the closed pattern
+class of the grown graph, so entries outside that pattern are exactly zero
+by construction, not merely small.
 
 realize_spectrum() builds matrices with a prescribed spectrum for a few
-stock shapes; realize_in_pattern() does the same for an arbitrary pattern by
-the same coefficient-matching continuation; complete_pattern_low_rank()
-rounds out a rank-deficient matrix to a full pattern without raising the
-rank, via a factored parametrization.
+stock shapes; realize_in_pattern() does the same for an arbitrary pattern
+with the same Newton solver from random isospectral starts;
+complete_pattern_low_rank() rounds out a rank-deficient matrix to a full
+pattern without raising the rank, via a factored parametrization and
+Gauss-Newton.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import numpy as np
 from .exactla import RatMatrix
 from .graphs import Graph, add_edges, nonedge_set
 from .liberation import is_liberation_set
-from .numla import SymMatrix, multiplicity_list, random_orthogonal, sym_eigen
+from .numla import (SymMatrix, multiplicity_list, random_orthogonal,
+                    seeded_random, sym_eigen)
 from .patterns import in_class
 from .strongprops import (_drop_one_verdicts, has_strong_property,
                           normalize_kind, psi)
@@ -77,42 +82,71 @@ def _pattern_slots(g: Graph):
     return slots
 
 
-def _lift_project(n, slots, target_sorted, x, tol, max_steps=60000):
-    """Alternate between the isospectral set and the pattern space.
-
-    Lift: conjugate the sorted target values by the current eigenvectors.
-    Project: keep the lifted entries on the free slots, zero elsewhere.
-    Linear convergence, but exact multiplicities survive the lift, so this
-    reaches eigenvalue agreement far beyond what coefficient residuals give.
-    The rate degrades with size (0.999-ish on 14 vertices), hence the large
-    step cap paired with a stagnation exit.
-    """
-    tgt = np.asarray(target_sorted, dtype=float)
-    x = np.array(x, dtype=float)
-    window_err = None
-    for step in range(max_steps):
-        a = _build_from_slots(n, slots, x)
-        vals, q = np.linalg.eigh(a)
-        err = float(np.max(np.abs(vals - tgt)))
-        if err <= tol:
-            return x, True
-        if step % 200 == 0:
-            if window_err is not None and err > 0.995 * window_err:
-                return x, False  # stalled: < 0.5% progress over 200 steps
-            window_err = err
-        b = (q * tgt) @ q.T
-        x = np.array([b[i, j] for (i, j) in slots])
-    a = _build_from_slots(n, slots, x)
-    vals = np.linalg.eigvalsh(a)
-    return x, float(np.max(np.abs(vals - tgt))) <= tol
-
-
 def _build_from_slots(n, slots, x):
     a = np.zeros((n, n))
     for (i, j), v in zip(slots, x):
         a[i, j] = v
         a[j, i] = v
     return a
+
+
+def _cluster_pairs(mults):
+    """Index pairs a <= b inside each cluster of a sorted spectrum whose
+    clusters have the given sizes: one Newton equation each."""
+    rows, cols, pos = [], [], 0
+    for m in mults:
+        for a in range(pos, pos + m):
+            for b in range(a, pos + m):
+                rows.append(a)
+                cols.append(b)
+        pos += m
+    return np.array(rows, dtype=int), np.array(cols, dtype=int)
+
+
+def _jacobian(q, pairs, slots):
+    """d (Q^T A(x) Q)_ab / d x_ij for the within-cluster pairs (a, b) and
+    the slots (i, j): Q_ia Q_jb + Q_ja Q_ib, or Q_ia Q_ib on the diagonal."""
+    ra, rb = pairs
+    si = np.array([i for i, _ in slots], dtype=int)
+    sj = np.array([j for _, j in slots], dtype=int)
+    qi, qj = q[si], q[sj]
+    jac = qi[:, ra] * qj[:, rb] + qj[:, ra] * qi[:, rb]
+    jac[si == sj] *= 0.5
+    return jac.T
+
+
+def _newton(n, slots, free, target, x, tol, max_steps=40):
+    """Newton on the isospectral manifold over the slots indexed by free.
+
+    Each step factors A(x) = Q diag(lam) Q^T, with lam matched to the sorted
+    target in order. Over the pairs a <= b inside each target cluster it
+    takes the minimum-norm dx with (Q^T E(dx) Q)_ab = target_a - lam_a for
+    a = b and 0 for a < b, where E(dx) holds dx on the free slots; the
+    eigenvector rotation absorbs every entry between clusters. The step
+    system is onto exactly when A(x) has the strong spectral property
+    relative to the free slots, and there the convergence is quadratic.
+    Returns (x, reason) with reason "converged", "not converged" or
+    "non-finite step".
+    """
+    tgt = np.asarray(target, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(tgt))))
+    pairs = _cluster_pairs(multiplicity_list(tgt, 1e-6 * scale).multiplicities)
+    on_diag = pairs[0] == pairs[1]
+    free_slots = [slots[k] for k in free]
+    x = np.array(x, dtype=float)
+    for _ in range(max_steps):
+        vals, q = np.linalg.eigh(_build_from_slots(n, slots, x))
+        if float(np.max(np.abs(vals - tgt))) <= tol:
+            return x, "converged"
+        rhs = np.where(on_diag, tgt[pairs[0]] - vals[pairs[0]], 0.0)
+        step = np.linalg.lstsq(_jacobian(q, pairs, free_slots), rhs,
+                               rcond=None)[0]
+        x[free] += step
+        if not np.all(np.isfinite(x)):
+            return x, "non-finite step"
+    vals = np.linalg.eigvalsh(_build_from_slots(n, slots, x))
+    ok = float(np.max(np.abs(vals - tgt))) <= tol
+    return x, "converged" if ok else "not converged"
 
 
 @dataclass(frozen=True)
@@ -137,9 +171,16 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
 
     beta must be certified first: for rational input the exact certificate is
     computed; floating input gets the numeric relative-property prechecks.
-    Entries on the new pairs are seeded at +-eps over a sweep of magnitudes
-    and re-seeded on failure. Non-convergence is a solver outcome, reported
-    as an error; it never contradicts a valid certificate.
+    Entries on the new pairs are seeded at +-eps over a sweep of magnitudes.
+    Attempt k holds the k-th new pair (cycling through beta) at its seed
+    value and runs the Newton solver over every other entry of g + beta; by
+    the drop-one criterion the certificate makes that step system onto at a.
+    An attempt fails when Newton does not converge or takes a non-finite
+    step, when an edge entry ends below MIN_ENTRY, or when the output fails
+    the strong-property re-check; the next attempt re-seeds. Failure of
+    every attempt is a solver outcome, reported as an error naming the last
+    reason; it never contradicts a valid certificate. The result's residual
+    is the largest characteristic-polynomial coefficient mismatch over scale.
     """
     kind = normalize_kind(kind)
     if kind != "ssp":
@@ -159,16 +200,10 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
     h = add_edges(g, beta.pairs)
     slots = _pattern_slots(h)
     beta_slot_idx = [slots.index((i - 1, j - 1)) for (i, j) in beta.pairs]
-    target = charpoly_coeffs(arr)
-    scale = max(1.0, float(np.max(np.abs(target))))
     target_vals = np.linalg.eigvalsh(arr)
     vscale = max(1.0, float(np.max(np.abs(target_vals))))
-
-    def residual(x):
-        return charpoly_coeffs(_build_from_slots(g.n, slots, x)) - target
-
     base = np.array([arr[i, j] for (i, j) in slots])
-    rng = np.random.default_rng(seed)
+    rng = seeded_random(seed)
     last_err = None
     for attempt in range(1, max_iter + 1):
         eps = EPS_SCHEDULE[(attempt - 1) % len(EPS_SCHEDULE)]
@@ -176,15 +211,13 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
         for k in beta_slot_idx:
             x0[k] = eps * (1 if rng.random() < 0.5 else -1)
         if attempt > len(EPS_SCHEDULE):
-            x0 += rng.normal(0.0, eps / 10.0, x0.shape)
-        x, ok = _gauss_newton(residual, x0, tol * scale)
-        if not ok and float(np.max(np.abs(residual(x)))) > 1e-5 * scale:
-            # too far out for the eigenvalue polish to be worth starting
-            last_err = "no convergence"
-            continue
-        x, ok = _lift_project(g.n, slots, target_vals, x, tol * vscale)
-        if not ok:
-            last_err = "eigenvalue polish stalled"
+            x0 += [rng.gauss(0.0, eps / 10.0) for _ in x0]
+        # hold one new pair at +-eps so the step system stays onto
+        frozen = beta_slot_idx[(attempt - 1) % len(beta_slot_idx)]
+        free = [k for k in range(len(slots)) if k != frozen]
+        x, reason = _newton(g.n, slots, free, target_vals, x0, tol * vscale)
+        if reason != "converged":
+            last_err = reason
             continue
         a_new = _build_from_slots(g.n, slots, x)
         # edge slots only: the diagonal is free and may pass through zero
@@ -195,7 +228,9 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
         if not has_strong_property(a_new, h, kind, tol=1e-8).answer:
             last_err = "output failed the strong-property re-check"
             continue
-        res = float(np.max(np.abs(residual(x)))) / scale
+        target = charpoly_coeffs(arr)
+        scale = max(1.0, float(np.max(np.abs(target))))
+        res = float(np.max(np.abs(charpoly_coeffs(a_new) - target))) / scale
         return LiberateResult(a_new, h, res, attempt, eps, seed, smallest, True)
     raise RuntimeError(
         "continuation did not produce a valid matrix in %d attempts (%s)"
@@ -325,15 +360,15 @@ def _complete_generic(values, seed, tries=60):
 
 def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
                        max_iter: int = 60) -> np.ndarray:
-    """Matrix in S(g) with the given spectrum, by alternating projection.
+    """Matrix in S(g) with the given spectrum, by Newton from random starts.
 
-    Each attempt starts from a random isospectral matrix and projects back
-    and forth between the isospectral set and the pattern space. The limit
-    can land in a proper subpattern (an edge entry driven to zero); such
-    edges get re-seeded away from zero and the projection rerun, which walks
-    the iterate into the interior of the pattern when the spectrum permits.
-    Feasibility is the caller's burden; infeasible targets surface as
-    non-convergence.
+    Each attempt conjugates the target by a seeded random orthogonal matrix,
+    keeps the entries on the pattern and runs the Newton solver over all of
+    them. The limit can land in a proper subpattern (an edge entry driven
+    to zero); such edges get re-seeded away from zero and the solve rerun,
+    which walks the iterate into the interior of the pattern when the
+    spectrum permits. Feasibility is the caller's burden; infeasible targets
+    surface as non-convergence.
     """
     values = sorted(_flat_values(spectrum))
     if len(values) != g.n:
@@ -344,15 +379,17 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
     slots = _pattern_slots(g)
     spread = max(1.0, float(values[-1] - values[0]))
 
-    rng = np.random.default_rng(seed)
+    free = range(len(slots))
+    rng = seeded_random(seed)
     for _ in range(max_iter):
-        q = random_orthogonal(g.n, int(rng.integers(2 ** 62)))
+        q = random_orthogonal(g.n, rng.getrandbits(62))
         b = (q * target_vals) @ q.T
         x = np.array([b[i, j] for (i, j) in slots])
         ok = False
         dead = []
         for _round in range(10):
-            x, ok = _lift_project(g.n, slots, target_vals, x, tol * vscale)
+            x, reason = _newton(g.n, slots, free, target_vals, x, tol * vscale)
+            ok = reason == "converged"
             if not ok:
                 break
             dead = [k for k in range(g.n, len(slots)) if abs(x[k]) < MIN_ENTRY]
@@ -409,9 +446,10 @@ def complete_pattern_low_rank(a0, h: Graph, tol: float = 1e-8,
         a = assemble(x)
         return np.array([a[i, j] for (i, j) in holes])
 
-    rng = np.random.default_rng(seed)
+    rng = seeded_random(seed)
     for attempt in range(1, max_iter + 1):
-        x0 = v0.reshape(-1) + rng.normal(0.0, 0.05 * (1 + attempt // 5), n * r)
+        sd = 0.05 * (1 + attempt // 5)
+        x0 = v0.reshape(-1) + [rng.gauss(0.0, sd) for _ in range(n * r)]
         x, ok = _gauss_newton(residual, x0, 1e-12)
         if not ok:
             continue

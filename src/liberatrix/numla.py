@@ -3,11 +3,14 @@
 Eigensystems come from LAPACK through numpy.linalg.eigh: eigenvalues
 ascending with an orthonormal eigenvector matrix Q whose columns match.
 Eigenvalue clustering into a multiplicity list follows one rule, chained
-gaps at a tolerance, which every caller in the package shares.
+gaps at a tolerance, which every caller in the package shares. Seeded
+numeric draws come from seeded_random, a stdlib random.Random.
 """
 
 from __future__ import annotations
 
+import numbers
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,10 +134,20 @@ def numeric_rank(m, tol=1e-8) -> int:
     return r
 
 
+def seeded_random(seed) -> random.Random:
+    """The package's generator: stdlib random.Random. Integer and None seeds
+    pass straight through; any other seed, such as a (seed, k) tuple, is
+    seeded by its repr, which is stable across runs unlike hash()."""
+    if seed is None or isinstance(seed, numbers.Integral):
+        return random.Random(None if seed is None else int(seed))
+    return random.Random(repr(seed))
+
+
 def random_orthogonal(n, seed) -> np.ndarray:
     """Orthonormalized seeded Gaussian sample; QR with sign-fixed diagonal."""
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    rng = seeded_random(seed)
+    g = np.array([rng.gauss(0.0, 1.0) for _ in range(n * n)]).reshape(n, n)
+    q, r = np.linalg.qr(g)
     q = q * np.sign(np.where(np.diag(r) == 0.0, 1.0, np.diag(r)))
     err = float(np.max(np.abs(q.T @ q - np.eye(n)))) if n else 0.0
     if err > 1e-12:

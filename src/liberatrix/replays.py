@@ -21,7 +21,6 @@ import random
 import warnings
 import zlib
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -156,6 +155,14 @@ def reproduce(name: str, seed=0, jobs=None) -> ReproduceReport:
 
 # ---------------------------------------------------------------------------
 # shared helpers
+
+def ProcessPoolExecutor(*a, **kw):
+    """concurrent.futures.ProcessPoolExecutor, imported on first use: only
+    table6 with more than one job starts a pool, and the import costs
+    every other caller memory."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(*a, **kw)
+
 
 def _subseed(*parts) -> int:
     # repr of ints/strings/tuples is stable, unlike salted hash()

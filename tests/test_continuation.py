@@ -1,7 +1,20 @@
+import os
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liberatrix.continuation import (
+    _cluster_pairs,
+    _jacobian,
+    _pattern_slots,
     charpoly_coeffs,
     complete_pattern_low_rank,
     liberate,
@@ -9,12 +22,14 @@ from liberatrix.continuation import (
     realize_spectrum,
 )
 from liberatrix.directsum import is_generic
-from liberatrix.exactla import RatMatrix, charpoly
+from liberatrix.exactla import RatMatrix, charpoly, direct_sum
 from liberatrix.graphs import Graph, add_edges, build_graph, catalog
-from liberatrix.numla import sym_eigen
+from liberatrix.numla import multiplicity_list, sym_eigen
 from liberatrix.patterns import in_class, pattern_of, sample_S
 from liberatrix.strongprops import (has_strong_property,
                                     numeric_strong_property, psi)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SEED = 20260816
 
@@ -212,3 +227,86 @@ def test_complete_prism_low_rank():
 def test_complete_rejects_mismatched_order():
     with pytest.raises(ValueError):
         complete_pattern_low_rank(np.eye(3), catalog("prism"))
+
+
+def newton_step_is_onto(a, h):
+    """Full row rank of the Newton step system at a over the slots of h."""
+    vals, q = sym_eigen(a.to_float())
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    pairs = _cluster_pairs(multiplicity_list(vals, 1e-6 * scale).multiplicities)
+    jac = _jacobian(q, pairs, _pattern_slots(h))
+    tol = 1e-8 * np.linalg.norm(jac, 2)
+    return np.linalg.matrix_rank(jac, tol=tol) == jac.shape[0]
+
+
+@st.composite
+def block_sums(draw):
+    """The direct sum of B and C over a supergraph of its pattern. C equal
+    to B or shifted from it shares eigenvalues with B, so the draws come
+    with and without the property."""
+    blocks = []
+    for _ in range(2):
+        n = draw(st.integers(1, 4))
+        pairs = list(combinations(range(1, n + 1), 2))
+        mask = draw(st.lists(st.booleans(), min_size=len(pairs),
+                             max_size=len(pairs)))
+        g = build_graph(n, [e for e, keep in zip(pairs, mask) if keep])
+        mode = draw(st.sampled_from(("random-rational", "unit-off-diagonal")))
+        blocks.append(sample_S(g, seed=draw(st.integers(0, 2**32)), mode=mode))
+    b, c = blocks
+    second = draw(st.sampled_from(("drawn", "repeat", "shift")))
+    if second == "repeat":
+        c = b
+    elif second == "shift":
+        shift = Fraction(draw(st.integers(-3, 3)))
+        c = b + RatMatrix.identity(b.rows).scale(shift)
+    a = direct_sum(b, c)
+    g = pattern_of(a)
+    extra = draw(st.lists(st.sampled_from(g.nonedges()), unique=True)
+                 if g.nonedges() else st.just([]))
+    return a, add_edges(g, extra)
+
+
+@st.composite
+def ones_block_sums(draw):
+    lam = draw(st.sampled_from((0, 4, -1, 2)))
+    extra = draw(st.lists(st.sampled_from(((1, 5), (2, 5), (3, 5), (4, 5))),
+                          unique=True))
+    return ones_block_plus(lam), add_edges(catalog("K4uK1"), extra)
+
+
+@pytest.mark.filterwarnings("ignore:matrix has vanishing entries")
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(block_sums(), ones_block_sums()))
+@example((ones_block_plus(4), catalog("K4uK1")))
+@example((ones_block_plus(4), add_edges(catalog("K4uK1"), [(3, 5), (4, 5)])))
+def test_newton_step_onto_iff_strong_property(case):
+    a, h = case
+    assert newton_step_is_onto(a, h) == has_strong_property(a, h, "ssp").answer
+
+
+def test_liberate_ones_block_takes_one_attempt():
+    a = ones_block_plus(4)
+    g = catalog("K4uK1")
+    for seed in range(20):
+        assert liberate(a, g, [(3, 5), (4, 5)], seed=seed).attempts == 1
+
+
+def test_import_footprint_leaves_out_unused_modules():
+    code = textwrap.dedent("""
+        import sys
+        import liberatrix, liberatrix.cli
+        from liberatrix import catalog, liberate, realize_in_pattern
+        from liberatrix.exactla import RatMatrix
+        rows = [[1] * 4 + [0] for _ in range(4)] + [[0] * 4 + [4]]
+        liberate(RatMatrix.from_rows(rows), catalog("K4uK1"), [(3, 5), (4, 5)])
+        realize_in_pattern(catalog("C5"), [-2.0, -1.0, 0.0, 1.0, 2.5])
+        print(" ".join(m for m in ("numpy.random", "concurrent.futures.process",
+                                   "liberatrix.replays") if m in sys.modules))
+    """)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -142,8 +142,7 @@ def test_g151_signed_route_list(mults):
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3, 4))
-@pytest.mark.parametrize(
-    "name", [n for n in rp.REGISTRY if n not in ("table6", "c6c8", "g129")])
+@pytest.mark.parametrize("name", rp.REGISTRY)
 def test_replay_passes_at_other_seeds(name, seed):
     rep = reproduce(name, seed=seed)
     assert rep, "%s at seed %d failed at %s: %s" % (
