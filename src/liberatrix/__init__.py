@@ -3,6 +3,11 @@ zero-forcing covers for symmetric matrix patterns."""
 
 __version__ = "0.1.0"
 
+# Names of the replay targets. They live here, not in the replay corpus, so
+# the CLI can list them without importing it.
+REGISTRY = ("k4k1", "g151", "g100", "g127g169", "g163", "c6c8", "k14",
+            "k13k13", "g129", "g171", "g175", "pmpn", "prism", "table6")
+
 from .continuation import (LiberateResult, LowRankResult,
                            complete_pattern_low_rank, liberate,
                            realize_in_pattern, realize_spectrum)
@@ -69,7 +74,7 @@ __all__ = [
 def __getattr__(name):
     # The replay corpus is the package's largest module and only reproduce()
     # needs it, so it is imported on first use of one of its names.
-    if name in ("REGISTRY", "ReproduceReport", "reproduce"):
+    if name in ("ReproduceReport", "reproduce"):
         from . import replays
         return getattr(replays, name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))

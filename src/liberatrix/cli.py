@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -20,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import REGISTRY
 from .continuation import liberate, realize_in_pattern, realize_spectrum
 from .directsum import directsum_liberation
 from .exactla import RatMatrix, parse_entry, read_matrix
@@ -351,9 +353,10 @@ def _cmd_reproduce(args):
 # ---------------------------------------------------------------------------
 # parser assembly
 
+@functools.cache
 def _build_parser():
-    from .replays import REGISTRY
-
+    """The argument parser, built once per process; parse_args leaves it
+    unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: env LIBERATRIX_SEED or 0)")

@@ -22,16 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exactla import (
-    RatMatrix,
-    col_space_contains,
-    column_echelon,
-    full_row_rank,
-    rank,
-)
+from .exactla import RatMatrix, col_space_contains, column_echelon
 from .graphs import EdgeSet, Graph, nonedge_set
 from .patterns import SAMPLE_MODES, CertificateError, sample_S
-from .strongprops import _drop_one_verdicts, normalize_kind, psi
+from .strongprops import (_drop_one_verdicts, _selected_rank, normalize_kind,
+                          psi)
 
 CRITERIA = ("definitional", "row-rank", "witness", "echelon")
 
@@ -105,9 +100,8 @@ def is_liberation_set(a, g: Graph, beta, kind: str = "ssp") -> LiberationCertifi
     per = _drop_one_verdicts(vm, beta.pairs)
     c1 = all(ok for _, ok in per)
 
-    c2 = all(
-        full_row_rank(vm.matrix.submatrix(row_idx=sorted(alpha_idx + [i])))
-        for i in beta_idx)
+    c2 = all(_selected_rank(vm, alpha_idx + [i]) == len(alpha_idx) + 1
+             for i in beta_idx)
 
     ech = column_echelon(vm.matrix, beta_idx)
     c4 = ech.top_independent and not ech.bottom_zero_rows
@@ -139,7 +133,7 @@ def is_liberation_set(a, g: Graph, beta, kind: str = "ssp") -> LiberationCertifi
         per_beta_prime=tuple(per),
         rows=rows,
         witness=witness,
-        alpha_rank=rank(vm.matrix.submatrix(row_idx=alpha_idx)),
+        alpha_rank=_selected_rank(vm, alpha_idx),
         alpha_size=len(alpha_idx),
     )
 
@@ -165,7 +159,7 @@ def enumerate_minimal_liberation_sets(a, g: Graph, kind: str = "ssp",
             if any(prev <= cset for prev in found_sets):
                 continue
             alpha = [i for i in range(len(rows)) if i not in cset]
-            if all(full_row_rank(vm.matrix.submatrix(row_idx=sorted(alpha + [i])))
+            if all(_selected_rank(vm, alpha + [i]) == len(alpha) + 1
                    for i in combo):
                 found.append(nonedge_set(g, [rows[i] for i in combo]))
                 found_sets.append(cset)

@@ -27,6 +27,7 @@ from functools import partial
 
 import numpy as np
 
+from . import REGISTRY
 from .continuation import (complete_pattern_low_rank, liberate,
                            realize_in_pattern, realize_spectrum)
 from .directsum import directsum_liberation, is_generic, sylvester_space
@@ -40,9 +41,6 @@ from .numla import multiplicity_list, sym_eigen
 from .patterns import in_class, pair_position, pattern_of
 from .strongprops import has_strong_property, has_strong_property_wrt, psi
 from .zeroforcing import is_local_zf_cover, is_zf_cover, zf_liberation
-
-REGISTRY = ("k4k1", "g151", "g100", "g127g169", "g163", "c6c8", "k14",
-            "k13k13", "g129", "g171", "g175", "pmpn", "prism", "table6")
 
 CLAIMS = {
     "k4k1": "Two pairs into the isolated vertex free the all-ones block: "

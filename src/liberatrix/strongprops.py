@@ -17,17 +17,19 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .exactla import (
     RatMatrix,
+    _eliminate,
+    _int_rows,
     charpoly,
     commutator,
     kernel_basis,
     left_kernel_basis,
     poly_gcd,
-    rank,
 )
 from .graphs import Graph, complement
 from .numla import numeric_rank
@@ -57,6 +59,12 @@ class VerificationMatrix:
 
     def row_index(self, pair) -> int:
         return self.rows.index(tuple(sorted(pair)))
+
+    @cached_property
+    def int_rows(self):
+        """Exact rows scaled to primitive integers, built once; row-subset
+        ranks eliminate these directly."""
+        return _int_rows(self.matrix)
 
 
 def _pair_rows(a, pairs, kind):
@@ -151,9 +159,11 @@ def _verify_certificate(a, kind, x, pairs_graph: Graph):
         raise CertificateError("obstruction is zero")
 
 
-def _selected_rank(vm, sel_idx, tol):
+def _selected_rank(vm, sel_idx, tol=1e-8):
+    """Rank of the rows sel_idx of vm's matrix; exact for exact vm."""
     if vm.exact:
-        return rank(vm.matrix.submatrix(row_idx=sel_idx))
+        rows = vm.int_rows
+        return len(_eliminate([rows[k] for k in sel_idx], vm.matrix.cols)[1])
     sub = vm.matrix[sel_idx] if len(sel_idx) else np.zeros((0, vm.matrix.shape[1]))
     return numeric_rank(sub, tol)
 

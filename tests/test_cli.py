@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from liberatrix.cli import _jsonable, _parse_pairs, main
+from liberatrix.cli import _build_parser, _jsonable, _parse_pairs, main
 from liberatrix.exactla import RatMatrix
 from liberatrix.graphs import add_edges, catalog, format_graph_text
 
@@ -149,6 +149,32 @@ def test_json_byte_identical_for_exact_command(k4k1_matrix, tmp_path):
         assert code == 0
         paths.append(rp.read_bytes())
     assert paths[0] == paths[1]
+
+
+def test_parser_built_once_leaves_no_state_between_calls(k4k1_matrix,
+                                                         tmp_path):
+    runs = (["libset", "--enumerate", "--graph", "catalog:K4uK1",
+             "--matrix", k4k1_matrix, "--max-size", "2", "--seed", "3"],
+            ["libset", "--graph", "catalog:K4uK1", "--matrix", k4k1_matrix,
+             "--beta", "3-5,4-5"],
+            ["verify", "--kind", "sap", "--graph", "catalog:K4uK1",
+             "--matrix", k4k1_matrix, "--tol", "1e-6"],
+            ["zf", "--number", "--graph", "catalog:P3xP4"])
+
+    def report(argv, tag):
+        rp = tmp_path / ("%s.json" % tag)
+        main(argv + ["--json", str(rp)])
+        return rp.read_bytes()
+
+    alone = []
+    for k, argv in enumerate(runs):
+        _build_parser.cache_clear()
+        alone.append(report(argv, "alone%d" % k))
+    _build_parser.cache_clear()
+    for order in ((0, 1, 2, 3), (3, 2, 1, 0)):
+        for k in order:
+            assert report(runs[k], "seq%d" % k) == alone[k]
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_timed_adds_timings(k4k1_matrix, tmp_path):

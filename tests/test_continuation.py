@@ -294,13 +294,24 @@ def test_liberate_ones_block_takes_one_attempt():
 
 def test_import_footprint_leaves_out_unused_modules():
     code = textwrap.dedent("""
-        import sys
+        import contextlib, io, os, sys, tempfile
         import liberatrix, liberatrix.cli
         from liberatrix import catalog, liberate, realize_in_pattern
-        from liberatrix.exactla import RatMatrix
+        from liberatrix.exactla import RatMatrix, write_matrix
         rows = [[1] * 4 + [0] for _ in range(4)] + [[0] * 4 + [4]]
         liberate(RatMatrix.from_rows(rows), catalog("K4uK1"), [(3, 5), (4, 5)])
         realize_in_pattern(catalog("C5"), [-2.0, -1.0, 0.0, 1.0, 2.5])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "a.txt")
+            write_matrix(RatMatrix.from_rows(rows), path)
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = (
+                    liberatrix.cli.main(["libset", "--check", "--graph",
+                                         "catalog:K4uK1", "--matrix", path,
+                                         "--beta", "3-5,4-5"]),
+                    liberatrix.cli.main(["verify", "--kind", "ssp", "--graph",
+                                         "catalog:K4uK1", "--matrix", path]))
+        assert codes == (0, 1), codes
         print(" ".join(m for m in ("numpy.random", "concurrent.futures.process",
                                    "liberatrix.replays") if m in sys.modules))
     """)

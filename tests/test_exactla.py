@@ -6,6 +6,8 @@ import pytest
 
 from liberatrix.exactla import (
     RatMatrix,
+    _eliminate,
+    _int_rows,
     charpoly,
     col_space_contains,
     column_echelon,
@@ -221,9 +223,24 @@ def test_zero_by_k_matrices_allowed():
     assert rr.rank == 0 and rr.pivot_cols == ()
 
 
-def _low_rank(rng, rows, cols):
-    k = rng.randint(1, min(rows, cols))
+def _low_rank(rng, rows, cols, k=None):
+    k = rng.randint(1, min(rows, cols)) if k is None else k
     return rand_matrix(rng, rows, k, span=4) @ rand_matrix(rng, k, cols, span=4)
+
+
+def _sparse_rows(rng, rows, cols, span=5):
+    """Rows with at most four nonzeros, like verification matrix rows."""
+    data = [[Fraction(0)] * cols for _ in range(rows)]
+    for row in data:
+        for j in rng.sample(range(cols), min(cols, rng.randint(0, 4))):
+            row[j] = Fraction(rng.randint(-span, span), rng.randint(1, 3))
+    return RatMatrix(rows, cols, data)
+
+
+def _big_entries(rng, rows, cols):
+    return RatMatrix(rows, cols, [[Fraction(rng.randint(-10**6, 10**6),
+                                            rng.randint(1, 10**6))
+                                   for _ in range(cols)] for _ in range(rows)])
 
 
 def _to_sympy(sympy, m: RatMatrix):
@@ -241,8 +258,10 @@ def _check_against_sympy(sympy, m: RatMatrix):
     kb = kernel_basis(m)
     assert kb.cols == len(ns)
     if ns:  # same span: ours is independent and adds nothing to sympy's
-        assert _to_sympy(sympy, kb).rank() == len(ns)
-        assert sympy.Matrix.hstack(_to_sympy(sympy, kb), *ns).rank() == len(ns)
+        # DomainMatrix ranks over QQ; Matrix.rank takes seconds on 24 x 14
+        assert _to_sympy(sympy, kb).to_DM().rank() == len(ns)
+        both = sympy.Matrix.hstack(_to_sympy(sympy, kb), *ns)
+        assert both.to_DM().rank() == len(ns)
 
 
 def test_rank_kernel_charpoly_match_sympy():
@@ -260,3 +279,33 @@ def test_rank_kernel_charpoly_match_sympy():
     for k in range(4):
         _check_against_sympy(sympy, RatMatrix.zeros(0, k))
         _check_against_sympy(sympy, RatMatrix.zeros(k, 0))
+    for _ in range(6):
+        # rank-deficient products B C, inner dimension below both outer ones
+        r, c = rng.randint(6, 20), rng.randint(6, 24)
+        _check_against_sympy(sympy, _low_rank(rng, r, c,
+                                              k=rng.randint(1, min(r, c) - 1)))
+        _check_against_sympy(sympy, _sparse_rows(rng, rng.randint(4, 16),
+                                                 rng.randint(4, 20)))
+        _check_against_sympy(sympy, _big_entries(rng, rng.randint(1, 7),
+                                                 rng.randint(1, 7)))
+
+
+def test_eliminate_entries_within_hadamard_bound():
+    # every entry divides a minor of the integer-scaled input, so it is at
+    # most the product of the Euclidean norms of the nonzero input rows
+    rng = random.Random(5)
+    makers = (lambda: rand_matrix(rng, rng.randint(1, 8), rng.randint(1, 10)),
+              lambda: _low_rank(rng, rng.randint(2, 10), rng.randint(2, 12)),
+              lambda: _sparse_rows(rng, rng.randint(1, 12), rng.randint(1, 14)),
+              lambda: _big_entries(rng, rng.randint(1, 6), rng.randint(1, 6)))
+    for t in range(200):
+        m = makers[t % len(makers)]()
+        ints = _int_rows(m)
+        bound_sq = 1
+        for row in ints:
+            if any(row):
+                bound_sq *= sum(v * v for v in row)
+        for reduced in (False, True):
+            rows, pivots = _eliminate([r[:] for r in ints], m.cols, reduced)
+            assert len(pivots) == rank(m)
+            assert all(x * x <= bound_sq for row in rows for x in row)

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liberatrix.exactla import (RatMatrix, charpoly, commutator, direct_sum,
-                                poly_gcd, rank)
+from liberatrix.exactla import (RatMatrix, _int_rows, charpoly, commutator,
+                                direct_sum, poly_gcd, rank)
 from liberatrix.graphs import add_edges, build_graph, catalog, disjoint_union
 from liberatrix.patterns import (SAMPLE_MODES, basis_X, sample_S, vec_square,
                                  vec_wedge)
 from liberatrix.strongprops import (
+    _selected_rank,
     has_strong_property,
     has_strong_property_wrt,
     numeric_strong_property,
@@ -102,6 +103,20 @@ def test_closed_form_rows_match_commutator_oracle(case, kind, exact):
         assert got == want
     else:
         assert np.array_equal(got, np.array(oracle).reshape(got.shape))
+
+
+@settings(max_examples=80, deadline=None)
+@given(patterned_matrices(), st.sampled_from(("ssp", "sap")), st.data())
+def test_selected_rank_matches_rank_of_submatrix(case, kind, data):
+    # row subsets eliminated from the cached integer rows give the rank of
+    # the rebuilt rational submatrix
+    g, a = case
+    vm = psi(a, g, kind)
+    for _ in range(3):
+        idx = sorted(data.draw(st.sets(st.integers(0, len(vm.rows) - 1))
+                               if vm.rows else st.just(set())))
+        assert _selected_rank(vm, idx) == rank(vm.matrix.submatrix(row_idx=idx))
+    assert vm.int_rows == _int_rows(vm.matrix)  # the cache was not altered
 
 
 def test_forged_obstruction_rejected_under_optimize():
