@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -155,6 +156,15 @@ def _default_seed():
         return int(raw)
     except ValueError:
         raise ValueError("LIBERATRIX_SEED must be an integer, got %r" % raw)
+
+
+def _check_common(args):
+    """Range checks on the shared numeric options. At a tolerance of zero or
+    below, every rounding residue would count toward a numeric rank."""
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError("--tol must be finite and positive, got %r" % args.tol)
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError("--jobs must be at least 1, got %d" % args.jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +490,7 @@ def main(argv=None) -> int:
             return 2
     t0 = time.perf_counter()
     try:
+        _check_common(args)
         code, verdicts, certs = args.func(args)
     except (ValueError, KeyError, OSError, RuntimeError) as ex:
         print("error: %s" % ex, file=sys.stderr)

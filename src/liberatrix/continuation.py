@@ -28,9 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactla import RatMatrix
 from .graphs import Graph, add_edges, nonedge_set
-from .liberation import is_liberation_set
 from .numla import (SymMatrix, multiplicity_list, random_orthogonal,
                     seeded_random, sym_eigen)
 from .patterns import in_class
@@ -43,8 +41,7 @@ MIN_ENTRY = 1e-6
 
 def charpoly_coeffs(a) -> np.ndarray:
     """Non-leading characteristic polynomial coefficients, degree descending."""
-    arr = a.to_float() if isinstance(a, RatMatrix) else np.asarray(a, dtype=float)
-    return np.poly(np.linalg.eigvalsh(arr))[1:]
+    return np.poly(np.linalg.eigvalsh(np.asarray(a, dtype=float)))[1:]
 
 
 def _gauss_newton(f, x0, tol, max_steps=120):
@@ -169,12 +166,15 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
              seed=0, kind: str = "ssp") -> LiberateResult:
     """Grow a into the pattern of g plus beta without moving its spectrum.
 
-    beta must be certified first: for rational input the exact certificate is
-    computed; floating input gets the numeric relative-property prechecks.
+    beta is prechecked by the drop-one test of the liberation lemma: a must
+    have the strong property relative to g + (beta - e) for every e in beta.
+    The test is one rank per pair on the verification matrix, exact for
+    rational input and by singular values at a relative tolerance for
+    floating input; a failing beta raises ValueError.
     Entries on the new pairs are seeded at +-eps over a sweep of magnitudes.
     Attempt k holds the k-th new pair (cycling through beta) at its seed
     value and runs the Newton solver over every other entry of g + beta; by
-    the drop-one criterion the certificate makes that step system onto at a.
+    the drop-one criterion the precheck makes that step system onto at a.
     An attempt fails when Newton does not converge or takes a non-finite
     step, when an edge entry ends below MIN_ENTRY, or when the output fails
     the strong-property re-check; the next attempt re-seeds. Failure of
@@ -188,14 +188,9 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
     beta = nonedge_set(g, beta)
     if len(beta) == 0:
         raise ValueError("a liberation set must be nonempty")
-    exact_input = isinstance(a, RatMatrix)
-    arr = a.to_float() if exact_input else np.asarray(a, dtype=float)
-    if exact_input:
-        if not is_liberation_set(a, g, beta, kind).answer:
-            raise ValueError("the given pairs are not a liberation set here")
-    elif not all(ok for _, ok in _drop_one_verdicts(psi(arr, g, kind),
-                                                  beta.pairs)):
-        raise ValueError("the given pairs fail the numeric relative checks")
+    arr = np.asarray(a, dtype=float)
+    if not all(ok for _, ok in _drop_one_verdicts(psi(a, g, kind), beta.pairs)):
+        raise ValueError("the given pairs are not a liberation set here")
 
     h = add_edges(g, beta.pairs)
     slots = _pattern_slots(h)
@@ -427,7 +422,7 @@ def complete_pattern_low_rank(a0, h: Graph, tol: float = 1e-8,
     the solver drives the entries outside h's pattern to zero and keeps the
     edge entries away from zero.
     """
-    arr = a0.to_float() if isinstance(a0, RatMatrix) else np.asarray(a0, dtype=float)
+    arr = np.asarray(a0, dtype=float)
     n = arr.shape[0]
     if n != h.n:
         raise ValueError("matrix order %d does not match graph order %d" % (n, h.n))

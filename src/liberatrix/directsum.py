@@ -25,8 +25,6 @@ from .strongprops import has_strong_property, normalize_kind
 
 
 def _block_array(x):
-    if isinstance(x, RatMatrix):
-        return x.to_float()
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("blocks must be square matrices")

@@ -165,6 +165,10 @@ class RatMatrix:
         except OverflowError:
             raise ValueError("matrix entry too large for a float") from None
 
+    def __array__(self, dtype=None, copy=None):
+        import numpy as np
+        return np.asarray(self.to_float(), dtype=dtype)
+
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")

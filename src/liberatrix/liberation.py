@@ -97,7 +97,7 @@ def is_liberation_set(a, g: Graph, beta, kind: str = "ssp") -> LiberationCertifi
     beta_idx = [index[e] for e in beta.pairs]
     alpha_idx = [i for i in range(len(rows)) if i not in set(beta_idx)]
 
-    per = _drop_one_verdicts(vm, beta.pairs)
+    per = tuple(_drop_one_verdicts(vm, beta.pairs))
     c1 = all(ok for _, ok in per)
 
     c2 = all(_selected_rank(vm, alpha_idx + [i]) == len(alpha_idx) + 1
@@ -130,7 +130,7 @@ def is_liberation_set(a, g: Graph, beta, kind: str = "ssp") -> LiberationCertifi
         kind=kind,
         answer=c1,
         criteria=tuple(zip(CRITERIA, verdicts)),
-        per_beta_prime=tuple(per),
+        per_beta_prime=per,
         rows=rows,
         witness=witness,
         alpha_rank=_selected_rank(vm, alpha_idx),
@@ -143,14 +143,15 @@ def enumerate_minimal_liberation_sets(a, g: Graph, kind: str = "ssp",
     """All inclusion-minimal liberation sets of a over g up to max_size.
 
     Exhaustive over nonedge subsets in increasing size; supersets of a found
-    set are skipped, and candidates are screened by the row-rank criterion on
-    a single shared verification matrix.
+    set are skipped, and candidates are screened by the drop-one check on a
+    single shared verification matrix.
     """
     kind = normalize_kind(kind)
     vm = psi(a, g, kind)
     rows = vm.rows
-    if max_size > len(rows):
-        raise ValueError("max_size %d exceeds the %d nonedges" % (max_size, len(rows)))
+    if not 1 <= max_size <= len(rows):
+        raise ValueError("max_size must lie in 1..%d, the nonedge count, got %d"
+                         % (len(rows), max_size))
     found = []
     found_sets = []
     for size in range(1, max_size + 1):
@@ -158,10 +159,9 @@ def enumerate_minimal_liberation_sets(a, g: Graph, kind: str = "ssp",
             cset = set(combo)
             if any(prev <= cset for prev in found_sets):
                 continue
-            alpha = [i for i in range(len(rows)) if i not in cset]
-            if all(_selected_rank(vm, alpha + [i]) == len(alpha) + 1
-                   for i in combo):
-                found.append(nonedge_set(g, [rows[i] for i in combo]))
+            pairs = [rows[i] for i in combo]
+            if all(ok for _, ok in _drop_one_verdicts(vm, pairs)):
+                found.append(nonedge_set(g, pairs))
                 found_sets.append(cset)
     return found
 

@@ -114,24 +114,13 @@ def multiplicity_list(values, tol=1e-8) -> MultiplicityList:
 
 
 def numeric_rank(m, tol=1e-8) -> int:
-    """Rank by elimination with partial pivoting; pivots below tol * max|entry|
-    of the input count as zero. Monotone nonincreasing in tol."""
-    a = np.array(_as_array(m), dtype=float)
-    rows, cols = a.shape
+    """Count of singular values above tol * the largest one (LAPACK SVD).
+    Monotone nonincreasing in tol."""
+    a = _as_array(m)
     if a.size == 0:
         return 0
-    threshold = tol * max(1e-300, float(np.max(np.abs(a))))
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = r + int(np.argmax(np.abs(a[r:, c])))
-        if abs(a[piv, c]) <= threshold:
-            continue
-        a[[r, piv]] = a[[piv, r]]
-        a[r + 1:] -= np.outer(a[r + 1:, c] / a[r, c], a[r])
-        r += 1
-    return r
+    s = np.linalg.svd(a, compute_uv=False)
+    return int(np.sum(s > tol * s[0]))
 
 
 def seeded_random(seed) -> random.Random:

@@ -189,14 +189,13 @@ def _verdict_wrt(vm: VerificationMatrix, h: Graph,
 
 
 def _drop_one_verdicts(vm: VerificationMatrix, beta, tol: float = 1e-8):
-    """((e, verdict), ...) over the pairs e of beta: does vm's matrix have the
-    property relative to vm.graph + (beta - e)? Rank only, no certificate:
-    the rows outside beta - e must be independent."""
-    out = []
+    """Yields (e, verdict) over the pairs e of beta: does vm's matrix have
+    the property relative to vm.graph + (beta - e)? Rank only, no
+    certificate: the rows outside beta - e must be independent. Lazy, so
+    all(...) stops at the first failing pair."""
     for e in beta:
         sel_idx = [k for k, f in enumerate(vm.rows) if f == e or f not in beta]
-        out.append((e, _selected_rank(vm, sel_idx, tol) == len(sel_idx)))
-    return tuple(out)
+        yield e, _selected_rank(vm, sel_idx, tol) == len(sel_idx)
 
 
 def has_strong_property(a, g: Graph, kind: str, tol: float = 1e-8) -> StrongPropertyResult:
@@ -246,5 +245,4 @@ def spectra_disjoint(a: RatMatrix, b: RatMatrix) -> bool:
 
 def numeric_strong_property(a, g: Graph, kind: str, tol: float = 1e-8) -> StrongPropertyResult:
     """Floating-point strong property verdict at tolerance tol."""
-    arr = a.to_float() if isinstance(a, RatMatrix) else np.asarray(a, dtype=float)
-    return has_strong_property(arr, g, kind, tol)
+    return has_strong_property(np.asarray(a, dtype=float), g, kind, tol)

@@ -108,6 +108,16 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
                  "--beta", "1-3"]) == 2
     assert main(["zf", "--number", "--graph", "catalog:P3",
                  "--json", str(tmp_path / "no" / "such" / "r.json")]) == 2
+    two = tmp_path / "two.txt"
+    two.write_text("2 2\n1 0\n0 2\n")
+    for size in ("0", "-2"):
+        assert main(["libset", "--enumerate", "--graph", "catalog:2K1",
+                     "--matrix", str(two), "--max-size", size]) == 2
+    for tol in ("-1", "0", "nan", "inf"):
+        assert main(["directsum", "--matrix-a", str(one), "--matrix-b",
+                     str(one), "--beta", "1-2", "--tol", tol]) == 2
+    assert main(["reproduce", "g100", "--jobs", "-4"]) == 2
+    assert main(["reproduce", "g100", "--jobs", "0"]) == 2
 
 
 def test_zero_denominator_entry_exits_two(tmp_path, capsys):

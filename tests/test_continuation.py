@@ -25,7 +25,8 @@ from liberatrix.directsum import is_generic
 from liberatrix.exactla import RatMatrix, charpoly, direct_sum
 from liberatrix.graphs import Graph, add_edges, build_graph, catalog
 from liberatrix.numla import multiplicity_list, sym_eigen
-from liberatrix.patterns import in_class, pattern_of, sample_S
+from liberatrix.liberation import is_liberation_set
+from liberatrix.patterns import SAMPLE_MODES, in_class, pattern_of, sample_S
 from liberatrix.strongprops import (has_strong_property,
                                     numeric_strong_property, psi)
 
@@ -167,6 +168,39 @@ def test_liberate_rejects_bad_set():
         liberate(a, g, [])
     with pytest.raises(ValueError):
         liberate(a, g, [(3, 5), (4, 5)], kind="sap")
+
+
+@st.composite
+def beta_draws(draw):
+    """A sample_S matrix on 3 to 7 vertices with 1 to 4 of its nonedges."""
+    n = draw(st.integers(3, 7))
+    pairs = list(combinations(range(1, n + 1), 2))
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    if all(mask):
+        mask[draw(st.integers(0, len(pairs) - 1))] = False
+    g = build_graph(n, [e for e, keep in zip(pairs, mask) if keep])
+    mode = draw(st.sampled_from(SAMPLE_MODES))
+    a = sample_S(g, seed=draw(st.integers(0, 2**32)), mode=mode)
+    beta = draw(st.lists(st.sampled_from(g.nonedges()), min_size=1,
+                         max_size=4, unique=True))
+    return a, g, beta
+
+
+@settings(max_examples=60, deadline=None)
+@given(beta_draws(), st.booleans())
+def test_liberate_precheck_matches_is_liberation_set(case, exact):
+    a, g, beta = case
+    expect = is_liberation_set(a, g, beta).answer
+    try:
+        liberate(a if exact else np.asarray(a, dtype=float), g, beta,
+                 max_iter=1)
+    except ValueError:
+        assert not expect
+    except RuntimeError:
+        assert expect  # a solver outcome, only reachable past the precheck
+    else:
+        assert expect
 
 
 def test_liberate_float_family():

@@ -166,6 +166,12 @@ def test_directsum_wrt_rejects_weak_block():
         directsum_wrt(bad, RatMatrix.from_rows([[9]]), [])
 
 
+def test_directsum_rejects_non_square_rational_block():
+    wide = RatMatrix.from_rows([[1, 0, 2], [0, 1, 0]])
+    with pytest.raises(ValueError, match="square"):
+        directsum_liberation(wide, RatMatrix.from_rows([[1]]), [(1, 3)])
+
+
 def test_directsum_float_blocks_warn():
     with pytest.warns(UserWarning):
         directsum_wrt(np.diag([1.0, 2.0]), np.diag([3.0]), [])

@@ -162,6 +162,9 @@ def test_enumerate_k4k1_pairs():
     assert got == expect
     with pytest.raises(ValueError):
         enumerate_minimal_liberation_sets(a, g, max_size=5)
+    for size in (0, -2):
+        with pytest.raises(ValueError):
+            enumerate_minimal_liberation_sets(a, g, max_size=size)
 
 
 def test_enumerate_singletons_when_property_holds():

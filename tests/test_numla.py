@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from liberatrix.exactla import RatMatrix
 from liberatrix.numla import (
     MultiplicityList,
     SymMatrix,
@@ -123,6 +125,24 @@ def test_numeric_rank_tol_monotone():
     assert ranks == [4, 3, 2, 1]
     assert numeric_rank(np.zeros((3, 5))) == 0
     assert numeric_rank(np.zeros((0, 4))) == 0
+
+
+def test_numeric_rank_reveals_near_singular_triangle():
+    # unit upper triangle with -1 above the diagonal: no small pivot, yet
+    # sigma_min / sigma_max is about 1.5e-10
+    m = np.eye(30) - np.triu(np.ones((30, 30)), 1)
+    assert numeric_rank(m, tol=1e-8) == 29
+
+
+def test_ratmatrix_converts_through_numpy():
+    m = RatMatrix.from_rows([[Fraction(1, 3), 2], [2, Fraction(-7, 5)]])
+    arr = np.asarray(m, dtype=float)
+    assert arr.dtype == float and np.array_equal(arr, m.to_float())
+    vals, _ = sym_eigen(m)
+    assert np.allclose(vals, np.linalg.eigvalsh(m.to_float()))
+    huge = RatMatrix.from_rows([[Fraction(10) ** 400, 1], [1, 0]])
+    with pytest.raises(ValueError, match="too large for a float"):
+        np.asarray(huge, dtype=float)
 
 
 def test_random_orthogonal_seeded():
