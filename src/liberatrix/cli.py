@@ -159,12 +159,10 @@ def _default_seed():
 
 
 def _check_common(args):
-    """Range checks on the shared numeric options. At a tolerance of zero or
-    below, every rounding residue would count toward a numeric rank."""
+    """Range check on the shared --tol. At a tolerance of zero or below,
+    every rounding residue would count toward a numeric rank."""
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError("--tol must be finite and positive, got %r" % args.tol)
-    if args.jobs is not None and args.jobs < 1:
-        raise ValueError("--jobs must be at least 1, got %d" % args.jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +341,7 @@ def _cmd_realize(args):
 def _cmd_reproduce(args):
     from .replays import reproduce
 
-    rep = reproduce(args.name, seed=args.seed, jobs=args.jobs)
+    rep = reproduce(args.name, seed=args.seed)
     print("%s: %s" % (rep.name, "pass" if rep.ok else "FAIL"))
     print("  claim: %s" % rep.claim)
     for st in rep.stages:
@@ -374,8 +372,6 @@ def _build_parser():
                         help="numeric tolerance where one applies")
     common.add_argument("--trials", type=int, default=60,
                         help="sample count for randomized checks")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for batch targets")
     common.add_argument("--json", metavar="PATH", dest="json_path",
                         help="write a JSON run report to PATH")
     common.add_argument("--timed", action="store_true",

@@ -8,7 +8,9 @@ agree:
 
   definitional  relative-property check against each supergraph G + beta'
   row-rank      Psi[alpha + {e}] has full row rank for each e in beta,
-                alpha = nonedges outside beta
+                alpha = nonedges outside beta; Psi[alpha] is eliminated
+                once, its pivot count is alpha_rank, and each row e is
+                eliminated against that echelon form
   witness       A has the property w.r.t. G + beta and some x in Col(Psi)
                 is supported exactly on beta
   echelon       column echelon with the beta rows at the bottom has shape
@@ -22,11 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exactla import RatMatrix, col_space_contains, column_echelon
+from .exactla import (RatMatrix, _eliminate, col_space_contains,
+                      column_echelon)
 from .graphs import EdgeSet, Graph, nonedge_set
 from .patterns import SAMPLE_MODES, CertificateError, sample_S
-from .strongprops import (_drop_one_verdicts, _selected_rank, normalize_kind,
-                          psi)
+from .strongprops import _drop_one_verdicts, normalize_kind, psi
 
 CRITERIA = ("definitional", "row-rank", "witness", "echelon")
 
@@ -79,8 +81,11 @@ def is_liberation_set(a, g: Graph, beta, kind: str = "ssp") -> LiberationCertifi
     """Certificate that beta is (or is not) a liberation set of a over g.
 
     All four criteria are evaluated; a disagreement aborts, since it can only
-    mean a bug in one of the code paths.
+    mean a bug in one of the code paths. a must be an exact RatMatrix.
     """
+    if not isinstance(a, RatMatrix):
+        raise TypeError("is_liberation_set needs an exact RatMatrix, got %s"
+                        % type(a).__name__)
     kind = normalize_kind(kind)
     beta = beta if isinstance(beta, EdgeSet) else nonedge_set(g, beta)
     if len(beta) == 0:
@@ -100,8 +105,13 @@ def is_liberation_set(a, g: Graph, beta, kind: str = "ssp") -> LiberationCertifi
     per = tuple(_drop_one_verdicts(vm, beta.pairs))
     c1 = all(ok for _, ok in per)
 
-    c2 = all(_selected_rank(vm, alpha_idx + [i]) == len(alpha_idx) + 1
-             for i in beta_idx)
+    int_rows, cols = vm.int_rows, vm.matrix.cols
+    alpha_ech, pivots = _eliminate([int_rows[i] for i in alpha_idx], cols)
+    alpha_rank = len(pivots)
+    alpha_ech = alpha_ech[:alpha_rank]
+    c2 = alpha_rank == len(alpha_idx) and all(
+        len(_eliminate(alpha_ech + [int_rows[i]], cols)[1]) == alpha_rank + 1
+        for i in beta_idx)
 
     ech = column_echelon(vm.matrix, beta_idx)
     c4 = ech.top_independent and not ech.bottom_zero_rows
@@ -133,7 +143,7 @@ def is_liberation_set(a, g: Graph, beta, kind: str = "ssp") -> LiberationCertifi
         per_beta_prime=per,
         rows=rows,
         witness=witness,
-        alpha_rank=_selected_rank(vm, alpha_idx),
+        alpha_rank=alpha_rank,
         alpha_size=len(alpha_idx),
     )
 

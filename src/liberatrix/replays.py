@@ -12,6 +12,14 @@ bridges, liberate A + B along them and place it in the row's labels. The
 certificate comes in two kinds: bridges checked through the Sylvester
 intertwiner space (`directsum_liberation`) or a zero-forcing cover of the
 Cartesian product (`zf_liberation`).
+
+`TABLE6` states each table row's ordered multiplicity lists once, and one
+row builder, `_row_glue`, realizes any list of any row. The list targets
+(`g100`, `g127g169`, `g163`, `g129`, `g171`, `g175`) are entries of
+`_LIST_TARGETS`, run by one runner: each step draws target values, checks
+and realizes every list of its row, and the last list's matrix then grows
+into the one-pair rows of that row. `table6` realizes every list of every
+row at two independent draws.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import math
 import random
 import warnings
 import zlib
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -127,40 +135,26 @@ class _Run:
             raise _Abort(name, str(detail))
 
 
-def reproduce(name: str, seed=0, jobs=None) -> ReproduceReport:
+def reproduce(name: str, seed=0) -> ReproduceReport:
     """Run one registry target and return its staged report."""
     if name not in _RUNNERS:
         raise ValueError("unknown target %r; choose from %s"
                          % (name, ", ".join(REGISTRY)))
-    run = _Run()
-    data = {}
+    run, data, failed = _Run(), {}, None
     try:
-        if name == "table6":
-            data = _run_table6(run, seed, jobs) or {}
-        else:
-            data = _RUNNERS[name](run, seed) or {}
+        data = _RUNNERS[name](run, seed) or {}
     except _Abort as ab:
-        return ReproduceReport(name, CLAIMS[name], False, seed,
-                               tuple(run.stages), data, ab.stage)
+        failed = ab.stage
     except Exception as ex:  # a crash is a failed stage, not a traceback
-        run.stages.append(Stage("unhandled", False,
+        failed = "unhandled"
+        run.stages.append(Stage(failed, False,
                                 "%s: %s" % (type(ex).__name__, ex)))
-        return ReproduceReport(name, CLAIMS[name], False, seed,
-                               tuple(run.stages), data, "unhandled")
-    return ReproduceReport(name, CLAIMS[name], True, seed,
-                           tuple(run.stages), data, None)
+    return ReproduceReport(name, CLAIMS[name], failed is None, seed,
+                           tuple(run.stages), data, failed)
 
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-def ProcessPoolExecutor(*a, **kw):
-    """concurrent.futures.ProcessPoolExecutor, imported on first use: only
-    table6 with more than one job starts a pool, and the import costs
-    every other caller memory."""
-    from concurrent.futures import ProcessPoolExecutor as pool
-    return pool(*a, **kw)
-
 
 def _subseed(*parts) -> int:
     # repr of ints/strings/tuples is stable, unlike salted hash()
@@ -521,20 +515,13 @@ _G151_SIGNED_LISTS = ((1, 2, 3), (3, 2, 1))
 _G151_SIGNED = (_g151_signed_blocks, {"bridges": ((1, 5), (3, 6), (4, 6)),
                                       "place": (1, 3, 5, 4, 2, 6)})
 
-
-def _glue_row(row, mults, values, seed):
-    blocks, options = row
-    return _glue(*blocks(mults, values, seed), seed, **options)
-
-
-def _row_g151(mults, values, seed):
-    row = _G151_SIGNED if mults in _G151_SIGNED_LISTS else _GLUE_ROWS["G151"]
-    return _glue_row(row, mults, values, seed)
-
-
 # rows grown from a parent row by the pair their catalog entry adds:
-# name -> parent row
-_ONE_PAIR_ROWS = {"G145": "G129", "G153": "G129", "G187": "G171"}
+# name -> (parent row, stage name when a list target grows into the row)
+_ONE_PAIR_ROWS = {
+    "G145": ("G129", "one added pair reaches the next pattern"),
+    "G153": ("G129", "a different added pair reaches the other pattern"),
+    "G187": ("G171", "one added pair reaches the densest pattern"),
+}
 
 
 def _grow(parent, name, seed):
@@ -543,77 +530,120 @@ def _grow(parent, name, seed):
     return liberate(parent, entry.base, entry.beta, seed=seed).matrix
 
 
-def _one_pair_row(name, mults, values, seed):
-    """The parent row's glue record, its matrix grown by one pair."""
-    glue = _ROW_BUILDERS[_ONE_PAIR_ROWS[name]](mults, values, seed)
-    if glue.matrix is None:
-        return glue
-    return glue._replace(matrix=_grow(glue.matrix, name, seed))
+def _row_glue(name, mults, values, seed):
+    """The glue record of one list of row name, matrix in the row's labels.
+
+    A one-pair row grows its parent row's matrix by its pair; G151's signed
+    lists take the signed split; every other list glues the row's blocks.
+    """
+    if name in _ONE_PAIR_ROWS:
+        glue = _row_glue(_ONE_PAIR_ROWS[name][0], mults, values, seed)
+        if glue.matrix is None:
+            return glue
+        return glue._replace(matrix=_grow(glue.matrix, name, seed))
+    signed = name == "G151" and mults in _G151_SIGNED_LISTS
+    blocks, options = _G151_SIGNED if signed else _GLUE_ROWS[name]
+    return _glue(*blocks(mults, values, seed), seed, **options)
 
 
 def _build_list(name, mults, values, seed):
     """Build one list realization of a table-6 row: (glue, ok, detail)."""
-    glue = _ROW_BUILDERS[name](mults, tuple(values), seed)
+    glue = _row_glue(name, mults, tuple(values), seed)
     if glue.matrix is None:
         return glue, False, "certificate failed for %s" % name
     return (glue,) + _realized_ok(name, mults, values, glue.matrix)
 
 
-# ---------------------------------------------------------------------------
-# remaining single-example runners
+def _merged_ok(glue, mults):
+    """(ok, detail): the sum's list is mults and its property re-verified."""
+    got = multiplicity_list(glue.lib.spectrum, tol=1e-6).multiplicities
+    return (got == mults and glue.lib.strong_property_verified,
+            "came out %s" % (got,))
 
-def _run_g100(run, seed):
-    rng = random.Random(_subseed(seed, "g100"))
-    v = _draw_values(rng, 4)
-    glue, ok, detail = _build_list("G100", (1, 2, 2, 1), v,
-                                   _subseed(seed, "row"))
-    a, b = glue.a, glue.b
+
+# ---------------------------------------------------------------------------
+# the list targets: one runner over the rows of TABLE6
+
+def _g100_check(run, glue, v, mults):
     run.check("block spectra on target",
-              _spec_dev(a, [v[0], v[1], v[1], v[2]]) <= 1e-8
-              and _spec_dev(b, [v[2], v[3]]) <= 1e-12)
+              _spec_dev(glue.a, [v[0], v[1], v[1], v[2]]) <= 1e-8
+              and _spec_dev(glue.b, [v[2], v[3]]) <= 1e-12)
     run.check("blocks carry the strong property",
-              has_strong_property(a, star_graph(3), "ssp").answer
-              and has_strong_property(b, path_graph(2), "ssp").answer)
+              has_strong_property(glue.a, star_graph(3), "ssp").answer
+              and has_strong_property(glue.b, path_graph(2), "ssp").answer)
     run.check("bridge pair certified", glue.cert.answer,
               "intertwiner dimension %d" % glue.cert.dimension)
-    run.check("merged matrix carries (1,2,2,1)", ok, detail)
-    return {"targets": [float(x) for x in v]}
 
 
-def _run_g127g169(run, seed):
-    rng = random.Random(_subseed(seed, "g127g169"))
-    v = _draw_values(rng, 4)
-    glue, ok, detail = _build_list("G127", (2, 1, 1, 2), v,
-                                   _subseed(seed, "g127"))
+def _g127_check(run, glue, values, mults):
     run.check("triangle and path blocks strong",
               has_strong_property(glue.a, cycle_graph(3), "ssp").answer
               and has_strong_property(glue.b, path_graph(3), "ssp").answer)
-    run.check("first split carries (2,1,1,2)", ok, detail)
-
-    w = _draw_values(rng, 3)
-    for mults in ((1, 3, 2), (2, 3, 1)):
-        _, ok, detail = _build_list("G169", mults, w,
-                                    _subseed(seed, "g169", mults))
-        run.check("second split carries %s" % (mults,), ok, detail)
-    return {"first_targets": [float(x) for x in v],
-            "second_targets": [float(x) for x in w]}
 
 
-def _run_g163(run, seed):
-    rng = random.Random(_subseed(seed, "g163"))
-    w = _draw_values(rng, 4)
-    entry = catalog_entry("G163")
-    by_row = {}
-    for u, vv in entry.beta:
-        by_row.setdefault(u, []).append(vv)
+def _g163_check(run, glue, values, mults):
+    if mults != TABLE6["G163"][0]:
+        return  # the layout is the row's, so it is checked once
+    by_row = Counter(u for u, _ in catalog_entry("G163").beta)
     run.check("bridge layout is two pairs per shared row",
-              sorted(len(t) for t in by_row.values()) == [2, 2],
-              "rows %s" % sorted(by_row))
-    for mults in ((1, 1, 3, 1), (1, 3, 1, 1)):
-        _, ok, detail = _build_list("G163", mults, w, _subseed(seed, mults))
-        run.check("split carries %s" % (mults,), ok, detail)
-    return {"targets": [float(x) for x in w]}
+              sorted(by_row.values()) == [2, 2], "rows %s" % sorted(by_row))
 
+
+def _g175_check(run, glue, values, mults):
+    rep = glue.cert
+    run.check("six-pair cover for %s certified with two shared values"
+              % (mults,),
+              rep.combinatorial and bool(rep)
+              and len(rep.algebraic.common) == 2,
+              "intertwiner dimension %d" % rep.algebraic.dimension)
+
+
+# A step realizes every list of TABLE6[row] from one value draw, or one draw
+# per list if per_list, and keeps the last draw as data[key]. check(run,
+# glue, values, mults) runs before each list's stage stage.format(mults).
+_Step = namedtuple("_Step", "key row stage check per_list",
+                   defaults=(None, False))
+
+_LIST_TARGETS = {
+    "g100": (_Step("targets", "G100", "merged matrix carries (1,2,2,1)",
+                   _g100_check),),
+    "g127g169": (_Step("first_targets", "G127",
+                       "first split carries (2,1,1,2)", _g127_check),
+                 _Step("second_targets", "G169", "second split carries {}")),
+    "g163": (_Step("targets", "G163", "split carries {}", _g163_check),),
+    "g129": (_Step("targets", "G129", "fork pattern carries {}",
+                   per_list=True),),
+    "g171": (_Step("last_targets", "G171", "cycle pattern carries {}",
+                   per_list=True),),
+    "g175": (_Step("targets", "G175", "double star carries {}",
+                   _g175_check),),
+}
+
+
+def _run_lists(name, run, seed):
+    """Run list target name; its last list grows into the one-pair rows."""
+    rng = random.Random(_subseed(seed, name))
+    data = {}
+    for step in _LIST_TARGETS[name]:
+        values = None
+        for mults in TABLE6[step.row]:
+            if values is None or step.per_list:
+                values = _draw_values(rng, len(mults))
+            glue, ok, detail = _build_list(step.row, mults, values,
+                                           _subseed(seed, "row", mults))
+            if step.check:
+                step.check(run, glue, values, mults)
+            run.check(step.stage.format(mults), ok, detail)
+        data[step.key] = [float(x) for x in values]
+    for grown, (parent, stage) in _ONE_PAIR_ROWS.items():
+        if parent == step.row:
+            matrix = _grow(glue.matrix, grown, _subseed(seed, grown[1:]))
+            run.check(stage, *_realized_ok(grown, mults, values, matrix))
+    return data
+
+
+# ---------------------------------------------------------------------------
+# the single-example runners
 
 def _c6c8_blocks():
     a = np.zeros((6, 6))
@@ -693,13 +723,10 @@ def _run_c6c8(run, seed):
         glue = _glue(sh, b, _subseed(seed, tag), bridges=beta)
         run.check("grid %s certified on the repaired pair" % tag,
                   glue.cert.answer)
-        ml = multiplicity_list(glue.lib.spectrum, tol=1e-6)
+        merged = (4, 2, 2, 2, 2, 2)
         run.check("grid %s yields (4,2,2,2,2,2) with the strong property"
-                  % tag,
-                  ml.multiplicities == (4, 2, 2, 2, 2, 2)
-                  and glue.lib.strong_property_verified,
-                  "came out %s" % (ml.multiplicities,))
-        lists[tag] = list(ml.multiplicities)
+                  % tag, *_merged_ok(glue, merged))
+        lists[tag] = list(merged)
     return {"shift": s, "lists": lists}
 
 
@@ -755,59 +782,8 @@ def _run_k13k13(run, seed):
     generic_ok, detail = cert.validator("generic-eigenspaces")
     run.check("hub rows break full genericity yet the grid still works",
               not generic_ok and cert.answer, detail)
-    ml = multiplicity_list(glue.lib.spectrum, tol=1e-6)
     run.check("merged stars carry (1,1,4,1,1)",
-              ml.multiplicities == (1, 1, 4, 1, 1)
-              and glue.lib.strong_property_verified,
-              "came out %s" % (ml.multiplicities,))
-    return {"targets": [float(x) for x in w]}
-
-
-def _run_g129(run, seed):
-    rng = random.Random(_subseed(seed, "g129"))
-    values, glue = None, None
-    for mults in ((1, 3, 1, 1), (1, 1, 3, 1)):
-        values = _draw_values(rng, 4)
-        glue, ok, detail = _build_list("G129", mults, values,
-                                       _subseed(seed, "row", mults))
-        run.check("fork pattern carries %s" % (mults,), ok, detail)
-    grown = _grow(glue.matrix, "G145", _subseed(seed, "145"))
-    ok, detail = _realized_ok("G145", (1, 1, 3, 1), values, grown)
-    run.check("one added pair reaches the next pattern", ok, detail)
-    grown = _grow(glue.matrix, "G153", _subseed(seed, "153"))
-    ok, detail = _realized_ok("G153", (1, 1, 3, 1), values, grown)
-    run.check("a different added pair reaches the other pattern", ok, detail)
-    return {"targets": [float(x) for x in values]}
-
-
-def _run_g171(run, seed):
-    rng = random.Random(_subseed(seed, "g171"))
-    values, glue = None, None
-    for mults in ((1, 2, 3), (1, 3, 2), (3, 2, 1), (2, 3, 1),
-                  (1, 1, 3, 1), (1, 3, 1, 1)):
-        values = _draw_values(rng, len(mults))
-        glue, ok, detail = _build_list("G171", mults, values,
-                                       _subseed(seed, "row", mults))
-        run.check("cycle pattern carries %s" % (mults,), ok, detail)
-    grown = _grow(glue.matrix, "G187", _subseed(seed, "187"))
-    ok, detail = _realized_ok("G187", (1, 3, 1, 1), values, grown)
-    run.check("one added pair reaches the densest pattern", ok, detail)
-    return {"last_targets": [float(x) for x in values]}
-
-
-def _run_g175(run, seed):
-    rng = random.Random(_subseed(seed, "g175"))
-    w = _draw_values(rng, 3)
-    for mults in ((1, 3, 2), (2, 3, 1)):
-        glue, ok, detail = _build_list("G175", mults, w,
-                                       _subseed(seed, "row", mults))
-        rep = glue.cert
-        run.check("six-pair cover for %s certified with two shared values"
-                  % (mults,),
-                  rep.combinatorial and bool(rep)
-                  and len(rep.algebraic.common) == 2,
-                  "intertwiner dimension %d" % rep.algebraic.dimension)
-        run.check("double star carries %s" % (mults,), ok, detail)
+              *_merged_ok(glue, (1, 1, 4, 1, 1)))
     return {"targets": [float(x) for x in w]}
 
 
@@ -844,11 +820,8 @@ def _run_pmpn(run, seed):
     rep = glue.cert
     run.check("cover certifies algebraically despite three shared values",
               rep.combinatorial and bool(rep) and rep.agree)
-    ml = multiplicity_list(glue.lib.spectrum, tol=1e-6)
     run.check("merged paths carry (2,2,2,1)",
-              ml.multiplicities == (2, 2, 2, 1)
-              and glue.lib.strong_property_verified,
-              "came out %s" % (ml.multiplicities,))
+              *_merged_ok(glue, (2, 2, 2, 1)))
     return {"cover": [list(p) for p in f],
             "targets": [float(x) for x in v]}
 
@@ -892,28 +865,24 @@ def _run_prism(run, seed):
 TABLE6 = {
     "G100": ((1, 2, 2, 1),),
     "G127": ((2, 1, 1, 2),),
-    "G129": ((1, 1, 3, 1), (1, 3, 1, 1)),
+    "G129": ((1, 3, 1, 1), (1, 1, 3, 1)),
     "G145": ((1, 1, 3, 1), (1, 3, 1, 1)),
     "G151": ((1, 1, 3, 1), (1, 3, 1, 1), (1, 2, 3), (3, 2, 1),
              (1, 3, 2), (2, 3, 1)),
     "G153": ((1, 1, 3, 1), (1, 3, 1, 1)),
     "G163": ((1, 1, 3, 1), (1, 3, 1, 1)),
     "G169": ((1, 3, 2), (2, 3, 1)),
-    "G171": ((1, 1, 3, 1), (1, 3, 1, 1), (1, 2, 3), (3, 2, 1),
-             (1, 3, 2), (2, 3, 1)),
+    "G171": ((1, 2, 3), (1, 3, 2), (3, 2, 1), (2, 3, 1),
+             (1, 1, 3, 1), (1, 3, 1, 1)),
     "G175": ((1, 3, 2), (2, 3, 1)),
     "G187": ((1, 1, 3, 1), (1, 3, 1, 1), (1, 2, 3), (3, 2, 1),
              (1, 3, 2), (2, 3, 1)),
 }
 
-_ROW_BUILDERS = {
-    **{name: partial(_glue_row, row) for name, row in _GLUE_ROWS.items()},
-    "G151": _row_g151,
-    **{name: partial(_one_pair_row, name) for name in _ONE_PAIR_ROWS},
-}
-
 
 def _table6_row(name, seed, draws=2):
+    """Realize every list of row name at each draw; draws are seeded by
+    (row, list, draw), so the order of a row's lists does not matter."""
     done, errors = [], []
     for mults in TABLE6[name]:
         for d in range(draws):
@@ -931,36 +900,25 @@ def _table6_row(name, seed, draws=2):
     return name, done, errors
 
 
-def _run_table6(run, seed, jobs=None):
-    names = sorted(TABLE6)
-    seeds = [seed] * len(names)
-    # a pool starts all its workers at once; more than one per row is waste
-    workers = min(int(jobs or 1), len(names))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_table6_row, names, seeds))
-    else:
-        rows = list(map(_table6_row, names, seeds))
-    for name, done, errors in rows:
+def _run_table6(run, seed):
+    counts = {}
+    for name in sorted(TABLE6):
+        _, done, errors = _table6_row(name, seed)
         run.check("row %s holds %d list realizations" % (name, len(done)),
                   not errors,
                   "; ".join(errors) if errors else "every list at two draws")
-    return {"realizations": {name: len(done) for name, done, _ in rows}}
+        counts[name] = len(done)
+    return {"realizations": counts}
 
 
 _RUNNERS = {
     "k4k1": _run_k4k1,
     "g151": _run_g151,
-    "g100": _run_g100,
-    "g127g169": _run_g127g169,
-    "g163": _run_g163,
     "c6c8": _run_c6c8,
     "k14": _run_k14,
     "k13k13": _run_k13k13,
-    "g129": _run_g129,
-    "g171": _run_g171,
-    "g175": _run_g175,
     "pmpn": _run_pmpn,
     "prism": _run_prism,
     "table6": _run_table6,
+    **{name: partial(_run_lists, name) for name in _LIST_TARGETS},
 }

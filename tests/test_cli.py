@@ -116,8 +116,6 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     for tol in ("-1", "0", "nan", "inf"):
         assert main(["directsum", "--matrix-a", str(one), "--matrix-b",
                      str(one), "--beta", "1-2", "--tol", tol]) == 2
-    assert main(["reproduce", "g100", "--jobs", "-4"]) == 2
-    assert main(["reproduce", "g100", "--jobs", "0"]) == 2
 
 
 def test_zero_denominator_entry_exits_two(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from liberatrix import liberation, strongprops
@@ -208,6 +209,19 @@ def test_random_certificates_have_valid_witnesses():
             positives += 1
             assert cert.witness is not None
     assert positives >= 10
+
+
+def test_float_input_needs_exact_matrix(monkeypatch):
+    a = np.array(ones_block_plus(4))
+    g = catalog("K4uK1")
+    # the float paths stay open
+    assert strongprops.psi(a, g, "ssp").matrix.shape == (4, 10)
+    assert len(enumerate_minimal_liberation_sets(a, g, max_size=2)) == 6
+    # the four criteria are exact; float input is refused before psi is built
+    monkeypatch.setattr(liberation, "psi",
+                        lambda *args: pytest.fail("psi built for float input"))
+    with pytest.raises(TypeError, match="exact RatMatrix"):
+        is_liberation_set(a, g, [(3, 5), (4, 5)])
 
 
 def test_input_validation():

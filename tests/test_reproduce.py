@@ -92,50 +92,71 @@ def test_table6_single_row():
     assert len(done) == 2
 
 
-def test_table6_workers_capped_at_row_count(monkeypatch):
-    started = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(rp, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(rp, "_table6_row",
-                        lambda name, seed: (name, ["stub draw"], []))
-    pooled = reproduce("table6", seed=0, jobs=10000)
-    assert pooled and started == [len(rp.TABLE6)]
-    serial = reproduce("table6", seed=0, jobs=1)
-    assert started == [len(rp.TABLE6)]  # one job runs without a pool
-    assert serial.stages == pooled.stages
-    assert pooled.data == {"realizations": {n: 1 for n in rp.TABLE6}}
-
-
 def test_failed_certificate_stops_at_its_stage(monkeypatch):
     real_ds, real_zf = rp.directsum_liberation, rp.zf_liberation
     monkeypatch.setattr(rp, "directsum_liberation", lambda *a, **k: replace(
         real_ds(*a, **k), answer=False))
     monkeypatch.setattr(rp, "zf_liberation", lambda *a, **k: replace(
         real_zf(*a, **k), combinatorial=False))
-    assert reproduce("g100").failed_stage == "bridge pair certified"
-    assert reproduce("g175").failed_stage.startswith("six-pair cover")
+    stops = {
+        "g100": "bridge pair certified",
+        "g127g169": "first split carries (2,1,1,2)",
+        "g163": "split carries (1, 1, 3, 1)",
+        "g129": "fork pattern carries (1, 3, 1, 1)",
+        "g171": "cycle pattern carries (1, 2, 3)",
+        "g175": "six-pair cover for (1, 3, 2) certified with two shared "
+                "values",
+    }
+    for name, stage in stops.items():
+        rep = reproduce(name)
+        assert rep.failed_stage == stage and rep.data == {}, name
     for name in ("G100", "G145"):
         _, done, errors = rp._table6_row(name, 0, draws=1)
         assert not done and all("certificate failed" in e for e in errors)
 
 
+_LIST_STAGES = {
+    "g100": (["block spectra on target", "blocks carry the strong property",
+              "bridge pair certified", "merged matrix carries (1,2,2,1)"],
+             ["targets"]),
+    "g127g169": (["triangle and path blocks strong",
+                  "first split carries (2,1,1,2)",
+                  "second split carries (1, 3, 2)",
+                  "second split carries (2, 3, 1)"],
+                 ["first_targets", "second_targets"]),
+    "g163": (["bridge layout is two pairs per shared row",
+              "split carries (1, 1, 3, 1)", "split carries (1, 3, 1, 1)"],
+             ["targets"]),
+    "g129": (["fork pattern carries (1, 3, 1, 1)",
+              "fork pattern carries (1, 1, 3, 1)",
+              "one added pair reaches the next pattern",
+              "a different added pair reaches the other pattern"],
+             ["targets"]),
+    "g171": (["cycle pattern carries %s" % (m,)
+              for m in ((1, 2, 3), (1, 3, 2), (3, 2, 1), (2, 3, 1),
+                        (1, 1, 3, 1), (1, 3, 1, 1))]
+             + ["one added pair reaches the densest pattern"],
+             ["last_targets"]),
+    "g175": (["six-pair cover for (1, 3, 2) certified with two shared values",
+              "double star carries (1, 3, 2)",
+              "six-pair cover for (2, 3, 1) certified with two shared values",
+              "double star carries (2, 3, 1)"],
+             ["targets"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LIST_STAGES))
+def test_list_target_stages_and_data_keys(name):
+    rep = reproduce(name, seed=0)
+    stages, keys = _LIST_STAGES[name]
+    assert rep and [st.name for st in rep.stages] == stages
+    assert list(rep.data) == keys
+
+
 @pytest.mark.parametrize("mults", ((1, 2, 3), (3, 2, 1)), ids=("123", "321"))
 def test_g151_signed_route_list(mults):
     values = (-2.0, 0.5, 3.0)
-    glue = rp._row_g151(mults, values, seed=5)
+    glue = rp._row_glue("G151", mults, values, seed=5)
     assert glue.cert.answer and glue.lib.strong_property_verified
     ok, detail = rp._realized_ok("G151", mults, values, glue.matrix)
     assert ok, detail
