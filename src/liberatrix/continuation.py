@@ -17,8 +17,8 @@ realize_spectrum() builds matrices with a prescribed spectrum for a few
 stock shapes; realize_in_pattern() does the same for an arbitrary pattern
 with the same Newton solver from random isospectral starts;
 complete_pattern_low_rank() rounds out a rank-deficient matrix to a full
-pattern without raising the rank, via a factored parametrization and
-Gauss-Newton.
+pattern without raising the rank, by the same minimum-norm Newton loop on
+the factor V of V S V^T with its closed-form Jacobian.
 """
 
 from __future__ import annotations
@@ -44,32 +44,22 @@ def charpoly_coeffs(a) -> np.ndarray:
     return np.poly(np.linalg.eigvalsh(np.asarray(a, dtype=float)))[1:]
 
 
-def _gauss_newton(f, x0, tol, max_steps=120):
-    """Damped Gauss-Newton with least-squares steps; returns (x, converged)."""
-    x = np.array(x0, dtype=float)
-    fx = f(x)
+def _min_norm_newton(system, x, tol, max_steps=40):
+    """Newton with minimum-norm steps, x -= lstsq(J, r) for (r, J) = system(x).
+
+    Returns (x, reason) with reason "converged" once max |r| <= tol, "not
+    converged" after max_steps steps, or "non-finite step".
+    """
+    x = np.array(x, dtype=float)
     for _ in range(max_steps):
-        err = float(np.max(np.abs(fx))) if fx.size else 0.0
-        if err <= tol:
-            return x, True
-        jac = np.zeros((fx.size, x.size))
-        for k in range(x.size):
-            h = 1e-7 * max(1.0, abs(x[k]))
-            xp = x.copy()
-            xp[k] += h
-            jac[:, k] = (f(xp) - fx) / h
-        step, *_ = np.linalg.lstsq(jac, -fx, rcond=None)
-        t = 1.0
-        while t >= 1.0 / 64.0:
-            xn = x + t * step
-            fn = f(xn)
-            if float(np.max(np.abs(fn))) < err:
-                x, fx = xn, fn
-                break
-            t /= 2.0
-        else:
-            return x, float(np.max(np.abs(fx))) <= tol
-    return x, float(np.max(np.abs(f(x)))) <= tol
+        res, jac = system(x)
+        if float(np.max(np.abs(res), initial=0.0)) <= tol:
+            return x, "converged"
+        x -= np.linalg.lstsq(jac, res, rcond=None)[0]
+        if not np.all(np.isfinite(x)):
+            return x, "non-finite step"
+    ok = float(np.max(np.abs(system(x)[0]), initial=0.0)) <= tol
+    return x, "converged" if ok else "not converged"
 
 
 def _pattern_slots(g: Graph):
@@ -130,20 +120,17 @@ def _newton(n, slots, free, target, x, tol, max_steps=40):
     pairs = _cluster_pairs(multiplicity_list(tgt, 1e-6 * scale).multiplicities)
     on_diag = pairs[0] == pairs[1]
     free_slots = [slots[k] for k in free]
-    x = np.array(x, dtype=float)
-    for _ in range(max_steps):
-        vals, q = np.linalg.eigh(_build_from_slots(n, slots, x))
-        if float(np.max(np.abs(vals - tgt))) <= tol:
-            return x, "converged"
-        rhs = np.where(on_diag, tgt[pairs[0]] - vals[pairs[0]], 0.0)
-        step = np.linalg.lstsq(_jacobian(q, pairs, free_slots), rhs,
-                               rcond=None)[0]
-        x[free] += step
-        if not np.all(np.isfinite(x)):
-            return x, "non-finite step"
-    vals = np.linalg.eigvalsh(_build_from_slots(n, slots, x))
-    ok = float(np.max(np.abs(vals - tgt))) <= tol
-    return x, "converged" if ok else "not converged"
+    full = np.array(x, dtype=float)
+
+    def system(y):
+        full[free] = y
+        vals, q = np.linalg.eigh(_build_from_slots(n, slots, full))
+        res = np.where(on_diag, vals[pairs[0]] - tgt[pairs[0]], 0.0)
+        return res, _jacobian(q, pairs, free_slots)
+
+    y, reason = _min_norm_newton(system, full[free], tol, max_steps)
+    full[free] = y
+    return full, reason
 
 
 @dataclass(frozen=True)
@@ -403,6 +390,24 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 # Low-rank pattern completion
 
+def _hole_system(n, signs, holes):
+    """Newton system of V S V^T at the 0-based holes, S = diag(signs), in the
+    entries of V = x.reshape(n, r): the row of hole (i, j) holds signs * V[j]
+    in vertex i's r columns, signs * V[i] in vertex j's, zero elsewhere."""
+    r = len(signs)
+    hi = np.array([i for i, _ in holes], dtype=int)
+    hj = np.array([j for _, j in holes], dtype=int)
+    rows = np.arange(len(holes))
+
+    def system(x):
+        v = x.reshape(n, r)
+        jac = np.zeros((len(holes), n, r))
+        jac[rows, hi] = v[hj] * signs
+        jac[rows, hj] = v[hi] * signs
+        return ((v * signs) @ v.T)[hi, hj], jac.reshape(len(holes), n * r)
+    return system
+
+
 @dataclass(frozen=True)
 class LowRankResult:
     matrix: np.ndarray
@@ -417,10 +422,11 @@ def complete_pattern_low_rank(a0, h: Graph, tol: float = 1e-8,
                               max_iter: int = 40, seed=0) -> LowRankResult:
     """Fill the pattern of h starting from a0 without raising its rank.
 
-    The output is parametrized as V S V^T with V of width rank(a0) and S the
-    signature of a0's nonzero spectrum, so its rank cannot exceed the start;
-    the solver drives the entries outside h's pattern to zero and keeps the
-    edge entries away from zero.
+    The output is V S V^T with V of width rank(a0) and S the signature of
+    a0's nonzero spectrum, so its rank cannot exceed the start. Newton on V,
+    with the closed-form Jacobian, drives the entries outside h's pattern to
+    1e-12 from a perturbed factor of a0; an attempt that does not converge
+    or leaves an edge entry below MIN_ENTRY re-draws the start.
     """
     arr = np.asarray(a0, dtype=float)
     n = arr.shape[0]
@@ -430,29 +436,21 @@ def complete_pattern_low_rank(a0, h: Graph, tol: float = 1e-8,
     keep = [i for i, v in enumerate(vals) if abs(v) > tol]
     r = len(keep)
     signs = np.array([1.0 if vals[i] > 0 else -1.0 for i in keep])
-    s = np.diag(signs)
     v0 = q[:, keep] * np.sqrt(np.abs(vals[keep]))
-    holes = [(i - 1, j - 1) for (i, j) in h.nonedges()]
-
-    def assemble(x):
-        return x.reshape(n, r) @ s @ x.reshape(n, r).T
-
-    def residual(x):
-        a = assemble(x)
-        return np.array([a[i, j] for (i, j) in holes])
-
+    system = _hole_system(n, signs, [(i - 1, j - 1) for (i, j) in h.nonedges()])
     rng = seeded_random(seed)
     for attempt in range(1, max_iter + 1):
         sd = 0.05 * (1 + attempt // 5)
         x0 = v0.reshape(-1) + [rng.gauss(0.0, sd) for _ in range(n * r)]
-        x, ok = _gauss_newton(residual, x0, 1e-12)
-        if not ok:
+        x, reason = _min_norm_newton(system, x0, 1e-12)
+        if reason != "converged":
             continue
-        a = assemble(x)
+        v = x.reshape(n, r)
+        a = (v * signs) @ v.T
         edge_min = min(abs(a[i - 1, j - 1]) for (i, j) in h.edges) if h.edges else 1.0
         if edge_min < MIN_ENTRY:
             continue
-        off = float(np.max(np.abs(residual(x)))) if holes else 0.0
+        off = float(np.max(np.abs(system(x)[0]), initial=0.0))
         pos = int(np.sum(signs > 0))
         return LowRankResult(a, h, r, (pos, r - pos), off, attempt)
     raise RuntimeError("no completion with the required pattern in %d attempts"

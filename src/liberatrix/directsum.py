@@ -167,14 +167,13 @@ def _check_blocks_strong(a, b, kind):
             % ", ".join(msgs), stacklevel=3)
 
 
-def _evaluation_full_rank(space: SylvesterSpace, pairs, m, tol) -> bool:
-    if space.dimension == 0:
-        return True
+def _evaluation(space: SylvesterSpace, pairs, m) -> np.ndarray:
+    """The intertwining basis evaluated at the bridges, one row per pair."""
     ev = np.zeros((len(pairs), space.dimension))
     for r, (u, v) in enumerate(pairs):
         for t, y in enumerate(space.basis):
             ev[r, t] = y[u - 1, v - m - 1]
-    return numeric_rank(ev, tol) == space.dimension
+    return ev
 
 
 def directsum_wrt(a, b, beta, kind: str = "ssp", tol: float = 1e-8) -> bool:
@@ -189,7 +188,8 @@ def directsum_wrt(a, b, beta, kind: str = "ssp", tol: float = 1e-8) -> bool:
     beta = _as_bridge(m, n, beta)
     _check_blocks_strong(a, b, kind)
     space = sylvester_space(arr_a, arr_b, tol, kind)
-    return _evaluation_full_rank(space, beta.pairs, m, tol)
+    ev = _evaluation(space, beta.pairs, m)
+    return numeric_rank(ev, tol) == space.dimension
 
 
 @dataclass(frozen=True)
@@ -256,10 +256,9 @@ def directsum_liberation(a, b, beta, kind: str = "ssp",
     _check_blocks_strong(a, b, kind)
     space = sylvester_space(arr_a, arr_b, tol, kind)
 
-    per = []
-    for e in beta.pairs:
-        rest = tuple(f for f in beta.pairs if f != e)
-        per.append((e, _evaluation_full_rank(space, rest, m, tol)))
+    ev = _evaluation(space, beta.pairs, m)
+    per = [(e, numeric_rank(np.delete(ev, k, axis=0), tol) == space.dimension)
+           for k, e in enumerate(beta.pairs)]
     answer = all(ok for _, ok in per)
 
     one_common = len(space.common) == 1

@@ -60,7 +60,8 @@ class Graph:
         return tuple(p for p in combinations(self.vertices, 2) if p not in present)
 
     def has_edge(self, i, j):
-        return _norm_pair((i, j)) in set(self._edges)
+        i, j = _norm_pair((i, j))
+        return j in self._adj.get(i, ())
 
     def neighbors(self, v):
         return frozenset(self._adj[v])

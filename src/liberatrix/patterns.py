@@ -57,11 +57,13 @@ def in_class(a, g: Graph, cls: str, tol: float = 1e-8) -> bool:
     n, get = _square_view(a)
     if n != g.n:
         raise ValueError("matrix order %d does not match graph order %d" % (n, g.n))
-    nonzero = _nonzero_test(a, tol)
+    exact = _is_exact(a)
     for i in range(n):
-        for j in range(i, n):
-            if nonzero(get(i, j) - get(j, i)):
+        for j in range(i + 1, n):
+            x, y = get(i, j), get(j, i)
+            if (x != y) if exact else abs(x - y) > tol:
                 raise ValueError("matrix is not symmetric")
+    nonzero = _nonzero_test(a, tol)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             hit = nonzero(get(i - 1, j - 1))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from liberatrix.continuation import (
     _cluster_pairs,
+    _hole_system,
     _jacobian,
     _pattern_slots,
     charpoly_coeffs,
@@ -23,7 +24,7 @@ from liberatrix.continuation import (
 )
 from liberatrix.directsum import is_generic
 from liberatrix.exactla import RatMatrix, charpoly, direct_sum
-from liberatrix.graphs import Graph, add_edges, build_graph, catalog
+from liberatrix.graphs import Graph, add_edges, build_graph, catalog, path_graph
 from liberatrix.numla import multiplicity_list, sym_eigen
 from liberatrix.liberation import is_liberation_set
 from liberatrix.patterns import SAMPLE_MODES, in_class, pattern_of, sample_S
@@ -261,6 +262,47 @@ def test_complete_prism_low_rank():
 def test_complete_rejects_mismatched_order():
     with pytest.raises(ValueError):
         complete_pattern_low_rank(np.eye(3), catalog("prism"))
+
+
+def test_low_rank_jacobian_matches_central_differences():
+    rng = np.random.default_rng(SEED)
+    for n, r in ((3, 1), (5, 2), (6, 3), (6, 4)):
+        signs = rng.choice((-1.0, 1.0), size=r)
+        holes = [(0, n - 1)] + [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if (i, j) != (0, n - 1) and rng.random() < 0.5]
+        system = _hole_system(n, signs, holes)
+        x = rng.normal(size=n * r)
+        res, jac = system(x)
+        v = x.reshape(n, r)
+        assert np.allclose(res, [v[i] @ (signs * v[j]) for i, j in holes])
+        h = 1e-5
+        fd = np.column_stack([(system(x + h * e)[0] - system(x - h * e)[0]) / (2 * h)
+                              for e in np.eye(n * r)])
+        # the residual is quadratic, so central differences are exact up
+        # to rounding
+        assert jac.shape == (len(holes), n * r)
+        assert np.allclose(jac, fd, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_complete_prism_from_scaled_blocks(seed):
+    rng = np.random.default_rng(seed)
+    c1 = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)
+    c2 = (-1.0) ** seed * rng.uniform(0.5, 2.0)
+    ring = np.roll(np.eye(4), 1, axis=1)
+    ring = c1 * (ring + ring.T)   # the cycle 1-2-3-4-1
+    res = complete_pattern_low_rank(block_diag(ring, np.full((2, 2), c2)),
+                                    catalog("prism"), seed=seed)
+    assert res.attempts == 1
+    assert res.off_pattern_residual <= 1e-12
+    assert res.inertia == ((2, 1) if c2 > 0 else (1, 2))
+    assert in_class(res.matrix, catalog("prism"), "S")
+
+
+def test_complete_infeasible_pattern_raises():
+    # rank one: v1 v3 = 0 on the hole kills an edge entry v1 v2 or v2 v3
+    with pytest.raises(RuntimeError):
+        complete_pattern_low_rank(np.diag([1.0, 0.0, 0.0]), path_graph(3))
 
 
 def newton_step_is_onto(a, h):

@@ -166,6 +166,18 @@ def test_prism_is_two_triangles_joined():
     assert g.has_edge(3, 4) and g.has_edge(3, 6) and g.has_edge(4, 6)
 
 
+def test_has_edge_reversed_looped_and_out_of_range_labels():
+    g = path_graph(4)
+    assert g.has_edge(2, 1) and g.has_edge(1, 2) and g.has_edge(4, 3)
+    assert not g.has_edge(3, 1) and not g.has_edge(1, 3)
+    for i, j in ((0, 1), (4, 5), (5, 4), (-1, 2), (9, 10)):
+        assert not g.has_edge(i, j)
+    with pytest.raises(ValueError):
+        g.has_edge(2, 2)
+    with pytest.raises(ValueError):
+        g.has_edge(7, 7)
+
+
 def test_cartesian_product_matches_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(20261018)

@@ -67,8 +67,14 @@ def test_in_class_errors():
     with pytest.raises(ValueError):
         in_class(diag_matrix([1, 2]), build_graph(2, []), "weird")
     lopsided = RatMatrix.from_rows([[0, 1], [2, 0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not symmetric"):
         in_class(lopsided, build_graph(2, [(1, 2)]), "S")
+    g = build_graph(3, [(1, 2), (2, 3)])
+    floats = np.array([[1.0, 2.0, 0.0], [2.0, 0.0, 1.0], [0.0, 1.0 + 1e-6, 5.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        in_class(floats, g, "S_cl", tol=1e-8)
+    # an asymmetry below tol is float noise, not a different matrix
+    assert in_class(floats, g, "S", tol=1e-5)
 
 
 def test_pattern_of():
