@@ -18,6 +18,10 @@ pivots too and dividing each pivot row by its pivot entry gives the reduced
 row echelon form, on which kernels, column echelon forms and solves are read
 off. Pivoting always takes the first nonzero entry in column order, so
 echelon forms are reproducible.
+
+Characteristic polynomials are integer work too: Berkowitz's
+division-free recursion runs on D m, D the lcm of m's denominators, and
+the coefficients are rescaled by powers of D at the end.
 """
 
 from __future__ import annotations
@@ -56,6 +60,14 @@ class RatMatrix:
         for row in self.data:
             if len(row) != self.cols:
                 raise ValueError("ragged row")
+
+    @classmethod
+    def _wrap(cls, rows, cols, data):
+        """Adopts data, rows of Fractions of length cols, without copying or
+        checking it: for callers that built every row themselves."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.data = rows, cols, data
+        return m
 
     @classmethod
     def from_rows(cls, rows):
@@ -214,10 +226,22 @@ def _int_rows(m: RatMatrix):
         # generator resizes it, which raised perfbench certify's peak RSS by
         # about 2 MB on CPython 3.11
         denom = lcm(*[x.denominator for x in row])
-        ints = [x.numerator * (denom // x.denominator) for x in row]
-        g = gcd(*ints)
-        out.append([v // g for v in ints] if g > 1 else ints)
+        out.append(_primitive([x.numerator * (denom // x.denominator)
+                               for x in row]))
     return out
+
+
+def _scaled_to_integers(m: RatMatrix):
+    """(D, D m as integer rows), D the lcm of all of m's denominators."""
+    den = lcm(*[x.denominator for row in m.data for x in row])
+    return den, [[x.numerator * (den // x.denominator) for x in row]
+                 for row in m.data]
+
+
+def _primitive(ints):
+    """The integer row divided by the gcd of its entries; a zero row as is."""
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
 def _eliminate(a, cols, reduced=False):
@@ -374,24 +398,33 @@ def solve(m: RatMatrix, x):
 # Characteristic polynomials
 
 def charpoly(m: RatMatrix):
-    """Coefficients of det(xI - m), ascending degree, leading coefficient 1."""
+    """Coefficients of det(xI - m), ascending degree, leading coefficient 1.
+
+    Berkowitz's division-free recursion (1984) runs on the integer matrix
+    M = D m, D the lcm of m's denominators. With M_r the leading r x r block
+    of M, bordered by column c, row s and corner d, the charpoly of M_(r+1)
+    is T times that of M_r, T the lower triangular Toeplitz matrix with first
+    column (1, -d, -s c, -s M_r c, ..., -s M_r^(r-1) c). Only integer sums
+    and products appear. det(xI - m) = D^-n det(D x I - M), so coefficient
+    k of m's charpoly is coefficient k of M's over D^(n-k).
+    """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial needs a square matrix")
     n = m.rows
-    # Faddeev-LeVerrier trace recursion, exact over Fraction.
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = RatMatrix.zeros(n, n)
-    c = Fraction(1)
-    for k in range(1, n + 1):
-        mk = m @ mk
-        for i in range(n):
-            mk.data[i][i] += c
-        am = m @ mk
-        tr = sum(am.data[i][i] for i in range(n))
-        c = -tr / k
-        coeffs[n - k] = c
-    return coeffs
+    den, a = _scaled_to_integers(m)
+    p = [1]  # charpoly of M_r, descending degree
+    for r in range(n):
+        block = [row[:r] for row in a[:r]]
+        s = a[r][:r]
+        v = [row[r] for row in a[:r]]
+        t = [1, -a[r][r]]
+        for k in range(r):
+            t.append(-sum(x * y for x, y in zip(s, v)))
+            if k < r - 1:
+                v = [sum(x * y for x, y in zip(row, v)) for row in block]
+        p = [sum(t[k - j] * p[j] for j in range(min(k, r) + 1))
+             for k in range(r + 2)]
+    return [Fraction(c, den ** (n - k)) for k, c in enumerate(reversed(p))]
 
 
 def poly_gcd(p, q):

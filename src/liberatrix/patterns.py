@@ -50,33 +50,65 @@ def _nonzero_test(a, tol):
     return lambda x: abs(x) > tol
 
 
+def _pattern_flags(a, g: Graph, tol: float = 1e-8):
+    """One pass of symmetric a over g: (inside, alive, zero_diag).
+
+    inside: every nonzero entry off the diagonal sits on an edge; alive:
+    every edge entry is nonzero; zero_diag: every diagonal entry is zero.
+    Exact entries are nonzero when != 0 and must be exactly symmetric; float
+    entries are nonzero above tol in absolute value and may differ from
+    their mirror by up to tol. Raises ValueError for a non-square matrix, an
+    order other than g's, a non-finite float entry or an asymmetric matrix.
+    Float input is checked with whole-array operations and g's upper
+    triangle masks.
+    """
+    if _is_exact(a):
+        n = a.rows
+        if a.cols != n:
+            raise ValueError("expected a square matrix")
+        _require_order(n, g)
+        rows = a.data
+        inside = alive = True
+        for i, ri in enumerate(rows):
+            nbrs = g.neighbors(i + 1)
+            for j in range(i + 1, n):
+                x = ri[j]
+                if x != rows[j][i]:
+                    raise ValueError("matrix is not symmetric")
+                if x:
+                    inside = inside and j + 1 in nbrs
+                elif j + 1 in nbrs:
+                    alive = False
+        return inside, alive, not any(rows[i][i] for i in range(n))
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError("expected a square matrix")
+    _require_order(arr.shape[0], g)
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix has a non-finite entry")
+    if (np.abs(arr - arr.T) > tol).any():
+        raise ValueError("matrix is not symmetric")
+    hit = np.abs(arr) > tol
+    edge, nonedge = g.upper_masks
+    return (not hit[nonedge].any(), bool(hit[edge].all()),
+            not hit.diagonal().any())
+
+
+def _require_order(n, g: Graph):
+    if n != g.n:
+        raise ValueError("matrix order %d does not match graph order %d" % (n, g.n))
+
+
 def in_class(a, g: Graph, cls: str, tol: float = 1e-8) -> bool:
     """Membership of symmetric a in the named pattern class over g."""
     if cls not in CLASS_TAGS:
         raise ValueError("unknown class %r" % (cls,))
-    n, get = _square_view(a)
-    if n != g.n:
-        raise ValueError("matrix order %d does not match graph order %d" % (n, g.n))
-    exact = _is_exact(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            x, y = get(i, j), get(j, i)
-            if (x != y) if exact else abs(x - y) > tol:
-                raise ValueError("matrix is not symmetric")
-    nonzero = _nonzero_test(a, tol)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            hit = nonzero(get(i - 1, j - 1))
-            if g.has_edge(i, j):
-                if cls == "S" and not hit:
-                    return False
-            elif hit:
-                return False
+    inside, alive, zero_diag = _pattern_flags(a, g, tol)
+    if cls == "S":
+        return inside and alive
     if cls == "S_cl0":
-        for i in range(n):
-            if nonzero(get(i, i)):
-                return False
-    return True
+        return inside and zero_diag
+    return inside
 
 
 def pattern_of(a, tol: float = 1e-8) -> Graph:

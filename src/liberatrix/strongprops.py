@@ -10,6 +10,14 @@ rows over all n^2 slots. Each row is read off rows and columns i and j of A
 in closed form, with at most 4n nonzeros. The relative variant "with respect
 to H", for a supergraph H of G, asks only the rows indexed by nonedges of H
 to be independent.
+
+The closed form depends only on n and the kind, so it is built once per
+(n, kind) as a slot layout (_slot_layout): for every pair, the entry of
+(A, -A, 0) that each column takes, plus for "ssp" the two diagonal entries
+whose difference fills the pair's own column. Rows are then gathered from
+A: exact rows reference A's Fractions and their negatives, the integer rows
+of exact rank work are gathered the same way from D A (D the lcm of A's
+denominators) and made primitive, and float rows are one numpy gather.
 """
 
 from __future__ import annotations
@@ -17,14 +25,15 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .exactla import (
     RatMatrix,
     _eliminate,
-    _int_rows,
+    _primitive,
+    _scaled_to_integers,
     charpoly,
     commutator,
     kernel_basis,
@@ -33,9 +42,10 @@ from .exactla import (
 )
 from .graphs import Graph, complement
 from .numla import numeric_rank
-from .patterns import CertificateError, in_class, pair_position
+from .patterns import CertificateError, _pattern_flags, in_class, pair_position
 
 KINDS = ("ssp", "sap")
+_ZERO = Fraction(0)
 
 
 def normalize_kind(kind: str) -> str:
@@ -63,8 +73,75 @@ class VerificationMatrix:
     @cached_property
     def int_rows(self):
         """Exact rows scaled to primitive integers, built once; row-subset
-        ranks eliminate these directly."""
-        return _int_rows(self.matrix)
+        ranks eliminate these directly. They are the rows of D A's
+        verification matrix, D the lcm of A's denominators, each divided by
+        the gcd of its entries."""
+        ints = _scaled_to_integers(self.source)[1]
+        rows = _gather([v for row in ints for v in row], 0, len(ints),
+                       self.kind, self.rows)
+        return [_primitive(row) for row in rows.tolist()]
+
+
+@lru_cache(maxsize=16)
+def _slot_layout(n: int, kind: str):
+    """Closed form of the verification rows of order n, for all C(n, 2)
+    pairs in lexicographic order: (take, diag).
+
+    With v the vector (A, -A, 0), A flattened row-major, entry (p, c) of
+    the row of the p-th pair (i, j) is v[take[p, c]]. By the formulas in
+    _pair_rows every entry is one entry of A or its negative, except in
+    "ssp" the entry in the pair's own column, A[i,i] - A[j,j]: there take
+    holds one of the two terms, and _gather overwrites it with the
+    difference of the two diagonal positions diag[p]. Arrays are read-only,
+    as the cache shares them.
+    """
+    nn = n * n
+    zero = 2 * nn
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ncols = len(pairs) if kind == "ssp" else nn
+    take = np.full((len(pairs), ncols), zero, dtype=np.intp)
+    for p, (i, j) in enumerate(pairs):
+        t = take[p]
+        if kind == "ssp":
+            for k in range(j):
+                t[pair_position(n, k + 1, j + 1)] = k * n + i
+            for k in range(i):
+                t[pair_position(n, k + 1, i + 1)] = k * n + j
+            for l in range(i + 1, n):
+                t[pair_position(n, i + 1, l + 1)] = nn + j * n + l
+            for l in range(j + 1, n):
+                t[pair_position(n, j + 1, l + 1)] = nn + i * n + l
+        else:
+            for k in range(n):
+                t[k * n + j] = k * n + i
+                t[k * n + i] = k * n + j
+    diag = np.array([(i * n + i, j * n + j) for i, j in pairs],
+                    dtype=np.intp).reshape(len(pairs), 2)
+    take.flags.writeable = diag.flags.writeable = False
+    return take, diag
+
+
+def _gather(flat, zero, n, kind, pairs):
+    """Verification rows of the 1-based pairs from A flattened row-major:
+    one gather from the layout of (n, kind), plus in "ssp" one difference
+    per row. flat and zero are Fractions, integers or floats; the result
+    is a 2-D numpy array of the same entries (object dtype for exact ones).
+    """
+    take, diag = _slot_layout(n, kind)
+    sel = [pair_position(n, i, j) for i, j in pairs]
+    if isinstance(flat, np.ndarray):
+        # the float rows start at 0.0 and add or subtract one entry, so a
+        # zero entry is +0.0 in either sign, as in the loop they replace
+        ext = np.concatenate([flat if kind == "sap" else flat + 0.0,
+                              0.0 - flat, [zero]])
+    else:
+        ext = np.array(flat + [-x if x else x for x in flat] + [zero],
+                       dtype=object)
+    out = ext[take[sel]]
+    if kind == "ssp" and sel:
+        d = diag[sel]
+        out[np.arange(len(sel)), sel] = ext[d[:, 0]] - ext[d[:, 1]]
+    return out
 
 
 def _pair_rows(a, pairs, kind):
@@ -74,43 +151,15 @@ def _pair_rows(a, pairs, kind):
       (A X)[k,l]   = A[k,i][l=j] + A[k,j][l=i]
       [A, X][k,l]  = (A X)[k,l] - [k=i] A[j,l] - [k=j] A[i,l]    (k < l)
     so every entry is one entry of A, or at (i, j) the difference
-    A[i,i] - A[j,j]. Exact for RatMatrix input, float otherwise.
+    A[i,i] - A[j,j]; _slot_layout holds where each goes. Exact for
+    RatMatrix input, whose rows reference A's own Fractions, float otherwise.
     """
-    exact = isinstance(a, RatMatrix)
-    ent = a.data if exact else np.asarray(a, dtype=float).tolist()
-    n = len(ent)
-    if kind == "ssp":
-        ncols = n * (n - 1) // 2
-
-        def pos(k, l):
-            return pair_position(n, k + 1, l + 1)
-    else:
-        ncols = n * n
-
-        def pos(k, l):
-            return k * n + l
-    zero = Fraction(0) if exact else 0.0
-    rows = []
-    for (i, j) in pairs:
-        i, j = i - 1, j - 1
-        row = [zero] * ncols
-        if kind == "ssp":
-            for k in range(j):
-                row[pos(k, j)] += ent[k][i]
-            for k in range(i):
-                row[pos(k, i)] += ent[k][j]
-            for l in range(i + 1, n):
-                row[pos(i, l)] -= ent[j][l]
-            for l in range(j + 1, n):
-                row[pos(j, l)] -= ent[i][l]
-        else:
-            for k in range(n):
-                row[pos(k, j)] = ent[k][i]
-                row[pos(k, i)] = ent[k][j]
-        rows.append(row)
-    if exact:
-        return RatMatrix(len(rows), ncols, rows)
-    return np.array(rows, dtype=float).reshape(len(rows), ncols)
+    if isinstance(a, RatMatrix):
+        flat = [x for row in a.data for x in row]
+        rows = _gather(flat, _ZERO, a.rows, kind, pairs)
+        return RatMatrix._wrap(rows.shape[0], rows.shape[1], rows.tolist())
+    arr = np.asarray(a, dtype=float)
+    return _gather(arr.ravel(), 0.0, arr.shape[0], kind, pairs)
 
 
 def psi(a, g: Graph, kind: str, tol: float = 1e-8) -> VerificationMatrix:
@@ -119,9 +168,10 @@ def psi(a, g: Graph, kind: str, tol: float = 1e-8) -> VerificationMatrix:
     Each row is read off rows and columns i and j of a in closed form.
     """
     kind = normalize_kind(kind)
-    if not in_class(a, g, "S_cl", tol):
+    inside, alive, _ = _pattern_flags(a, g, tol)
+    if not inside:
         raise ValueError("matrix support must lie inside the graph's edges")
-    if not in_class(a, g, "S", tol):
+    if not alive:
         warnings.warn("matrix has vanishing entries on some edges", stacklevel=2)
     nonedges = g.nonedges()
     return VerificationMatrix(kind, nonedges, _pair_rows(a, nonedges, kind), a, g)

@@ -309,3 +309,45 @@ def test_eliminate_entries_within_hadamard_bound():
             rows, pivots = _eliminate([r[:] for r in ints], m.cols, reduced)
             assert len(pivots) == rank(m)
             assert all(x * x <= bound_sq for row in rows for x in row)
+
+
+def _mixed_matrix(rng, n):
+    # denominators with distinct prime factors, so D A has a large D
+    dens = (1, 2, 3, 5, 7, 8, 9, 11)
+    return RatMatrix(n, n, [[Fraction(rng.randint(-9, 9), rng.choice(dens))
+                             if rng.random() < 0.8 else Fraction(0)
+                             for _ in range(n)] for _ in range(n)])
+
+
+def test_charpoly_mixed_denominators_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261019)
+    x = sympy.Symbol("x")
+    for n in range(1, 9):
+        for _ in range(3):
+            m = _mixed_matrix(rng, n)
+            want = _to_sympy(sympy, m).charpoly(x).all_coeffs()
+            assert charpoly(m) == [Fraction(int(q.p), int(q.q))
+                                   for q in reversed(want)]
+
+
+def test_charpoly_of_empty_and_scalar_matrices():
+    assert charpoly(RatMatrix.zeros(0, 0)) == [Fraction(1)]
+    assert charpoly(RatMatrix.from_rows([[Fraction(-7, 3)]])) == [
+        Fraction(7, 3), Fraction(1)]
+    assert charpoly(RatMatrix.zeros(1, 1)) == [Fraction(0), Fraction(1)]
+    with pytest.raises(ValueError):
+        charpoly(RatMatrix.zeros(2, 3))
+
+
+def test_charpoly_cayley_hamilton():
+    # p(A) = 0 exactly, by Horner's rule over RatMatrix products
+    rng = random.Random(20261020)
+    for n in range(1, 11):
+        m = _mixed_matrix(rng, n)
+        p = charpoly(m)
+        assert p[-1] == 1 and len(p) == n + 1
+        acc = RatMatrix.zeros(n, n)
+        for c in reversed(p):
+            acc = acc @ m + RatMatrix.identity(n).scale(c)
+        assert acc.is_zero()

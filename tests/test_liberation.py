@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liberatrix import liberation, strongprops
-from liberatrix.exactla import RatMatrix, direct_sum
+from liberatrix.exactla import RatMatrix, charpoly, direct_sum
 from liberatrix.graphs import (add_edges, bridge_set, build_graph, catalog,
                                catalog_entry, complement)
 from liberatrix.liberation import (
@@ -13,8 +16,8 @@ from liberatrix.liberation import (
     is_graph_liberation_set,
     is_liberation_set,
 )
-from liberatrix.patterns import sample_S
-from liberatrix.strongprops import has_strong_property
+from liberatrix.patterns import SAMPLE_MODES, sample_S
+from liberatrix.strongprops import has_strong_property, has_strong_property_wrt
 
 SEED = 20260816
 
@@ -235,3 +238,64 @@ def test_input_validation():
         is_liberation_set(a, g, bridge_set(4, 1, [(1, 5)]))
     with pytest.raises(ValueError):
         is_graph_liberation_set(g, [(1, 5)], trials=0)
+
+
+@st.composite
+def liberation_instances(draw, max_n=7):
+    """(a, g, beta): a sample of S(g) in any sampling mode, on a graph with
+    a nonedge, and a nonempty set beta of up to three nonedges."""
+    n = draw(st.integers(2, max_n))
+    pairs = list(combinations(range(1, n + 1), 2))
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    mask[draw(st.integers(0, len(pairs) - 1))] = False
+    g = build_graph(n, [e for e, keep in zip(pairs, mask) if keep])
+    a = sample_S(g, seed=draw(st.integers(0, 2**32)),
+                 mode=draw(st.sampled_from(SAMPLE_MODES)))
+    nonedges = g.nonedges()
+    beta = draw(st.lists(st.sampled_from(nonedges), min_size=1,
+                         max_size=min(3, len(nonedges)), unique=True))
+    return a, g, sorted(beta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(liberation_instances(), st.sampled_from(("ssp", "sap")))
+def test_four_criteria_agree_over_sample_modes(case, kind):
+    # a disagreement between the four routes raises inside the call; the
+    # relative-property verdicts with certificates are a fifth route
+    a, g, beta = case
+    cert = is_liberation_set(a, g, beta, kind)
+    assert all(v == cert.answer for _, v in cert.criteria)
+    wrt = [has_strong_property_wrt(a, g, add_edges(g, [f for f in beta if f != e]),
+                                   kind).answer for e in beta]
+    assert cert.answer == all(wrt)
+    assert [v for _, v in cert.per_beta_prime] == wrt
+
+
+def _relabel(a, g, beta, perm):
+    """Vertex v becomes perm[v - 1] + 1 in the matrix, graph and pairs."""
+    n = g.n
+    b = RatMatrix.zeros(n, n)
+    for i in range(n):
+        for j in range(n):
+            b[perm[i], perm[j]] = a[i, j]
+
+    def move(pairs):
+        return [tuple(sorted((perm[i - 1] + 1, perm[j - 1] + 1)))
+                for i, j in pairs]
+    return b, build_graph(n, move(g.edges)), sorted(move(beta))
+
+
+@settings(max_examples=40, deadline=None)
+@given(liberation_instances(max_n=6), st.data())
+def test_relabeling_equivariance(case, data):
+    a, g, beta = case
+    perm = data.draw(st.permutations(range(g.n)))
+    b, h, beta_h = _relabel(a, g, beta, perm)
+    assert charpoly(b) == charpoly(a)
+    for kind in ("ssp", "sap"):
+        ra, rb = has_strong_property(a, g, kind), has_strong_property(b, h, kind)
+        assert (rb.answer, rb.rank, rb.nullity) == (ra.answer, ra.rank, ra.nullity)
+        ca, cb = is_liberation_set(a, g, beta, kind), is_liberation_set(b, h, beta_h, kind)
+        assert (cb.criteria, cb.answer, cb.alpha_rank) == (ca.criteria, ca.answer,
+                                                           ca.alpha_rank)

@@ -1,12 +1,17 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liberatrix.exactla import RatMatrix, commutator, rank
 from liberatrix.graphs import build_graph, catalog
 from liberatrix.patterns import (
+    CLASS_TAGS,
     PatternedMatrix,
+    _pattern_flags,
     basis_K,
     basis_X,
     in_class,
@@ -75,6 +80,74 @@ def test_in_class_errors():
         in_class(floats, g, "S_cl", tol=1e-8)
     # an asymmetry below tol is float noise, not a different matrix
     assert in_class(floats, g, "S", tol=1e-5)
+
+
+def _flags_oracle(a, g, tol):
+    """Entry-by-entry reference for _pattern_flags."""
+    exact = isinstance(a, RatMatrix)
+    n = g.n
+
+    def hit(x):
+        return x != 0 if exact else abs(x) > tol
+    for i, j in combinations(range(n), 2):
+        x, y = a[i, j], a[j, i]
+        if (x != y) if exact else abs(x - y) > tol:
+            raise ValueError("matrix is not symmetric")
+    inside = all(not hit(a[i - 1, j - 1]) for i, j in g.nonedges())
+    alive = all(hit(a[i - 1, j - 1]) for i, j in g.edges)
+    return inside, alive, not any(hit(a[i, i]) for i in range(n))
+
+
+TOL = 1e-3
+# zero, entries below, at and above tol, and clear nonzeros
+LEVELS = (0.0, TOL, -TOL, TOL / 2, 2 * TOL, 1.0, -3.5)
+
+
+@st.composite
+def symmetric_draws(draw):
+    n = draw(st.integers(1, 6))
+    pairs = list(combinations(range(1, n + 1), 2))
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    g = build_graph(n, [e for e, keep in zip(pairs, mask) if keep])
+    a = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            a[i, j] = a[j, i] = draw(st.sampled_from(LEVELS))
+    if draw(st.booleans()):  # make some pair asymmetric, beyond tol or not
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        a[i, j] += draw(st.sampled_from((TOL / 2, 3 * TOL)))
+    return g, a
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_draws(), st.booleans())
+def test_pattern_flags_match_loop_oracle(case, exact):
+    g, a = case
+    if exact:
+        a = RatMatrix.from_rows(a.tolist())
+    try:
+        want = _flags_oracle(a, g, TOL)
+    except ValueError:
+        with pytest.raises(ValueError, match="not symmetric"):
+            _pattern_flags(a, g, TOL)
+        for cls in CLASS_TAGS:
+            with pytest.raises(ValueError, match="not symmetric"):
+                in_class(a, g, cls, TOL)
+        return
+    assert _pattern_flags(a, g, TOL) == want
+    inside, alive, zero_diag = want
+    assert in_class(a, g, "S", TOL) == (inside and alive)
+    assert in_class(a, g, "S_cl", TOL) == inside
+    assert in_class(a, g, "S_cl0", TOL) == (inside and zero_diag)
+
+
+def test_pattern_flags_entry_at_tol_counts_as_zero():
+    g = build_graph(2, [(1, 2)])
+    at = np.array([[TOL, TOL], [TOL, 0.0]])
+    assert _pattern_flags(at, g, TOL) == (True, False, True)
+    past = np.nextafter(at, 1.0)
+    assert _pattern_flags(past, g, TOL) == (True, True, False)
 
 
 def test_pattern_of():

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 from liberatrix.exactla import (RatMatrix, _int_rows, charpoly, commutator,
                                 direct_sum, poly_gcd, rank)
-from liberatrix.graphs import add_edges, build_graph, catalog, disjoint_union
-from liberatrix.patterns import (SAMPLE_MODES, basis_X, sample_S, vec_square,
-                                 vec_wedge)
+from liberatrix.graphs import (add_edges, build_graph, catalog, disjoint_union,
+                               path_graph)
+from liberatrix.continuation import liberate
+from liberatrix.patterns import (SAMPLE_MODES, basis_X, in_class, pair_position,
+                                 sample_S, vec_square, vec_wedge)
 from liberatrix.strongprops import (
     _selected_rank,
     has_strong_property,
@@ -117,6 +119,39 @@ def test_selected_rank_matches_rank_of_submatrix(case, kind, data):
                                if vm.rows else st.just(set())))
         assert _selected_rank(vm, idx) == rank(vm.matrix.submatrix(row_idx=idx))
     assert vm.int_rows == _int_rows(vm.matrix)  # the cache was not altered
+
+
+@settings(max_examples=80, deadline=None)
+@given(patterned_matrices(), st.sampled_from(("ssp", "sap")))
+def test_float_rows_are_float_exact_rows(case, kind):
+    # both come from one layout; only the ssp difference A[i,i] - A[j,j],
+    # rounded once from exact and from two rounded operands in float, may
+    # differ, by at most eps (|A[i,i]| + |A[j,j]|)
+    g, a = case
+    got = psi(a.to_float(), g, kind).matrix
+    want = psi(a, g, kind).matrix.to_float().reshape(got.shape)
+    if kind == "ssp":
+        for r, (i, j) in enumerate(g.nonedges()):
+            c = pair_position(g.n, i, j)
+            x, y = float(a[i - 1, i - 1]), float(a[j - 1, j - 1])
+            assert abs(got[r, c] - want[r, c]) <= np.finfo(float).eps * (abs(x) + abs(y))
+            got[r, c] = want[r, c]
+    assert np.array_equal(got, want)
+
+
+def test_non_finite_float_input_raises():
+    g = path_graph(3)
+    a = sample_S(g, seed=2).to_float()
+    for bad in (np.nan, np.inf, -np.inf):
+        for slot in ((2, 2), (0, 1)):
+            b = a.copy()
+            b[slot] = b[slot[::-1]] = bad
+            for call in (lambda: in_class(b, g, "S"),
+                         lambda: psi(b, g, "ssp"),
+                         lambda: has_strong_property(b, g, "ssp"),
+                         lambda: liberate(b, g, [(1, 3)])):
+                with pytest.raises(ValueError, match="non-finite"):
+                    call()
 
 
 def test_forged_obstruction_rejected_under_optimize():
