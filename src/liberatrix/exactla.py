@@ -15,9 +15,15 @@ no entry exceeds the Hadamard bound of the input rows.
 
 The pivot count of the forward pass is the rank. Clearing the rows above the
 pivots too and dividing each pivot row by its pivot entry gives the reduced
-row echelon form, on which kernels, column echelon forms and solves are read
-off. Pivoting always takes the first nonzero entry in column order, so
-echelon forms are reproducible.
+row echelon form, on which kernels and solves are read off. A column echelon
+form is the same elimination run on the integer columns, the transposed
+problem; its pivot and zero-row structure is read off the integer rows, and
+only the entries it returns become Fractions. Pivoting always takes the
+first nonzero entry in column order, so echelon forms are reproducible.
+
+RatMatrix coerces entries to Fractions where they come from outside (the
+constructor, item assignment); its own methods build rows from Fractions
+and adopt them as they are.
 
 Characteristic polynomials are integer work too: Berkowitz's
 division-free recursion runs on D m, D the lcm of m's denominators, and
@@ -28,7 +34,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import NamedTuple
+
+_ZERO = Fraction(0)
 
 
 def _frac(x) -> Fraction:
@@ -77,7 +86,10 @@ class RatMatrix:
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+        rows, cols = int(rows), int(cols)
+        if rows < 0 or cols < 0:
+            raise ValueError("negative dimensions")
+        return cls._wrap(rows, cols, [[_ZERO] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n):
@@ -104,45 +116,52 @@ class RatMatrix:
     def col(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
+    # The constructors below build their rows from this matrix's own
+    # Fractions, or from Fraction arithmetic on them, so they adopt the rows
+    # through _wrap instead of coercing every entry again.
+
     def copy(self):
-        return RatMatrix(self.rows, self.cols, [row[:] for row in self.data])
+        return RatMatrix._wrap(self.rows, self.cols,
+                               [row[:] for row in self.data])
 
     def transpose(self):
-        return RatMatrix(self.cols, self.rows,
-                         [[self.data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
+        if not self.rows:
+            return RatMatrix.zeros(self.cols, 0)
+        return RatMatrix._wrap(self.cols, self.rows,
+                               [list(col) for col in zip(*self.data)])
 
     def submatrix(self, row_idx=None, col_idx=None):
         ri = range(self.rows) if row_idx is None else list(row_idx)
         ci = range(self.cols) if col_idx is None else list(col_idx)
-        return RatMatrix(len(list(ri)), len(list(ci)),
-                         [[self.data[i][j] for j in ci] for i in ri])
+        return RatMatrix._wrap(len(ri), len(ci),
+                               [[self.data[i][j] for j in ci] for i in ri])
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return RatMatrix(self.rows, self.cols + other.cols,
-                         [self.data[i] + other.data[i] for i in range(self.rows)])
+        return RatMatrix._wrap(self.rows, self.cols + other.cols,
+                               [self.data[i] + other.data[i]
+                                for i in range(self.rows)])
 
     def __add__(self, other):
         self._same_shape(other)
-        return RatMatrix(self.rows, self.cols,
-                         [[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.data, other.data)])
+        return RatMatrix._wrap(self.rows, self.cols,
+                               [[a + b for a, b in zip(ra, rb)]
+                                for ra, rb in zip(self.data, other.data)])
 
     def __sub__(self, other):
         self._same_shape(other)
-        return RatMatrix(self.rows, self.cols,
-                         [[a - b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.data, other.data)])
+        return RatMatrix._wrap(self.rows, self.cols,
+                               [[a - b for a, b in zip(ra, rb)]
+                                for ra, rb in zip(self.data, other.data)])
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c):
         c = _frac(c)
-        return RatMatrix(self.rows, self.cols,
-                         [[c * x for x in row] for row in self.data])
+        return RatMatrix._wrap(self.rows, self.cols,
+                               [[c * x for x in row] for row in self.data])
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -220,15 +239,16 @@ class RrefResult(NamedTuple):
 def _int_rows(m: RatMatrix):
     """Rows rescaled to primitive integer vectors (row scaling preserves rank
     and row spans)."""
-    out = []
-    for row in m.data:
-        # unpack a list, not a generator: building the argument tuple from a
-        # generator resizes it, which raised perfbench certify's peak RSS by
-        # about 2 MB on CPython 3.11
-        denom = lcm(*[x.denominator for x in row])
-        out.append(_primitive([x.numerator * (denom // x.denominator)
-                               for x in row]))
-    return out
+    return [_int_vector(row) for row in m.data]
+
+
+def _int_vector(row):
+    """A sequence of Fractions as the primitive integer vector on its line."""
+    # unpack a list, not a generator: building the argument tuple from a
+    # generator resizes it, which raised perfbench certify's peak RSS by
+    # about 2 MB on CPython 3.11
+    denom = lcm(*[x.denominator for x in row])
+    return _primitive([x.numerator * (denom // x.denominator) for x in row])
 
 
 def _scaled_to_integers(m: RatMatrix):
@@ -288,12 +308,20 @@ def _eliminate(a, cols, reduced=False):
     return a, pivots
 
 
+def _reduced_rows(a, pivots):
+    """The nonzero rows of the reduced row echelon form as Fractions, from
+    the output of _eliminate(..., reduced=True): each pivot row over its
+    pivot entry."""
+    return [[Fraction(x, a[r][c]) if x else _ZERO for x in a[r]]
+            for r, c in enumerate(pivots)]
+
+
 def rref(m: RatMatrix) -> RrefResult:
     """Reduced row echelon form; pivot = first nonzero entry in column order."""
     a, pivots = _eliminate(_int_rows(m), m.cols, reduced=True)
-    out = [[Fraction(x, a[r][c]) for x in a[r]] for r, c in enumerate(pivots)]
-    out += [[Fraction(0)] * m.cols for _ in range(m.rows - len(pivots))]
-    return RrefResult(RatMatrix(m.rows, m.cols, out), tuple(pivots),
+    out = _reduced_rows(a, pivots)
+    out += [[_ZERO] * m.cols for _ in range(m.rows - len(pivots))]
+    return RrefResult(RatMatrix._wrap(m.rows, m.cols, out), tuple(pivots),
                       len(pivots))
 
 
@@ -321,26 +349,49 @@ def column_echelon(m: RatMatrix, bottom_rows) -> ColumnEchelonResult:
     by original row index. Dependent top rows are a structured outcome, not an
     error: block is None and top_independent is False.
     """
+    return _column_echelon(_int_rows(m.transpose()), m.rows, bottom_rows)
+
+
+def _column_echelon(cols, nrows, bottom_rows) -> ColumnEchelonResult:
+    """column_echelon of the nrows-row matrix whose columns are cols: integer
+    lists, each any nonzero multiple of its column (the primitive integer
+    columns that VerificationMatrix.int_cols caches).
+
+    The form is the transpose of the reduced row echelon form of the
+    columns with their entries reordered top rows first, so it is one
+    _eliminate(..., reduced=True) over the integer columns. The top rows
+    are independent when they are the first pivots, a block row is zero
+    when the reduced integer rows past the top pivots vanish there, and
+    Fractions are built only for the returned matrix and block.
+    """
+    ncols = len(cols)
     bottom = list(bottom_rows)
     bset = set(bottom)
     if len(bottom) != len(bset):
         raise ValueError("duplicate bottom rows")
     for i in bottom:
-        if not 0 <= i < m.rows:
+        if not 0 <= i < nrows:
             raise ValueError("bottom row %d out of range" % i)
-    top = [i for i in range(m.rows) if i not in bset]
+    top = [i for i in range(nrows) if i not in bset]
     perm = top + bottom
-    w = m.submatrix(row_idx=perm)
-    rr = rref(w.transpose())
-    e = rr.matrix.transpose()
-    k = len(top)
-    pivot_rows = set(rr.pivot_cols)
-    top_ok = all(i in pivot_rows for i in range(k))
-    if not top_ok:
+    # _eliminate reorders its list, so it gets a new one
+    if nrows > 1:
+        get = itemgetter(*perm)
+        cols = [get(c) for c in cols]
+    else:
+        cols = list(cols)
+    a, pivots = _eliminate(cols, nrows, reduced=True)
+    r, k = len(pivots), len(top)
+    red = _reduced_rows(a, pivots)
+    pad = [_ZERO] * (ncols - r)
+    e = RatMatrix._wrap(nrows, ncols, [list(row) + pad for row in zip(*red)]
+                        if red else [pad[:] for _ in range(nrows)])
+    if pivots[:k] != list(range(k)):
         return ColumnEchelonResult(e, None, False, ())
-    block = e.submatrix(row_idx=range(k, m.rows), col_idx=range(k, m.cols))
-    zero = tuple(bottom[i] for i in range(len(bottom))
-                 if all(x == 0 for x in block.data[i]))
+    block = RatMatrix._wrap(nrows - k, ncols - k,
+                            [row[k:] for row in e.data[k:]])
+    zero = tuple(b for i, b in enumerate(bottom)
+                 if not any(a[j][k + i] for j in range(k, r)))
     return ColumnEchelonResult(e, block, True, zero)
 
 
@@ -370,13 +421,22 @@ def left_kernel_basis(m: RatMatrix) -> RatMatrix:
 
 
 def col_space_contains(m: RatMatrix, x) -> bool:
-    """Decide x in Col(m): no column of x is a pivot column of [m | x]."""
+    """Decide x in Col(m): every column of x lies in the span of m's columns."""
     if not isinstance(x, RatMatrix):
         x = RatMatrix.column(x)
     if x.rows != m.rows:
         raise ValueError("vector length mismatch")
-    pivots = _eliminate(_int_rows(m.hstack(x)), m.cols + x.cols)[1]
-    return all(c < m.cols for c in pivots)
+    return _in_column_span(_int_rows(m.transpose()), m.rows,
+                           _int_rows(x.transpose()))
+
+
+def _in_column_span(cols, nrows, vectors) -> bool:
+    """Whether each integer vector lies in the span of the integer columns
+    cols (nrows entries each): one forward elimination of the columns, then
+    each vector reduced against that echelon form adds no pivot."""
+    ech, pivots = _eliminate(list(cols), nrows)
+    ech, r = ech[:len(pivots)], len(pivots)
+    return all(len(_eliminate(ech + [v], nrows)[1]) == r for v in vectors)
 
 
 def solve(m: RatMatrix, x):

@@ -12,9 +12,22 @@ agree:
                 once, its pivot count is alpha_rank, and each row e is
                 eliminated against that echelon form
   witness       A has the property w.r.t. G + beta and some x in Col(Psi)
-                is supported exactly on beta
+                is supported exactly on beta; x is B (1, t, t^2, ...) for
+                the first integer t > 0 that leaves no entry zero, found by
+                integer Horner, and is re-checked to lie in the span of
+                Psi's integer columns by its own forward elimination
   echelon       column echelon with the beta rows at the bottom has shape
-                [[I, O], [*, B]] with no zero row in B
+                [[I, O], [*, B]] with no zero row in B; one reduced
+                elimination of Psi's integer columns (VerificationMatrix
+                .int_cols), alpha entries first
+
+The routes run separate eliminations but read one integer source: the
+definitional and row-rank routes eliminate VerificationMatrix.int_rows, the
+echelon route and the witness re-check its int_cols, and both are built from
+one gather of D A's verification matrix (D the lcm of A's denominators). So
+a fault in that gather would give consistent certificates, not a
+disagreement; tests/test_strongprops.py checks both against the Fraction
+matrix Psi.
 """
 
 from __future__ import annotations
@@ -23,9 +36,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from .exactla import (RatMatrix, _eliminate, col_space_contains,
-                      column_echelon)
+from .exactla import (RatMatrix, _column_echelon, _eliminate,
+                      _in_column_span, _int_vector)
 from .graphs import EdgeSet, Graph, nonedge_set
 from .patterns import SAMPLE_MODES, CertificateError, sample_S
 from .strongprops import _drop_one_verdicts, normalize_kind, psi
@@ -59,20 +73,31 @@ def _witness_from_block(block: RatMatrix, beta_idx, nrows):
     """Combine tail columns of the echelon so every beta coordinate is hit.
 
     Each block row is nonzero, so row . (1, t, t^2, ...) is a nonzero
-    polynomial in t; some small positive integer t avoids all roots.
+    polynomial in t; some small positive integer t avoids all roots. The
+    search evaluates the rows of D block, D the lcm of the block's
+    denominators, by integer Horner; only the chosen values become
+    Fractions, divided by D.
     """
     w = block.cols
     if w == 0:
         return None
+    den = lcm(*[x.denominator for row in block.data for x in row])
+    ints = [[x.numerator * (den // x.denominator) for x in reversed(row)]
+            for row in block.data]
     limit = block.rows * w + 2
     for t in range(1, limit):
-        weights = [Fraction(t) ** s for s in range(w)]
-        vals = [sum(block[r, s] * weights[s] for s in range(w))
-                for r in range(block.rows)]
-        if all(v != 0 for v in vals):
+        vals = []
+        for row in ints:
+            v = 0
+            for x in row:
+                v = v * t + x
+            if not v:
+                break
+            vals.append(v)
+        else:
             x = [Fraction(0)] * nrows
-            for r, idx in enumerate(beta_idx):
-                x[idx] = vals[r]
+            for idx, v in zip(beta_idx, vals):
+                x[idx] = Fraction(v, den)
             return tuple(x)
     return None
 
@@ -100,7 +125,8 @@ def is_liberation_set(a, g: Graph, beta, kind: str = "ssp") -> LiberationCertifi
     rows = vm.rows
     index = {e: i for i, e in enumerate(rows)}
     beta_idx = [index[e] for e in beta.pairs]
-    alpha_idx = [i for i in range(len(rows)) if i not in set(beta_idx)]
+    beta_set = set(beta_idx)
+    alpha_idx = [i for i in range(len(rows)) if i not in beta_set]
 
     per = tuple(_drop_one_verdicts(vm, beta.pairs))
     c1 = all(ok for _, ok in per)
@@ -113,7 +139,8 @@ def is_liberation_set(a, g: Graph, beta, kind: str = "ssp") -> LiberationCertifi
         len(_eliminate(alpha_ech + [int_rows[i]], cols)[1]) == alpha_rank + 1
         for i in beta_idx)
 
-    ech = column_echelon(vm.matrix, beta_idx)
+    int_cols = vm.int_cols
+    ech = _column_echelon(int_cols, len(rows), beta_idx)
     c4 = ech.top_independent and not ech.bottom_zero_rows
 
     alpha_rank_full = ech.top_independent
@@ -121,9 +148,12 @@ def is_liberation_set(a, g: Graph, beta, kind: str = "ssp") -> LiberationCertifi
     if alpha_rank_full and ech.block is not None:
         witness = _witness_from_block(ech.block, beta_idx, len(rows))
         if witness is not None:
-            if not col_space_contains(vm.matrix, list(witness)):
+            # re-check the returned witness against psi's columns,
+            # eliminated afresh
+            if not _in_column_span(int_cols, len(rows),
+                                   [_int_vector(witness)]):
                 raise CertificateError("witness is outside the column space")
-            if any((witness[i] != 0) != (i in set(beta_idx))
+            if any((witness[i] != 0) != (i in beta_set)
                    for i in range(len(rows))):
                 raise CertificateError("witness support is not beta")
     c3 = alpha_rank_full and witness is not None

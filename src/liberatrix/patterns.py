@@ -80,18 +80,25 @@ def _pattern_flags(a, g: Graph, tol: float = 1e-8):
                 elif j + 1 in nbrs:
                     alive = False
         return inside, alive, not any(rows[i][i] for i in range(n))
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("expected a square matrix")
+    arr = _finite_square(a)
     _require_order(arr.shape[0], g)
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix has a non-finite entry")
     if (np.abs(arr - arr.T) > tol).any():
         raise ValueError("matrix is not symmetric")
     hit = np.abs(arr) > tol
     edge, nonedge = g.upper_masks
     return (not hit[nonedge].any(), bool(hit[edge].all()),
             not hit.diagonal().any())
+
+
+def _finite_square(a):
+    """a as a square float array; ValueError if it is not square or has a
+    NaN or infinite entry."""
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError("expected a square matrix")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix has a non-finite entry")
+    return arr
 
 
 def _require_order(n, g: Graph):
@@ -112,7 +119,10 @@ def in_class(a, g: Graph, cls: str, tol: float = 1e-8) -> bool:
 
 
 def pattern_of(a, tol: float = 1e-8) -> Graph:
-    """Graph on the off-diagonal support of a symmetric matrix."""
+    """Graph on the off-diagonal support of a symmetric matrix. Float input
+    with a NaN or infinite entry raises ValueError, as in in_class."""
+    if not _is_exact(a):
+        a = _finite_square(a)
     n, get = _square_view(a)
     nonzero = _nonzero_test(a, tol)
     edges = [

@@ -7,7 +7,7 @@ nonedges of G, and [A, X] = O is X = O; the strong Arnold property (kind
 rank of a verification matrix whose rows are indexed by the nonedges of G:
 the commutator rows are flattened over the strict upper triangle, the product
 rows over all n^2 slots. Each row is read off rows and columns i and j of A
-in closed form, with at most 4n nonzeros. The relative variant "with respect
+in closed form, with at most 2n nonzeros. The relative variant "with respect
 to H", for a supergraph H of G, asks only the rows indexed by nonedges of H
 to be independent.
 
@@ -15,9 +15,10 @@ The closed form depends only on n and the kind, so it is built once per
 (n, kind) as a slot layout (_slot_layout): for every pair, the entry of
 (A, -A, 0) that each column takes, plus for "ssp" the two diagonal entries
 whose difference fills the pair's own column. Rows are then gathered from
-A: exact rows reference A's Fractions and their negatives, the integer rows
-of exact rank work are gathered the same way from D A (D the lcm of A's
-denominators) and made primitive, and float rows are one numpy gather.
+A: exact rows reference A's Fractions and their negatives, and float rows
+are one numpy gather. The integer rows and columns of exact rank and
+echelon work come from one such gather of D A (D the lcm of A's
+denominators), each row or column divided by the gcd of its entries.
 """
 
 from __future__ import annotations
@@ -71,15 +72,27 @@ class VerificationMatrix:
         return self.rows.index(tuple(sorted(pair)))
 
     @cached_property
+    def _int_matrix(self):
+        """D A's verification matrix as a 2-D numpy array of Python
+        integers, D the lcm of A's denominators: one gather from the slot
+        layout, shared by int_rows and int_cols."""
+        ints = _scaled_to_integers(self.source)[1]
+        return _gather([v for row in ints for v in row], 0, len(ints),
+                       self.kind, self.rows)
+
+    @cached_property
     def int_rows(self):
         """Exact rows scaled to primitive integers, built once; row-subset
         ranks eliminate these directly. They are the rows of D A's
-        verification matrix, D the lcm of A's denominators, each divided by
-        the gcd of its entries."""
-        ints = _scaled_to_integers(self.source)[1]
-        rows = _gather([v for row in ints for v in row], 0, len(ints),
-                       self.kind, self.rows)
-        return [_primitive(row) for row in rows.tolist()]
+        verification matrix, each divided by the gcd of its entries."""
+        return [_primitive(row) for row in self._int_matrix.tolist()]
+
+    @cached_property
+    def int_cols(self):
+        """Exact columns scaled to primitive integers, built once: the
+        columns of D A's verification matrix, each divided by the gcd of its
+        entries. The echelon and column-space routes eliminate these."""
+        return [_primitive(col) for col in self._int_matrix.T.tolist()]
 
 
 @lru_cache(maxsize=16)

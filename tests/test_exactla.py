@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liberatrix.exactla import (
     RatMatrix,
@@ -12,6 +14,7 @@ from liberatrix.exactla import (
     col_space_contains,
     column_echelon,
     commutator,
+    direct_sum,
     format_matrix_text,
     full_row_rank,
     kernel_basis,
@@ -351,3 +354,78 @@ def test_charpoly_cayley_hamilton():
         for c in reversed(p):
             acc = acc @ m + RatMatrix.identity(n).scale(c)
         assert acc.is_zero()
+
+
+@st.composite
+def echelon_cases(draw):
+    """(m, bottom): small rational matrices whose rows are often zero,
+    repeated or combinations of earlier rows, so that top rows are
+    dependent and block rows vanish, with any set of bottom rows."""
+    cols = draw(st.integers(0, 6))
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        if rows and draw(st.booleans()):
+            c = draw(st.lists(st.integers(-2, 2), min_size=len(rows),
+                              max_size=len(rows)))
+            rows.append([sum((k * r[j] for k, r in zip(c, rows)), Fraction(0))
+                         for j in range(cols)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=cols, max_size=cols)))
+    m = RatMatrix(len(rows), cols, rows)
+    bottom = draw(st.lists(st.integers(0, max(m.rows - 1, 0)), unique=True,
+                           max_size=m.rows)) if m.rows else []
+    return m, bottom
+
+
+@settings(max_examples=200, deadline=None)
+@given(echelon_cases())
+def test_column_echelon_matches_fraction_route_oracle(case):
+    # the integer echelon against the transpose of the rref of the
+    # row-permuted transpose, with its block and zero rows read off
+    m, bottom = case
+    top = [i for i in range(m.rows) if i not in bottom]
+    k = len(top)
+    rr = rref(m.submatrix(row_idx=top + bottom).transpose())
+    want = rr.matrix.transpose()
+    ok = all(i in rr.pivot_cols for i in range(k))
+    got = column_echelon(m, bottom)
+    assert got.matrix == want and got.top_independent == ok
+    if ok:
+        block = want.submatrix(row_idx=range(k, m.rows), col_idx=range(k, m.cols))
+        assert got.block == block
+        assert got.bottom_zero_rows == tuple(
+            b for i, b in enumerate(bottom) if not any(block.data[i]))
+    else:
+        assert got.block is None and got.bottom_zero_rows == ()
+
+
+def _entries_are_fractions(m):
+    assert all(type(x) is Fraction for row in m.data for x in row)
+    assert len({id(row) for row in m.data}) == m.rows
+
+
+def test_constructors_give_fraction_entries_in_own_rows():
+    rng = random.Random(7)
+    a, b = rand_matrix(rng, 3, 4), rand_matrix(rng, 3, 4)
+    sq = rand_matrix(rng, 4, 4)
+    made = [RatMatrix.zeros(3, 4), RatMatrix.identity(4), a.copy(),
+            a.transpose(), a.submatrix([2, 0], [1, 3]), a.submatrix(),
+            a.hstack(b), a + b, a - b, -a, a.scale(3), a.scale("1/2"),
+            a @ sq, rref(a).matrix, rref(RatMatrix.zeros(2, 3)).matrix,
+            direct_sum(a, sq), RatMatrix.from_rows([[1, 2], [3, "4/5"]])]
+    for m in made:
+        _entries_are_fractions(m)
+    # copies and transposes own their rows: changing one leaves a alone
+    before = [row[:] for row in a.data]
+    c, t, s = a.copy(), a.transpose(), a.submatrix()
+    c[0, 0] = 99
+    t[1, 2] = 99
+    s[2, 3] = 99
+    z = RatMatrix.zeros(2, 2)
+    z[0, 0] = 5
+    with pytest.raises(ValueError):
+        RatMatrix.zeros(-1, 2)
+    assert a.data == before and z.data == [[5, 0], [0, 0]]
+    assert all(type(x) is Fraction for row in z.data for x in row)

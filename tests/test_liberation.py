@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liberatrix import liberation, strongprops
-from liberatrix.exactla import RatMatrix, charpoly, direct_sum
+from liberatrix.exactla import (RatMatrix, charpoly, col_space_contains,
+                                direct_sum)
 from liberatrix.graphs import (add_edges, bridge_set, build_graph, catalog,
                                catalog_entry, complement)
 from liberatrix.liberation import (
@@ -211,6 +212,30 @@ def test_random_certificates_have_valid_witnesses():
         if cert.answer:
             positives += 1
             assert cert.witness is not None
+    assert positives >= 10
+
+
+@pytest.mark.parametrize("mode", SAMPLE_MODES)
+def test_witnesses_lie_in_column_space_with_support_beta(mode):
+    # every "yes" carries a witness that the public Fraction-route
+    # col_space_contains places in Col(psi), supported exactly on beta
+    rng = random.Random(SEED)
+    names = ["P4", "P5", "C5", "K1,3", "2K2", "K4uK1", "C6"]
+    positives = 0
+    for _ in range(30):
+        g = catalog(rng.choice(names))
+        a = sample_S(g, seed=rng.randrange(10**6), mode=mode)
+        beta = rng.sample(g.nonedges(), rng.randint(1, min(3, len(g.nonedges()))))
+        for kind in ("ssp", "sap"):
+            cert = is_liberation_set(a, g, beta, kind)
+            if not cert.answer:
+                assert cert.witness is None
+                continue
+            positives += 1
+            support = {e for e, x in zip(cert.rows, cert.witness) if x != 0}
+            assert support == set(beta)
+            vm = strongprops.psi(a, g, kind)
+            assert col_space_contains(vm.matrix, list(cert.witness))
     assert positives >= 10
 
 

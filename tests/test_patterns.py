@@ -158,6 +158,17 @@ def test_pattern_of():
     assert pattern_of(arr, tol=1e-10).edges == ((1, 2),)
 
 
+def test_pattern_of_non_finite_raises():
+    g = build_graph(3, [(1, 2)])
+    for bad in (np.nan, np.inf, -np.inf):
+        for slot in ((0, 1), (0, 2), (1, 1)):
+            a = np.zeros((3, 3))
+            a[slot] = a[slot[::-1]] = bad
+            for call in (lambda: pattern_of(a), lambda: in_class(a, g, "S_cl")):
+                with pytest.raises(ValueError, match="non-finite"):
+                    call()
+
+
 def test_patterned_matrix_validates():
     pm = PatternedMatrix(diag_matrix([1, 2]), build_graph(2, []), "S")
     assert pm.tag == "S"

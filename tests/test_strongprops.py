@@ -123,6 +123,17 @@ def test_selected_rank_matches_rank_of_submatrix(case, kind, data):
 
 @settings(max_examples=80, deadline=None)
 @given(patterned_matrices(), st.sampled_from(("ssp", "sap")))
+def test_integer_lines_match_dense_primitive_parts(case, kind):
+    # the rows and columns of the integer gather are those of the Fraction
+    # matrix psi scaled to primitive integers
+    g, a = case
+    vm = psi(a, g, kind)
+    assert vm.int_rows == _int_rows(vm.matrix)
+    assert vm.int_cols == _int_rows(vm.matrix.transpose())
+
+
+@settings(max_examples=80, deadline=None)
+@given(patterned_matrices(), st.sampled_from(("ssp", "sap")))
 def test_float_rows_are_float_exact_rows(case, kind):
     # both come from one layout; only the ssp difference A[i,i] - A[j,j],
     # rounded once from exact and from two rounded operands in float, may
@@ -168,6 +179,40 @@ def test_forged_obstruction_rejected_under_optimize():
             _verify_certificate(a, "ssp", x, g)
         except CertificateError:
             sys.exit(0 if sys.flags.optimize else 3)
+        sys.exit(1)
+    """)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_forged_witness_rejected_under_optimize():
+    # the column-space re-check of a witness must survive python -O too
+    code = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        from liberatrix import liberation
+        from liberatrix.exactla import RatMatrix
+        from liberatrix.graphs import catalog
+        from liberatrix.patterns import CertificateError
+        a = RatMatrix.zeros(5, 5)
+        for i in range(4):
+            for j in range(4):
+                a[i, j] = 1
+        a[4, 4] = 4
+        # Col(psi) forces x3 = -x4 on the rows of (3, 5) and (4, 5); this
+        # forgery has support beta but x3 = x4
+        forged = lambda block, beta_idx, nrows: tuple(
+            Fraction(int(i in beta_idx)) for i in range(nrows))
+        liberation._witness_from_block = forged
+        try:
+            liberation.is_liberation_set(a, catalog("K4uK1"),
+                                         [(3, 5), (4, 5)])
+        except CertificateError as exc:
+            ok = "column space" in str(exc)
+            sys.exit(0 if ok and sys.flags.optimize else 3)
         sys.exit(1)
     """)
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
