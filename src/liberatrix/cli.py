@@ -25,7 +25,7 @@ import numpy as np
 from . import REGISTRY
 from .continuation import liberate, realize_in_pattern, realize_spectrum
 from .directsum import directsum_liberation
-from .exactla import RatMatrix, parse_entry, read_matrix
+from .exactla import RatMatrix, parse_entry, read_matrix, write_matrix
 from .graphs import EdgeSet, Graph, catalog, read_graph
 from .liberation import (enumerate_minimal_liberation_sets,
                          is_graph_liberation_set, is_liberation_set)
@@ -103,18 +103,6 @@ def _parse_spectrum(text: str):
     if not vals:
         raise ValueError("empty spectrum")
     return vals
-
-
-def _format_matrix(arr) -> str:
-    a = np.asarray(arr, dtype=float)
-    lines = ["%d %d" % a.shape]
-    lines += [" ".join(repr(float(x)) for x in row) for row in a]
-    return "\n".join(lines) + "\n"
-
-
-def _write_matrix(arr, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_format_matrix(arr))
 
 
 def _jsonable(obj):
@@ -197,7 +185,7 @@ def _cmd_liberate(args):
           % (len(beta), res.residual, res.min_pattern_entry,
              list(ml.multiplicities), res.strong_property_verified))
     if args.out:
-        _write_matrix(res.matrix, args.out)
+        write_matrix(res.matrix, args.out)
         print("matrix written to %s" % args.out)
     verdicts = {"verified": res.strong_property_verified,
                 "residual": res.residual,
@@ -330,7 +318,7 @@ def _cmd_realize(args):
     print("realized: deviation=%.2e multiplicities=%s"
           % (dev, list(ml.multiplicities)))
     if args.out:
-        _write_matrix(arr, args.out)
+        write_matrix(arr, args.out)
         print("matrix written to %s" % args.out)
     verdicts = {"deviation": dev, "pattern_ok": ok,
                 "spectrum": [float(v) for v in vals],

@@ -31,7 +31,7 @@ import numpy as np
 from .graphs import Graph, add_edges, nonedge_set
 from .numla import (SymMatrix, multiplicity_list, random_orthogonal,
                     seeded_random, sym_eigen)
-from .patterns import in_class
+from .patterns import _finite_square, _require_order, in_class
 from .strongprops import (_drop_one_verdicts, has_strong_property,
                           normalize_kind, psi)
 
@@ -223,12 +223,17 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
 # Spectrum realization
 
 def _flat_values(target):
+    """The target spectrum as a flat list of floats; ValueError on a NaN or
+    infinite value."""
     if hasattr(target, "values") and hasattr(target, "multiplicities"):
         vals = []
         for v, m in zip(target.values, target.multiplicities):
             vals.extend([float(v)] * int(m))
-        return vals
-    return [float(v) for v in target]
+    else:
+        vals = [float(v) for v in target]
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError("spectrum has a non-finite value")
+    return vals
 
 
 def _lanczos_path(values):
@@ -428,10 +433,9 @@ def complete_pattern_low_rank(a0, h: Graph, tol: float = 1e-8,
     1e-12 from a perturbed factor of a0; an attempt that does not converge
     or leaves an edge entry below MIN_ENTRY re-draws the start.
     """
-    arr = np.asarray(a0, dtype=float)
+    arr = _finite_square(a0)
     n = arr.shape[0]
-    if n != h.n:
-        raise ValueError("matrix order %d does not match graph order %d" % (n, h.n))
+    _require_order(n, h)
     vals, q = sym_eigen(arr)
     keep = [i for i, v in enumerate(vals) if abs(v) > tol]
     r = len(keep)

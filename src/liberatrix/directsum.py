@@ -20,15 +20,8 @@ import numpy as np
 from .exactla import RatMatrix, rank
 from .graphs import EdgeSet, bridge_set
 from .numla import multiplicity_list, numeric_rank, sym_eigen
-from .patterns import pattern_of
+from .patterns import _finite_square, pattern_of
 from .strongprops import has_strong_property, normalize_kind
-
-
-def _block_array(x):
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("blocks must be square matrices")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -49,8 +42,8 @@ def sylvester_space(a, b, tol: float = 1e-8, kind: str = "ssp") -> SylvesterSpac
     emits a warning, since the common-spectrum decision is then fragile.
     """
     kind = normalize_kind(kind)
-    a = _block_array(a)
-    b = _block_array(b)
+    a = _finite_square(a)
+    b = _finite_square(b)
     vals_a, q_a = sym_eigen(a)
     vals_b, q_b = sym_eigen(b)
     scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
@@ -176,22 +169,6 @@ def _evaluation(space: SylvesterSpace, pairs, m) -> np.ndarray:
     return ev
 
 
-def directsum_wrt(a, b, beta, kind: str = "ssp", tol: float = 1e-8) -> bool:
-    """Does the direct sum keep the strong property relative to these bridges?
-
-    True exactly when no nonzero intertwining matrix vanishes on every bridge
-    position, i.e. the evaluation map on the intertwining space is injective.
-    """
-    kind = normalize_kind(kind)
-    arr_a, arr_b = _block_array(a), _block_array(b)
-    m, n = arr_a.shape[0], arr_b.shape[0]
-    beta = _as_bridge(m, n, beta)
-    _check_blocks_strong(a, b, kind)
-    space = sylvester_space(arr_a, arr_b, tol, kind)
-    ev = _evaluation(space, beta.pairs, m)
-    return numeric_rank(ev, tol) == space.dimension
-
-
 @dataclass(frozen=True)
 class DirectSumCertificate:
     beta: EdgeSet
@@ -248,7 +225,7 @@ def directsum_liberation(a, b, beta, kind: str = "ssp",
     validator failure does not decide the verdict.
     """
     kind = normalize_kind(kind)
-    arr_a, arr_b = _block_array(a), _block_array(b)
+    arr_a, arr_b = _finite_square(a), _finite_square(b)
     m, n = arr_a.shape[0], arr_b.shape[0]
     beta = _as_bridge(m, n, beta)
     if len(beta) == 0:

@@ -330,10 +330,6 @@ def rank(m: RatMatrix) -> int:
     return len(_eliminate(_int_rows(m), m.cols)[1])
 
 
-def full_row_rank(m: RatMatrix) -> bool:
-    return rank(m) == m.rows
-
-
 class ColumnEchelonResult(NamedTuple):
     matrix: RatMatrix          # column-reduced form of the row-permuted input
     block: RatMatrix | None    # lower-right block indexed by the bottom rows
@@ -439,21 +435,6 @@ def _in_column_span(cols, nrows, vectors) -> bool:
     return all(len(_eliminate(ech + [v], nrows)[1]) == r for v in vectors)
 
 
-def solve(m: RatMatrix, x):
-    """One exact solution y of m y = x, or None when inconsistent."""
-    if not isinstance(x, RatMatrix):
-        x = RatMatrix.column(x)
-    aug = rref(m.hstack(x))
-    for r in range(aug.rank):
-        c = aug.pivot_cols[r]
-        if c >= m.cols:
-            return None
-    y = [Fraction(0)] * m.cols
-    for r, c in enumerate(aug.pivot_cols):
-        y[c] = aug.matrix.data[r][m.cols]
-    return y
-
-
 # ---------------------------------------------------------------------------
 # Characteristic polynomials
 
@@ -517,17 +498,10 @@ def poly_gcd(p, q):
     return [x / lead for x in a]
 
 
-def poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += _frac(a) * _frac(b)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Text format: line 1 "r c"; then r rows of c entries, "p/q" or integer.
-# Decimal entries are accepted and converted exactly.
+# Decimal entries are accepted and converted exactly, so a float matrix
+# written with each entry's shortest repr reads back to the same floats.
 
 def parse_entry(tok: str) -> Fraction:
     tok = tok.strip()
@@ -560,9 +534,15 @@ def parse_matrix_text(text: str) -> RatMatrix:
     return RatMatrix(r, c, data)
 
 
-def format_matrix_text(m: RatMatrix) -> str:
-    lines = ["%d %d" % (m.rows, m.cols)]
-    for row in m.data:
+def format_matrix_text(m) -> str:
+    """A RatMatrix or a 2-d float array in the text format; each entry is
+    written with str."""
+    if isinstance(m, RatMatrix):
+        shape, rows = (m.rows, m.cols), m.data
+    else:
+        shape, rows = m.shape, m.tolist()
+    lines = ["%d %d" % shape]
+    for row in rows:
         lines.append(" ".join(str(x) for x in row))
     return "\n".join(lines) + "\n"
 
@@ -572,6 +552,6 @@ def read_matrix(path) -> RatMatrix:
         return parse_matrix_text(fh.read())
 
 
-def write_matrix(m: RatMatrix, path):
+def write_matrix(m, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_matrix_text(m))

@@ -319,6 +319,8 @@ def _atom(token):
     if not m:
         raise KeyError("unknown catalog name: %r" % token)
     mult, fam, a, b = m.groups()
+    if mult is not None and int(mult) == 0:
+        raise ValueError("copy count 0 in catalog name %r" % token)
     a = int(a)
     if fam == "P":
         g = path_graph(a)
@@ -349,9 +351,10 @@ def catalog(name: str) -> Graph:
     """Resolve a catalog name to a Graph.
 
     Supported: parameterized families Pn, Cn, Kn, Ks,t, K1,n (optionally with a
-    copy count like 2K1), named six-vertex entries (G100 ... G187, prism),
-    'u'-joined disjoint unions (K4uK1), 'x'-joined box products (P3xP4), and a
-    '-base' suffix selecting a named entry's base pattern (G151-base).
+    positive copy count like 2K1; a count of 0 raises ValueError), named
+    six-vertex entries (G100 ... G187, prism), 'u'-joined disjoint unions
+    (K4uK1), 'x'-joined box products (P3xP4), and a '-base' suffix selecting
+    a named entry's base pattern (G151-base).
     """
     name = name.strip()
     if name.endswith("-base"):
@@ -372,5 +375,3 @@ def catalog(name: str) -> Graph:
         out = disjoint_union(out, g)
     return out
 
-
-CATALOG_NAMES = tuple(sorted(_NAMED)) + ("Pn", "Cn", "Kn", "Ks,t", "K1,n")

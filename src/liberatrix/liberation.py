@@ -36,10 +36,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .exactla import (RatMatrix, _column_echelon, _eliminate,
-                      _in_column_span, _int_vector)
+                      _in_column_span, _int_vector, _scaled_to_integers)
 from .graphs import EdgeSet, Graph, nonedge_set
 from .patterns import SAMPLE_MODES, CertificateError, sample_S
 from .strongprops import _drop_one_verdicts, normalize_kind, psi
@@ -81,9 +80,8 @@ def _witness_from_block(block: RatMatrix, beta_idx, nrows):
     w = block.cols
     if w == 0:
         return None
-    den = lcm(*[x.denominator for row in block.data for x in row])
-    ints = [[x.numerator * (den // x.denominator) for x in reversed(row)]
-            for row in block.data]
+    den, ints = _scaled_to_integers(block)
+    ints = [row[::-1] for row in ints]
     limit = block.rows * w + 2
     for t in range(1, limit):
         vals = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactla import parse_matrix_text
+from .exactla import read_matrix
 
 
 def _as_array(a):
@@ -144,12 +144,6 @@ def random_orthogonal(n, seed) -> np.ndarray:
     return q
 
 
-def parse_float_matrix(text: str) -> np.ndarray:
-    """Matrix text (entries p/q, integer, or decimal) as a float array."""
-    m = parse_matrix_text(text)
-    return m.to_float()
-
-
 def read_float_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_float_matrix(fh.read())
+    """A matrix file (entries p/q, integer, or decimal) as a float array."""
+    return read_matrix(path).to_float()

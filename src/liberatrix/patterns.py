@@ -13,7 +13,6 @@ arguments are 1-based, matching Graph.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,28 +27,6 @@ class CertificateError(RuntimeError):
     """A computed certificate or sample failed its own re-check."""
 
 
-def _is_exact(a):
-    return isinstance(a, RatMatrix)
-
-
-def _square_view(a):
-    """(n, get) for RatMatrix or array-like; get is 0-based."""
-    if isinstance(a, RatMatrix):
-        if a.rows != a.cols:
-            raise ValueError("expected a square matrix")
-        return a.rows, lambda i, j: a[i, j]
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("expected a square matrix")
-    return arr.shape[0], lambda i, j: arr[i, j]
-
-
-def _nonzero_test(a, tol):
-    if _is_exact(a):
-        return lambda x: x != 0
-    return lambda x: abs(x) > tol
-
-
 def _pattern_flags(a, g: Graph, tol: float = 1e-8):
     """One pass of symmetric a over g: (inside, alive, zero_diag).
 
@@ -62,7 +39,7 @@ def _pattern_flags(a, g: Graph, tol: float = 1e-8):
     Float input is checked with whole-array operations and g's upper
     triangle masks.
     """
-    if _is_exact(a):
+    if isinstance(a, RatMatrix):
         n = a.rows
         if a.cols != n:
             raise ValueError("expected a square matrix")
@@ -119,33 +96,21 @@ def in_class(a, g: Graph, cls: str, tol: float = 1e-8) -> bool:
 
 
 def pattern_of(a, tol: float = 1e-8) -> Graph:
-    """Graph on the off-diagonal support of a symmetric matrix. Float input
-    with a NaN or infinite entry raises ValueError, as in in_class."""
-    if not _is_exact(a):
-        a = _finite_square(a)
-    n, get = _square_view(a)
-    nonzero = _nonzero_test(a, tol)
-    edges = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if nonzero(get(i - 1, j - 1)) or nonzero(get(j - 1, i - 1))
-    ]
-    return build_graph(n, edges)
-
-
-@dataclass(frozen=True)
-class PatternedMatrix:
-    """A matrix together with its graph and a verified membership tag."""
-
-    matrix: object
-    graph: Graph
-    tag: str
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if not in_class(self.matrix, self.graph, self.tag, self.tol):
-            raise ValueError("matrix is not in class %s of the given graph" % self.tag)
+    """Graph on the off-diagonal support of a symmetric matrix: pair {i, j}
+    is an edge when either of its entries is nonzero (exact) or above tol in
+    absolute value (float). Float input with a NaN or infinite entry raises
+    ValueError, as in in_class."""
+    if isinstance(a, RatMatrix):
+        if a.rows != a.cols:
+            raise ValueError("expected a square matrix")
+        n, rows = a.rows, a.data
+        edges = [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n)
+                 if rows[i][j] or rows[j][i]]
+        return build_graph(n, edges)
+    hit = np.abs(_finite_square(a)) > tol
+    upper = np.triu(hit | hit.T, 1)
+    return build_graph(len(upper), [(int(i) + 1, int(j) + 1)
+                                    for i, j in zip(*np.nonzero(upper))])
 
 
 def pair_position(n: int, i: int, j: int) -> int:
@@ -153,51 +118,6 @@ def pair_position(n: int, i: int, j: int) -> int:
     if not (1 <= i < j <= n):
         raise ValueError("need 1 <= i < j <= n")
     return (i - 1) * n - (i - 1) * i // 2 + (j - i - 1)
-
-
-def _pack(values, exact):
-    return list(values) if exact else np.array(values, dtype=float)
-
-
-def vec_wedge(k):
-    """Strictly upper triangular entries, pair-lex order; length C(n,2)."""
-    n, get = _square_view(k)
-    vals = [get(i, j) for i in range(n) for j in range(i + 1, n)]
-    return _pack(vals, _is_exact(k))
-
-
-def vec_triangle(a):
-    """Upper triangular entries including the diagonal; length C(n+1,2)."""
-    n, get = _square_view(a)
-    vals = [get(i, j) for i in range(n) for j in range(i, n)]
-    return _pack(vals, _is_exact(a))
-
-
-def vec_square(a):
-    """All entries in row-major order; length n^2."""
-    n, get = _square_view(a)
-    vals = [get(i, j) for i in range(n) for j in range(n)]
-    return _pack(vals, _is_exact(a))
-
-
-def basis_X(n: int, i: int, j: int) -> RatMatrix:
-    """Symmetric unit pair matrix: ones at (i,j) and (j,i), i<j, 1-based."""
-    if not (1 <= i < j <= n):
-        raise ValueError("need 1 <= i < j <= n")
-    m = RatMatrix.zeros(n, n)
-    m[i - 1, j - 1] = Fraction(1)
-    m[j - 1, i - 1] = Fraction(1)
-    return m
-
-
-def basis_K(n: int, i: int, j: int) -> RatMatrix:
-    """Skew unit pair matrix: +1 at (i,j), -1 at (j,i), i<j, 1-based."""
-    if not (1 <= i < j <= n):
-        raise ValueError("need 1 <= i < j <= n")
-    m = RatMatrix.zeros(n, n)
-    m[i - 1, j - 1] = Fraction(1)
-    m[j - 1, i - 1] = Fraction(-1)
-    return m
 
 
 SAMPLE_MODES = ("unit-off-diagonal", "random-rational", "random-diagonal-collisions")

@@ -35,11 +35,9 @@ from .exactla import (
     _eliminate,
     _primitive,
     _scaled_to_integers,
-    charpoly,
     commutator,
     kernel_basis,
     left_kernel_basis,
-    poly_gcd,
 )
 from .graphs import Graph, complement
 from .numla import numeric_rank
@@ -299,13 +297,3 @@ def wrt_kernel_check(a: RatMatrix, g: Graph, h: Graph, kind: str) -> bool:
         _verify_certificate(a, kind, x, h)
     return ker.cols == 0
 
-
-def spectra_disjoint(a: RatMatrix, b: RatMatrix) -> bool:
-    """Exact test: no common eigenvalue, by gcd of characteristic polynomials."""
-    gcd = poly_gcd(charpoly(a), charpoly(b))
-    return len(gcd) == 1 and gcd[0] != 0
-
-
-def numeric_strong_property(a, g: Graph, kind: str, tol: float = 1e-8) -> StrongPropertyResult:
-    """Floating-point strong property verdict at tolerance tol."""
-    return has_strong_property(np.asarray(a, dtype=float), g, kind, tol)

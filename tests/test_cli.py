@@ -110,6 +110,8 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
                  "--json", str(tmp_path / "no" / "such" / "r.json")]) == 2
     two = tmp_path / "two.txt"
     two.write_text("2 2\n1 0\n0 2\n")
+    assert main(["verify", "--kind", "ssp", "--graph", "catalog:0K2",
+                 "--matrix", str(two)]) == 2
     for size in ("0", "-2"):
         assert main(["libset", "--enumerate", "--graph", "catalog:2K1",
                      "--matrix", str(two), "--max-size", size]) == 2

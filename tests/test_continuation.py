@@ -28,8 +28,7 @@ from liberatrix.graphs import Graph, add_edges, build_graph, catalog, path_graph
 from liberatrix.numla import multiplicity_list, sym_eigen
 from liberatrix.liberation import is_liberation_set
 from liberatrix.patterns import SAMPLE_MODES, in_class, pattern_of, sample_S
-from liberatrix.strongprops import (has_strong_property,
-                                    numeric_strong_property, psi)
+from liberatrix.strongprops import has_strong_property, psi
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -256,7 +255,7 @@ def test_complete_prism_low_rank():
     assert in_class(res.matrix, h, "S")
     vals = sym_eigen(res.matrix)[0]
     assert int(np.sum(np.abs(vals) <= 1e-8)) == 3
-    assert numeric_strong_property(res.matrix, h, "sap", tol=1e-8).answer
+    assert has_strong_property(res.matrix, h, "sap", tol=1e-8).answer
 
 
 def test_complete_rejects_mismatched_order():

@@ -7,7 +7,6 @@ import pytest
 
 from liberatrix.directsum import (
     directsum_liberation,
-    directsum_wrt,
     is_generic,
     sylvester_space,
 )
@@ -150,20 +149,10 @@ def test_is_generic_basis_invariant():
         assert is_generic(w) == is_generic(w @ q)
 
 
-def test_directsum_wrt_basics():
-    a = RatMatrix.from_rows([[1, 0], [0, 2]])
-    b = RatMatrix.from_rows([[5]])
-    assert directsum_wrt(a, b, [])  # disjoint spectra, nothing to bridge
-    ones = all_ones(2)
-    zero1 = RatMatrix.from_rows([[0]])
-    assert directsum_wrt(ones, zero1, [(1, 3)], kind="sap")
-    assert not directsum_wrt(ones, zero1, [], kind="sap")
-
-
 def test_directsum_wrt_rejects_weak_block():
     bad = direct_sum(all_ones(4), RatMatrix.from_rows([[4]]))  # lacks the property
-    with pytest.raises(ValueError):
-        directsum_wrt(bad, RatMatrix.from_rows([[9]]), [])
+    with pytest.raises(ValueError, match="first block lacks"):
+        directsum_liberation(bad, RatMatrix.from_rows([[9]]), [(1, 6)])
 
 
 def test_directsum_rejects_non_square_rational_block():
@@ -173,8 +162,8 @@ def test_directsum_rejects_non_square_rational_block():
 
 
 def test_directsum_float_blocks_warn():
-    with pytest.warns(UserWarning):
-        directsum_wrt(np.diag([1.0, 2.0]), np.diag([3.0]), [])
+    with pytest.warns(UserWarning, match="is assumed, not checked"):
+        directsum_liberation(np.diag([1.0, 2.0]), np.diag([3.0]), [(1, 3)])
 
 
 def test_g151_directsum_matches_exact_route():

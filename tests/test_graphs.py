@@ -125,6 +125,8 @@ def test_catalog_families():
     assert catalog("P3xP4") == cartesian_product(path_graph(3), path_graph(4))
     with pytest.raises(KeyError):
         catalog("Q3")
+    with pytest.raises(ValueError, match="copy count 0"):
+        catalog("0K3")
 
 
 def test_catalog_named_entries():

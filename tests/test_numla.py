@@ -10,8 +10,8 @@ from liberatrix.numla import (
     SymMatrix,
     multiplicity_list,
     numeric_rank,
-    parse_float_matrix,
     random_orthogonal,
+    read_float_matrix,
     sym_eigen,
 )
 
@@ -155,7 +155,9 @@ def test_random_orthogonal_seeded():
     assert random_orthogonal(0, 1).shape == (0, 0)
 
 
-def test_parse_float_matrix():
-    m = parse_float_matrix("2 2\n1/2 0\n-3 0.25\n")
+def test_parse_float_matrix(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("2 2\n1/2 0\n-3 0.25\n")
+    m = read_float_matrix(path)
     assert m.dtype == float
     assert np.array_equal(m, [[0.5, 0.0], [-3.0, 0.25]])

@@ -6,22 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liberatrix.exactla import RatMatrix, commutator, rank
+from liberatrix.continuation import (complete_pattern_low_rank,
+                                    realize_in_pattern, realize_spectrum)
+from liberatrix.directsum import directsum_liberation, sylvester_space
+from liberatrix.exactla import RatMatrix, commutator
 from liberatrix.graphs import build_graph, catalog
 from liberatrix.patterns import (
     CLASS_TAGS,
-    PatternedMatrix,
     _pattern_flags,
-    basis_K,
-    basis_X,
     in_class,
     pair_position,
     pattern_of,
     sample_S,
-    vec_square,
-    vec_triangle,
-    vec_wedge,
 )
+from oracles import basis_X, vec_square, vec_wedge
 
 SEED = 20260816
 
@@ -98,6 +96,17 @@ def _flags_oracle(a, g, tol):
     return inside, alive, not any(hit(a[i, i]) for i in range(n))
 
 
+def _pattern_oracle(a, n, tol):
+    """Entry-by-entry reference for pattern_of: a pair is an edge when either
+    of its entries is nonzero."""
+    exact = isinstance(a, RatMatrix)
+
+    def hit(x):
+        return x != 0 if exact else abs(x) > tol
+    return build_graph(n, [(i + 1, j + 1) for i, j in combinations(range(n), 2)
+                           if hit(a[i, j]) or hit(a[j, i])])
+
+
 TOL = 1e-3
 # zero, entries below, at and above tol, and clear nonzeros
 LEVELS = (0.0, TOL, -TOL, TOL / 2, 2 * TOL, 1.0, -3.5)
@@ -126,6 +135,8 @@ def test_pattern_flags_match_loop_oracle(case, exact):
     g, a = case
     if exact:
         a = RatMatrix.from_rows(a.tolist())
+    # pattern_of reads both mirror entries, so asymmetric draws count too
+    assert pattern_of(a, TOL) == _pattern_oracle(a, g.n, TOL)
     try:
         want = _flags_oracle(a, g, TOL)
     except ValueError:
@@ -164,30 +175,29 @@ def test_pattern_of_non_finite_raises():
         for slot in ((0, 1), (0, 2), (1, 1)):
             a = np.zeros((3, 3))
             a[slot] = a[slot[::-1]] = bad
-            for call in (lambda: pattern_of(a), lambda: in_class(a, g, "S_cl")):
+            for call in (lambda: pattern_of(a), lambda: in_class(a, g, "S_cl"),
+                         lambda: complete_pattern_low_rank(a, g),
+                         lambda: sylvester_space(a, np.eye(2)),
+                         lambda: directsum_liberation(a, np.eye(2), [(1, 4)])):
                 with pytest.raises(ValueError, match="non-finite"):
                     call()
-
-
-def test_patterned_matrix_validates():
-    pm = PatternedMatrix(diag_matrix([1, 2]), build_graph(2, []), "S")
-    assert pm.tag == "S"
-    with pytest.raises(ValueError):
-        PatternedMatrix(diag_matrix([1, 2]), build_graph(2, [(1, 2)]), "S")
+    for spectrum in ([1.0, np.nan, 2.0], [np.inf, 0.0, 1.0]):
+        for call in (lambda: realize_spectrum(spectrum, "diagonal"),
+                     lambda: realize_in_pattern(g, spectrum)):
+            with pytest.raises(ValueError, match="non-finite"):
+                call()
 
 
 def test_vec_orderings():
-    k = basis_K(3, 1, 2)
+    k = RatMatrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
     assert vec_wedge(k) == [Fraction(1), Fraction(0), Fraction(0)]
     m = RatMatrix.from_rows([[1, 2], [3, 4]])
     sq = vec_square(m)
     assert sq == [Fraction(1), Fraction(2), Fraction(3), Fraction(4)]
     assert sq[2] == m[1, 0]  # entry (2,1) lands at slot 3 of the flattening
-    assert vec_triangle(m) == [Fraction(1), Fraction(2), Fraction(4)]
 
     arr = np.arange(9.0).reshape(3, 3)
-    assert np.array_equal(vec_wedge(arr), [1.0, 2.0, 5.0])
-    assert len(vec_triangle(arr)) == 6
+    assert vec_wedge(arr) == [1.0, 2.0, 5.0]
     assert len(vec_square(arr)) == 9
 
 
@@ -196,8 +206,7 @@ def test_pair_position_matches_lex_enumeration():
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     for pos, (i, j) in enumerate(pairs):
         assert pair_position(n, i, j) == pos
-        k = basis_K(n, i, j)
-        v = vec_wedge(k)
+        v = vec_wedge(basis_X(n, i, j))
         assert v[pos] == 1 and sum(1 for x in v if x != 0) == 1
     with pytest.raises(ValueError):
         pair_position(n, 3, 3)
@@ -206,12 +215,10 @@ def test_pair_position_matches_lex_enumeration():
 def test_basis_matrices():
     x = basis_X(4, 2, 4)
     assert x[1, 3] == 1 and x[3, 1] == 1 and x.is_symmetric()
-    k = basis_K(4, 2, 4)
-    assert k[1, 3] == 1 and k[3, 1] == -1
     with pytest.raises(ValueError):
         basis_X(4, 4, 2)
     with pytest.raises(ValueError):
-        basis_K(4, 3, 3)
+        basis_X(4, 3, 3)
 
 
 def test_commutator_row_of_verification_matrix():
@@ -230,22 +237,6 @@ def test_wedge_vs_square_routing():
     assert (k + k.transpose()).is_zero()
     ax = a @ x
     assert not (ax - ax.transpose()).is_zero()
-
-
-def test_stacked_basis_dimensions():
-    for name in ("P4", "C5", "K4", "G151"):
-        g = catalog(name)
-        rows = []
-        for i in range(1, g.n + 1):
-            e = RatMatrix.zeros(g.n, g.n)
-            e[i - 1, i - 1] = Fraction(1)
-            rows.append(vec_triangle(e))
-        for (i, j) in g.edges:
-            rows.append(vec_triangle(basis_X(g.n, i, j)))
-        stacked = RatMatrix.from_rows(rows)
-        assert rank(stacked) == g.n + len(g.edges)
-        off = RatMatrix.from_rows([vec_triangle(basis_X(g.n, i, j)) for (i, j) in g.edges])
-        assert rank(off) == len(g.edges)
 
 
 def test_sample_unit_mode():
