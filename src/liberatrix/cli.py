@@ -105,6 +105,29 @@ def _parse_spectrum(text: str):
     return vals
 
 
+def _is_spectrum(tok: str) -> bool:
+    try:
+        _parse_spectrum(tok)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_spectrum(argv):
+    """argv with each --spectrum flag, or an abbreviation argparse accepts
+    for it, joined to a value that follows it: argparse takes a value that
+    starts with a minus sign, such as "-2,-1,0", for an option string."""
+    out = []
+    for tok in argv:
+        flag = out[-1] if out else ""
+        if (len(flag) > 3 and "--spectrum".startswith(flag)
+                and _is_spectrum(tok)):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
@@ -465,7 +488,8 @@ def _collect_inputs(args):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_join_spectrum(argv))
     if args.seed is None:
         try:
             args.seed = _default_seed()

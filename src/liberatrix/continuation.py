@@ -15,7 +15,8 @@ by construction, not merely small.
 
 realize_spectrum() builds matrices with a prescribed spectrum for a few
 stock shapes; realize_in_pattern() does the same for an arbitrary pattern
-with the same Newton solver from random isospectral starts;
+with the same Newton solver from random isospectral starts, holding one
+re-seeded entry fixed when a limit collapses, as liberate holds a new pair;
 complete_pattern_low_rank() rounds out a rank-deficient matrix to a full
 pattern without raising the rank, by the same minimum-norm Newton loop on
 the factor V of V S V^T with its closed-form Jacobian.
@@ -352,10 +353,12 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
     Each attempt conjugates the target by a seeded random orthogonal matrix,
     keeps the entries on the pattern and runs the Newton solver over all of
     them. The limit can land in a proper subpattern (an edge entry driven
-    to zero); such edges get re-seeded away from zero and the solve rerun,
-    which walks the iterate into the interior of the pattern when the
-    spectrum permits. Feasibility is the caller's burden; infeasible targets
-    surface as non-convergence.
+    to zero). Then every collapsed edge entry is re-seeded at +-0.1 times
+    the spectral spread and the solve rerun with the first of them held at
+    its seed value, as liberate holds a new pair: with every entry free the
+    minimum-norm steps walk the re-seeded entries back to zero. Up to ten
+    such rounds run per attempt. Feasibility is the caller's burden;
+    infeasible targets surface as non-convergence.
     """
     values = sorted(_flat_values(spectrum))
     if len(values) != g.n:
@@ -366,7 +369,6 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
     slots = _pattern_slots(g)
     spread = max(1.0, float(values[-1] - values[0]))
 
-    free = range(len(slots))
     rng = seeded_random(seed)
     for _ in range(max_iter):
         q = random_orthogonal(g.n, rng.getrandbits(62))
@@ -374,6 +376,7 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
         x = np.array([b[i, j] for (i, j) in slots])
         ok = False
         dead = []
+        free = range(len(slots))
         for _round in range(10):
             x, reason = _newton(g.n, slots, free, target_vals, x, tol * vscale)
             ok = reason == "converged"
@@ -384,6 +387,8 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
                 break
             for k in dead:
                 x[k] = 0.1 * spread * (1 if rng.random() < 0.5 else -1)
+            # hold one re-seeded entry off zero, as liberate holds a new pair
+            free = [k for k in range(len(slots)) if k != dead[0]]
         if not ok or dead:
             continue
         a = _build_from_slots(g.n, slots, x)

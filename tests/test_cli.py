@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from liberatrix.cli import _build_parser, _jsonable, _parse_pairs, main
-from liberatrix.exactla import RatMatrix
+from liberatrix.exactla import RatMatrix, read_matrix
 from liberatrix.graphs import add_edges, catalog, format_graph_text
 
 
@@ -118,6 +118,9 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     for tol in ("-1", "0", "nan", "inf"):
         assert main(["directsum", "--matrix-a", str(one), "--matrix-b",
                      str(one), "--beta", "1-2", "--tol", tol]) == 2
+    with pytest.raises(SystemExit) as ex:
+        main(["realize", "--spectrum", "--graph", "catalog:P5"])
+    assert ex.value.code == 2
 
 
 def test_zero_denominator_entry_exits_two(tmp_path, capsys):
@@ -201,6 +204,18 @@ def test_realize_shape(tmp_path, capsys):
                  "--seed", "0"])
     assert code == 0
     assert "deviation=" in capsys.readouterr().out
+
+
+def test_realize_negative_first_value(tmp_path, capsys):
+    out = tmp_path / "m.txt"
+    code = main(["realize", "--spectrum", "-2,-1,0,1,2.5", "--graph",
+                 "catalog:P5", "--seed", "0", "--out", str(out)])
+    assert code == 0
+    assert "multiplicities=[1, 1, 1, 1, 1]" in capsys.readouterr().out
+    m = read_matrix(str(out)).to_float()
+    assert np.allclose(np.linalg.eigvalsh(m), [-2, -1, 0, 1, 2.5])
+    assert main(["realize", "--spec", "-1/2, -1e-1,3", "--shape",
+                 "path"]) == 0
 
 
 def test_reproduce_command(tmp_path, capsys):

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from liberatrix import continuation
 from liberatrix.continuation import (
+    MIN_ENTRY,
     _cluster_pairs,
     _hole_system,
     _jacobian,
@@ -24,10 +26,12 @@ from liberatrix.continuation import (
 )
 from liberatrix.directsum import is_generic
 from liberatrix.exactla import RatMatrix, charpoly, direct_sum
-from liberatrix.graphs import Graph, add_edges, build_graph, catalog, path_graph
+from liberatrix.graphs import (Graph, add_edges, build_graph, catalog,
+                               cycle_graph, path_graph)
 from liberatrix.numla import multiplicity_list, sym_eigen
 from liberatrix.liberation import is_liberation_set
 from liberatrix.patterns import SAMPLE_MODES, in_class, pattern_of, sample_S
+from liberatrix.replays import _subseed
 from liberatrix.strongprops import has_strong_property, psi
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -239,6 +243,50 @@ def test_realize_in_pattern_multiplicity():
     assert np.allclose(sym_eigen(out)[0], target, atol=1e-8)
     with pytest.raises(ValueError):
         realize_in_pattern(g30, [1.0, 2.0], seed=0)
+
+
+R3 = float(np.sqrt(3.0))
+# Spectra whose Newton limits from random isospectral starts usually land in
+# a subpattern, with the Newton solves realize_in_pattern took over seeds
+# 0-19 when every re-solve left all entries free.
+COLLAPSING = {
+    "C6 (-r3)^2 0^2 (r3)^2": (cycle_graph(6), [-R3, -R3, 0, 0, R3, R3], 767),
+    "C5 1,2,2": (cycle_graph(5), [0.0, 1.0, 1.0, 2.0, 2.0], 157),
+    "C5 2,2,1": (cycle_graph(5), [0.0, 0.0, 1.0, 1.0, 2.0], 108),
+}
+
+
+def assert_realizes(a, g, target, tol=1e-10):
+    target = np.sort(np.asarray(target, dtype=float))
+    scale = max(1.0, float(np.max(np.abs(target))))
+    assert np.array_equal(a, a.T)
+    assert in_class(a, g, "S", tol=MIN_ENTRY / 2)
+    assert np.max(np.abs(np.linalg.eigvalsh(a) - target)) <= tol * scale
+
+
+@pytest.mark.parametrize("case", sorted(COLLAPSING))
+def test_realize_in_pattern_holds_a_reseeded_entry(case, monkeypatch):
+    g, target, free_resolve_solves = COLLAPSING[case]
+    calls = [0]
+    newton = continuation._newton
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "_newton", counting)
+    for seed in range(20):
+        assert_realizes(realize_in_pattern(g, target, seed=seed), g, target)
+    assert calls[0] <= free_resolve_solves // 2
+
+
+def test_realize_in_pattern_c6c8_block_seeds():
+    g, target, _ = COLLAPSING["C6 (-r3)^2 0^2 (r3)^2"]
+    # replays._realize_ssp's seeds, bare and under reproduce("c6c8", 0)
+    for base in (0, _subseed(0, "c6fix")):
+        for k in range(6):
+            a = realize_in_pattern(g, target, seed=_subseed(base, "try", k))
+            assert_realizes(a, g, target)
 
 
 def test_complete_prism_low_rank():
