@@ -211,7 +211,7 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
         if not has_strong_property(a_new, h, kind, tol=1e-8).answer:
             last_err = "output failed the strong-property re-check"
             continue
-        target = charpoly_coeffs(arr)
+        target = np.poly(target_vals)[1:]  # charpoly_coeffs(arr)
         scale = max(1.0, float(np.max(np.abs(target))))
         res = float(np.max(np.abs(charpoly_coeffs(a_new) - target))) / scale
         return LiberateResult(a_new, h, res, attempt, eps, seed, smallest, True)

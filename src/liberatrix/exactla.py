@@ -14,12 +14,20 @@ an integer multiple of it, and its entries are minors of the input rows. So
 no entry exceeds the Hadamard bound of the input rows.
 
 The pivot count of the forward pass is the rank. Clearing the rows above the
-pivots too and dividing each pivot row by its pivot entry gives the reduced
-row echelon form, on which kernels and solves are read off. A column echelon
-form is the same elimination run on the integer columns, the transposed
-problem; its pivot and zero-row structure is read off the integer rows, and
-only the entries it returns become Fractions. Pivoting always takes the
-first nonzero entry in column order, so echelon forms are reproducible.
+pivots too, those from a given row index on, and dividing each pivot row by
+its pivot entry gives the reduced form of the rows from that index on: from
+row 0 it is the reduced row echelon form, on which kernels and solves are
+read off. A column
+echelon form is the same elimination run on the integer columns, the
+transposed problem; its pivot and zero-row structure is read off the
+integer rows, and only the entries it returns become Fractions. Its lower
+right block needs only the rows past the top pivots reduced against each
+other, so the liberation criteria reduce from there. Pivoting always takes
+the first nonzero entry in column order, so echelon forms are reproducible.
+
+Column-space membership is one forward elimination of the rows of [M | X]:
+X's columns lie in Col(M) when every row left without a pivot in M's
+columns is zero in X's.
 
 RatMatrix coerces entries to Fractions where they come from outside (the
 constructor, item assignment); its own methods build rows from Fractions
@@ -264,16 +272,20 @@ def _primitive(ints):
     return [v // g for v in ints] if g > 1 else ints
 
 
-def _eliminate(a, cols, reduced=False):
+def _eliminate(a, cols, reduce_from=None):
     """Content-reduced integer elimination: (integer rows, pivot columns).
 
-    a is a list of integer rows of length cols. It is reordered and its rows
-    are replaced, never changed in place, so rows shared with a caller's
-    cache stay intact. At pivot entry pv, each row with entry f != 0 in the
-    pivot column becomes the primitive part of (pv/g) row - (f/g) pivot_row,
-    g = gcd(pv, f); rows with f = 0 are not touched. Only rows below the
-    pivot are cleared, unless reduced asks for the rows above too. Rows past
-    the last pivot end up zero.
+    a is a list of integer rows; pivots are taken in their first cols
+    entries, and rows may run on past them (an augmented part, combined
+    along). a is reordered and its rows are replaced, never changed in
+    place, so rows shared with a caller's cache stay intact. At pivot entry
+    pv, each row with entry f != 0 in the pivot column becomes the primitive
+    part of (pv/g) row - (f/g) pivot_row, g = gcd(pv, f); rows with f = 0
+    are not touched. Rows below the pivot are cleared; with reduce_from set,
+    so are the rows above it from index reduce_from on: 0 gives full
+    Gauss-Jordan, a larger index leaves the rows before it unreduced above
+    later pivots. Rows past the last pivot end up zero in the first cols
+    entries.
 
     Only integers appear and every division is by a gcd, so the arithmetic
     is exact. Each row stays primitive and lies on the same line as its row
@@ -281,7 +293,10 @@ def _eliminate(a, cols, reduced=False):
     multiple of it. Bareiss entries are minors of the input rows, so every
     entry here divides a minor and is at most the Hadamard bound of the
     input rows. The reduced row echelon form is unique, so it does not
-    depend on how the rows were scaled on the way.
+    depend on how the rows were scaled on the way. A row from reduce_from on
+    is only ever combined with pivot rows, which are the same whatever
+    reduce_from is, so those rows are the same lines as under full
+    reduction.
     """
     rows = len(a)
     pivots = []
@@ -293,7 +308,8 @@ def _eliminate(a, cols, reduced=False):
         a[r], a[pivot_row] = a[pivot_row], a[r]
         ar = a[r]
         pv = ar[c]
-        for i in range(0 if reduced else r + 1, rows):
+        start = r + 1 if reduce_from is None else min(reduce_from, r + 1)
+        for i in range(start, rows):
             f = a[i][c]
             if not f or i == r:
                 continue
@@ -310,7 +326,7 @@ def _eliminate(a, cols, reduced=False):
 
 def _reduced_rows(a, pivots):
     """The nonzero rows of the reduced row echelon form as Fractions, from
-    the output of _eliminate(..., reduced=True): each pivot row over its
+    the output of _eliminate(..., reduce_from=0): each pivot row over its
     pivot entry."""
     return [[Fraction(x, a[r][c]) if x else _ZERO for x in a[r]]
             for r, c in enumerate(pivots)]
@@ -318,7 +334,7 @@ def _reduced_rows(a, pivots):
 
 def rref(m: RatMatrix) -> RrefResult:
     """Reduced row echelon form; pivot = first nonzero entry in column order."""
-    a, pivots = _eliminate(_int_rows(m), m.cols, reduced=True)
+    a, pivots = _eliminate(_int_rows(m), m.cols, 0)
     out = _reduced_rows(a, pivots)
     out += [[_ZERO] * m.cols for _ in range(m.rows - len(pivots))]
     return RrefResult(RatMatrix._wrap(m.rows, m.cols, out), tuple(pivots),
@@ -344,23 +360,48 @@ def column_echelon(m: RatMatrix, bottom_rows) -> ColumnEchelonResult:
     block shape [[I, O], [*, B]]; B is returned, and its zero rows are reported
     by original row index. Dependent top rows are a structured outcome, not an
     error: block is None and top_independent is False.
-    """
-    return _column_echelon(_int_rows(m.transpose()), m.rows, bottom_rows)
-
-
-def _column_echelon(cols, nrows, bottom_rows) -> ColumnEchelonResult:
-    """column_echelon of the nrows-row matrix whose columns are cols: integer
-    lists, each any nonzero multiple of its column (the primitive integer
-    columns that VerificationMatrix.int_cols caches).
 
     The form is the transpose of the reduced row echelon form of the
-    columns with their entries reordered top rows first, so it is one
-    _eliminate(..., reduced=True) over the integer columns. The top rows
-    are independent when they are the first pivots, a block row is zero
-    when the reduced integer rows past the top pivots vanish there, and
-    Fractions are built only for the returned matrix and block.
+    integer columns with their entries reordered top rows first, so it is
+    one fully reducing _column_echelon; Fractions are built only for the
+    returned matrix and block.
     """
-    ncols = len(cols)
+    nrows, ncols = m.rows, m.cols
+    ech = _column_echelon(_int_rows(m.transpose()), nrows, bottom_rows, 0)
+    a, pivots, k = ech.vectors, ech.pivots, ech.k
+    red = _reduced_rows(a, pivots)
+    pad = [_ZERO] * (ncols - len(pivots))
+    e = RatMatrix._wrap(nrows, ncols, [list(row) + pad for row in zip(*red)]
+                        if red else [pad[:] for _ in range(nrows)])
+    if not ech.top_independent:
+        return ColumnEchelonResult(e, None, False, ())
+    block = RatMatrix._wrap(nrows - k, ncols - k,
+                            [row[k:] for row in e.data[k:]])
+    return ColumnEchelonResult(e, block, True, ech.bottom_zero_rows)
+
+
+class _IntColumnEchelon(NamedTuple):
+    vectors: list              # eliminated integer columns, top entries first
+    pivots: list
+    k: int                     # number of top rows
+    top_independent: bool
+    bottom_zero_rows: tuple
+
+
+def _column_echelon(cols, nrows, bottom_rows, reduce_from) -> _IntColumnEchelon:
+    """The integer core of column_echelon, for the nrows-row matrix whose
+    columns are cols: integer lists, each any nonzero multiple of its column
+    (the primitive integer columns that VerificationMatrix.int_cols caches).
+
+    The columns, entries reordered top rows first, are eliminated with
+    _eliminate(..., reduce_from). The top rows are independent when they
+    take the first k pivots, and then the lower right block B of the form is
+    read off the vectors k..r-1 (r the pivot count): entry (i, j) of B is
+    vectors[k + j][k + i] over that vector's pivot entry. Those vectors need
+    reducing only against each other, so reduce_from = k suffices for B, its
+    zero rows and the top test; reduce_from = 0 gives the whole form. A
+    block row is zero when those vectors all vanish there.
+    """
     bottom = list(bottom_rows)
     bset = set(bottom)
     if len(bottom) != len(bset):
@@ -376,19 +417,13 @@ def _column_echelon(cols, nrows, bottom_rows) -> ColumnEchelonResult:
         cols = [get(c) for c in cols]
     else:
         cols = list(cols)
-    a, pivots = _eliminate(cols, nrows, reduced=True)
+    a, pivots = _eliminate(cols, nrows, reduce_from)
     r, k = len(pivots), len(top)
-    red = _reduced_rows(a, pivots)
-    pad = [_ZERO] * (ncols - r)
-    e = RatMatrix._wrap(nrows, ncols, [list(row) + pad for row in zip(*red)]
-                        if red else [pad[:] for _ in range(nrows)])
     if pivots[:k] != list(range(k)):
-        return ColumnEchelonResult(e, None, False, ())
-    block = RatMatrix._wrap(nrows - k, ncols - k,
-                            [row[k:] for row in e.data[k:]])
+        return _IntColumnEchelon(a, pivots, k, False, ())
     zero = tuple(b for i, b in enumerate(bottom)
                  if not any(a[j][k + i] for j in range(k, r)))
-    return ColumnEchelonResult(e, block, True, zero)
+    return _IntColumnEchelon(a, pivots, k, True, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -422,17 +457,17 @@ def col_space_contains(m: RatMatrix, x) -> bool:
         x = RatMatrix.column(x)
     if x.rows != m.rows:
         raise ValueError("vector length mismatch")
-    return _in_column_span(_int_rows(m.transpose()), m.rows,
-                           _int_rows(x.transpose()))
+    return _in_column_span(_scaled_to_integers(m.hstack(x))[1], m.cols)
 
 
-def _in_column_span(cols, nrows, vectors) -> bool:
-    """Whether each integer vector lies in the span of the integer columns
-    cols (nrows entries each): one forward elimination of the columns, then
-    each vector reduced against that echelon form adds no pivot."""
-    ech, pivots = _eliminate(list(cols), nrows)
-    ech, r = ech[:len(pivots)], len(pivots)
-    return all(len(_eliminate(ech + [v], nrows)[1]) == r for v in vectors)
+def _in_column_span(rows, ncols) -> bool:
+    """Whether the columns past the first ncols lie in the span of the first
+    ncols, for integer rows of [M | X] (each row may carry any nonzero
+    factor, and each column of X any nonzero scale): one forward elimination
+    over M's columns, each augmented row made primitive first. X is in
+    Col(M) when every row left without a pivot is zero in X's part."""
+    a, pivots = _eliminate([_primitive(row) for row in rows], ncols)
+    return not any(any(row[ncols:]) for row in a[len(pivots):])
 
 
 # ---------------------------------------------------------------------------

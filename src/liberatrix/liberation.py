@@ -14,20 +14,23 @@ agree:
   witness       A has the property w.r.t. G + beta and some x in Col(Psi)
                 is supported exactly on beta; x is B (1, t, t^2, ...) for
                 the first integer t > 0 that leaves no entry zero, found by
-                integer Horner, and is re-checked to lie in the span of
-                Psi's integer columns by its own forward elimination
+                integer Horner on the echelon route's integer vectors, and
+                is re-checked to lie in Col(Psi) by its own forward
+                elimination of the rows of D Psi augmented by x
   echelon       column echelon with the beta rows at the bottom has shape
-                [[I, O], [*, B]] with no zero row in B; one reduced
-                elimination of Psi's integer columns (VerificationMatrix
-                .int_cols), alpha entries first
+                [[I, O], [*, B]] with no zero row in B; one elimination of
+                Psi's integer columns (VerificationMatrix.int_cols), alpha
+                entries first, reducing only the vectors that make up B
+                against each other
 
 The routes run separate eliminations but read one integer source: the
 definitional and row-rank routes eliminate VerificationMatrix.int_rows, the
-echelon route and the witness re-check its int_cols, and both are built from
-one gather of D A's verification matrix (D the lcm of A's denominators). So
-a fault in that gather would give consistent certificates, not a
-disagreement; tests/test_strongprops.py checks both against the Fraction
-matrix Psi.
+echelon route its int_cols, and the witness re-check the unreduced rows of
+D Psi (D the lcm of A's denominators) with x appended; all three are one
+gather of D A's verification matrix. So a fault in that gather would give
+consistent certificates, not a disagreement; tests/test_strongprops.py
+checks the integer rows and columns against the Fraction matrix Psi. None
+of the four reads Psi's Fractions.
 """
 
 from __future__ import annotations
@@ -36,9 +39,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from .exactla import (RatMatrix, _column_echelon, _eliminate,
-                      _in_column_span, _int_vector, _scaled_to_integers)
+                      _in_column_span, _int_vector)
 from .graphs import EdgeSet, Graph, nonedge_set
 from .patterns import SAMPLE_MODES, CertificateError, sample_S
 from .strongprops import _drop_one_verdicts, normalize_kind, psi
@@ -68,21 +72,30 @@ class LiberationCertificate:
         raise KeyError(name)
 
 
-def _witness_from_block(block: RatMatrix, beta_idx, nrows):
+def _witness_from_block(ech, beta_idx, nrows):
     """Combine tail columns of the echelon so every beta coordinate is hit.
 
+    ech is the integer column echelon of Psi with the beta rows at the
+    bottom (exactla._column_echelon): entry (i, j) of its block B is
+    x / pv, x = ech.vectors[k + j][k + i] and pv that vector's pivot entry.
     Each block row is nonzero, so row . (1, t, t^2, ...) is a nonzero
     polynomial in t; some small positive integer t avoids all roots. The
-    search evaluates the rows of D block, D the lcm of the block's
-    denominators, by integer Horner; only the chosen values become
+    search evaluates the rows of D B, D the lcm of B's denominators
+    pv / gcd(x, pv), by integer Horner; only the chosen values become
     Fractions, divided by D.
     """
-    w = block.cols
+    k = ech.k
+    w = len(ech.vectors) - k
     if w == 0:
         return None
-    den, ints = _scaled_to_integers(block)
-    ints = [row[::-1] for row in ints]
-    limit = block.rows * w + 2
+    tail = ech.vectors[k:len(ech.pivots)]
+    pv = [v[c] for v, c in zip(tail, ech.pivots[k:])]
+    den = lcm(*[abs(p) // gcd(v[k + i], p)
+                for v, p in zip(tail, pv) for i in range(len(beta_idx))])
+    # block row i, coefficients from the highest power of t down
+    ints = [[v[k + i] * den // p for v, p in zip(reversed(tail), reversed(pv))]
+            for i in range(len(beta_idx))]
+    limit = len(beta_idx) * w + 2
     for t in range(1, limit):
         vals = []
         for row in ints:
@@ -129,7 +142,7 @@ def is_liberation_set(a, g: Graph, beta, kind: str = "ssp") -> LiberationCertifi
     per = tuple(_drop_one_verdicts(vm, beta.pairs))
     c1 = all(ok for _, ok in per)
 
-    int_rows, cols = vm.int_rows, vm.matrix.cols
+    int_rows, cols = vm.int_rows, vm.ncols
     alpha_ech, pivots = _eliminate([int_rows[i] for i in alpha_idx], cols)
     alpha_rank = len(pivots)
     alpha_ech = alpha_ech[:alpha_rank]
@@ -137,24 +150,23 @@ def is_liberation_set(a, g: Graph, beta, kind: str = "ssp") -> LiberationCertifi
         len(_eliminate(alpha_ech + [int_rows[i]], cols)[1]) == alpha_rank + 1
         for i in beta_idx)
 
-    int_cols = vm.int_cols
-    ech = _column_echelon(int_cols, len(rows), beta_idx)
+    ech = _column_echelon(vm.int_cols, len(rows), beta_idx, len(alpha_idx))
     c4 = ech.top_independent and not ech.bottom_zero_rows
 
-    alpha_rank_full = ech.top_independent
     witness = None
-    if alpha_rank_full and ech.block is not None:
-        witness = _witness_from_block(ech.block, beta_idx, len(rows))
+    if ech.top_independent:
+        witness = _witness_from_block(ech, beta_idx, len(rows))
         if witness is not None:
-            # re-check the returned witness against psi's columns,
-            # eliminated afresh
-            if not _in_column_span(int_cols, len(rows),
-                                   [_int_vector(witness)]):
+            # re-check the returned witness against psi, eliminated afresh:
+            # the rows of D psi with the witness's integer line appended
+            aug = [row + [v] for row, v in zip(vm._int_matrix.tolist(),
+                                               _int_vector(witness))]
+            if not _in_column_span(aug, cols):
                 raise CertificateError("witness is outside the column space")
             if any((witness[i] != 0) != (i in beta_set)
                    for i in range(len(rows))):
                 raise CertificateError("witness support is not beta")
-    c3 = alpha_rank_full and witness is not None
+    c3 = ech.top_independent and witness is not None
 
     verdicts = (c1, c2, c3, c4)
     if len(set(verdicts)) != 1:

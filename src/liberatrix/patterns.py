@@ -123,8 +123,11 @@ def pair_position(n: int, i: int, j: int) -> int:
 SAMPLE_MODES = ("unit-off-diagonal", "random-rational", "random-diagonal-collisions")
 
 
+_NONZERO_NUMERATORS = tuple(x for x in range(-99, 100) if x != 0)
+
+
 def _nonzero_rational(rng: random.Random) -> Fraction:
-    k = rng.choice([x for x in range(-99, 100) if x != 0])
+    k = rng.choice(_NONZERO_NUMERATORS)
     d = rng.randint(1, 9)
     return Fraction(k, d)
 

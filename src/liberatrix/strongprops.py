@@ -19,6 +19,10 @@ A: exact rows reference A's Fractions and their negatives, and float rows
 are one numpy gather. The integer rows and columns of exact rank and
 echelon work come from one such gather of D A (D the lcm of A's
 denominators), each row or column divided by the gcd of its entries.
+psi checks the pattern at once, and each form is built when first read:
+exact rank and liberation work reads only the integers, so the Fraction
+rows are built only for an obstruction certificate or a caller that reads
+VerificationMatrix.matrix.
 """
 
 from __future__ import annotations
@@ -58,13 +62,24 @@ def normalize_kind(kind: str) -> str:
 class VerificationMatrix:
     kind: str
     rows: tuple  # nonedge pairs, lexicographic
-    matrix: object  # RatMatrix, or float ndarray for numeric input
     source: object
     graph: Graph
 
     @property
     def exact(self):
-        return isinstance(self.matrix, RatMatrix)
+        return isinstance(self.source, RatMatrix)
+
+    @property
+    def ncols(self):
+        """Column count: C(n, 2) for "ssp", n^2 for "sap"."""
+        n = self.graph.n
+        return n * (n - 1) // 2 if self.kind == "ssp" else n * n
+
+    @cached_property
+    def matrix(self):
+        """The verification matrix, built on first read: a RatMatrix for
+        exact input, a float ndarray otherwise."""
+        return _pair_rows(self.source, self.rows, self.kind)
 
     def row_index(self, pair) -> int:
         return self.rows.index(tuple(sorted(pair)))
@@ -176,7 +191,8 @@ def _pair_rows(a, pairs, kind):
 def psi(a, g: Graph, kind: str, tol: float = 1e-8) -> VerificationMatrix:
     """Verification matrix of a over g; exact for rational input.
 
-    Each row is read off rows and columns i and j of a in closed form.
+    The kind and a's pattern are checked here; each row is read off rows
+    and columns i and j of a in closed form when the matrix is first read.
     """
     kind = normalize_kind(kind)
     inside, alive, _ = _pattern_flags(a, g, tol)
@@ -184,8 +200,7 @@ def psi(a, g: Graph, kind: str, tol: float = 1e-8) -> VerificationMatrix:
         raise ValueError("matrix support must lie inside the graph's edges")
     if not alive:
         warnings.warn("matrix has vanishing entries on some edges", stacklevel=2)
-    nonedges = g.nonedges()
-    return VerificationMatrix(kind, nonedges, _pair_rows(a, nonedges, kind), a, g)
+    return VerificationMatrix(kind, g.nonedges(), a, g)
 
 
 @dataclass(frozen=True)
@@ -224,8 +239,8 @@ def _selected_rank(vm, sel_idx, tol=1e-8):
     """Rank of the rows sel_idx of vm's matrix; exact for exact vm."""
     if vm.exact:
         rows = vm.int_rows
-        return len(_eliminate([rows[k] for k in sel_idx], vm.matrix.cols)[1])
-    sub = vm.matrix[sel_idx] if len(sel_idx) else np.zeros((0, vm.matrix.shape[1]))
+        return len(_eliminate([rows[k] for k in sel_idx], vm.ncols)[1])
+    sub = vm.matrix[sel_idx] if len(sel_idx) else np.zeros((0, vm.ncols))
     return numeric_rank(sub, tol)
 
 

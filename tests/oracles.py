@@ -2,8 +2,9 @@
 
 They are written the direct way, with no regard for speed: the dense
 commutator construction of the verification matrix, an exact solver read
-off the reduced row echelon form, and spectral disjointness from the gcd of
-characteristic polynomials.
+off the reduced row echelon form, spectral disjointness from the gcd of
+characteristic polynomials, and the liberation witness read off the
+Fraction block of the public column echelon form.
 """
 
 from fractions import Fraction
@@ -55,3 +56,22 @@ def spectra_disjoint(a: RatMatrix, b: RatMatrix) -> bool:
     """Exact test: no common eigenvalue, by gcd of characteristic polynomials."""
     gcd = poly_gcd(charpoly(a), charpoly(b))
     return len(gcd) == 1 and gcd[0] != 0
+
+
+def witness_from_block(block: RatMatrix, beta_idx, nrows):
+    """The liberation witness B (1, t, t^2, ...) for the first integer t > 0
+    that leaves no entry zero, in Fractions, placed on beta_idx among nrows
+    coordinates; None when B has no columns or no such t up to
+    rows * cols + 1 (a zero row of B)."""
+    if block.cols == 0:
+        return None
+    for t in range(1, block.rows * block.cols + 2):
+        powers = [Fraction(t) ** j for j in range(block.cols)]
+        vals = [sum((x * p for x, p in zip(row, powers)), Fraction(0))
+                for row in block.data]
+        if all(vals):
+            x = [Fraction(0)] * nrows
+            for idx, v in zip(beta_idx, vals):
+                x[idx] = v
+            return tuple(x)
+    return None

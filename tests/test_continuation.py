@@ -163,6 +163,21 @@ def test_liberate_zero_diagonal_is_not_a_collapsed_entry():
     assert np.allclose(sym_eigen(res.matrix)[0], [-1, -1, -1, 3, 3], atol=1e-7)
 
 
+def test_liberate_residual_is_the_charpoly_mismatch():
+    # the residual reuses the target eigenvalues; it must equal, bit for
+    # bit, the mismatch recomputed from both matrices' charpoly_coeffs
+    cases = [(ones_block_plus(4), catalog("K4uK1"), [(3, 5), (4, 5)]),
+             (block_diag(bordered_star(1.0, 1.0), np.ones((2, 2))),
+              catalog("G151-base"), [(3, 5), (4, 5), (2, 6), (4, 6)])]
+    for a, g, beta in cases:
+        for seed in (0, 1, 2):
+            res = liberate(a, g, beta, seed=seed)
+            target = charpoly_coeffs(a)
+            scale = max(1.0, float(np.max(np.abs(target))))
+            want = float(np.max(np.abs(charpoly_coeffs(res.matrix) - target)))
+            assert res.residual == want / scale
+
+
 def test_liberate_rejects_bad_set():
     a = ones_block_plus(4)
     g = catalog("K4uK1")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from liberatrix.exactla import (
     RatMatrix,
+    _column_echelon,
     _eliminate,
     _int_rows,
     charpoly,
@@ -404,6 +405,25 @@ def test_column_echelon_matches_fraction_route_oracle(case):
             b for i, b in enumerate(bottom) if not any(block.data[i]))
     else:
         assert got.block is None and got.bottom_zero_rows == ()
+
+
+@settings(max_examples=200, deadline=None)
+@given(echelon_cases())
+def test_tail_reduction_gives_the_full_block(case):
+    # reducing only the vectors past the top pivots leaves them on the
+    # lines of the fully reduced ones, so the block, its zero rows and the
+    # top test are the same
+    m, bottom = case
+    cols = _int_rows(m.transpose())
+    k = m.rows - len(bottom)
+    full = _column_echelon(cols, m.rows, bottom, 0)
+    tail = _column_echelon(cols, m.rows, bottom, k)
+    assert (tail.pivots, tail.k, tail.top_independent, tail.bottom_zero_rows) \
+        == (full.pivots, full.k, full.top_independent, full.bottom_zero_rows)
+    r = len(full.pivots)
+    for u, v in zip(tail.vectors[k:r], full.vectors[k:r]):
+        assert u == v or u == [-x for x in v]
+    assert _int_rows(m.transpose()) == cols  # inputs are left alone
 
 
 def _entries_are_fractions(m):

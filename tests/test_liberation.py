@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liberatrix import liberation, strongprops
-from liberatrix.exactla import (RatMatrix, charpoly, col_space_contains,
-                                direct_sum)
+from liberatrix.exactla import RatMatrix, charpoly, column_echelon, direct_sum
 from liberatrix.graphs import (add_edges, bridge_set, build_graph, catalog,
                                catalog_entry, complement)
 from liberatrix.liberation import (
@@ -19,6 +18,7 @@ from liberatrix.liberation import (
 )
 from liberatrix.patterns import SAMPLE_MODES, sample_S
 from liberatrix.strongprops import has_strong_property, has_strong_property_wrt
+from oracles import solve, witness_from_block
 
 SEED = 20260816
 
@@ -78,6 +78,35 @@ def test_certificate_builds_psi_once(monkeypatch):
                              [(2, 5), (3, 5), (4, 5)])
     assert cert.answer and len(cert.per_beta_prime) == 3
     assert len(calls) == 1
+
+
+def test_integer_path_builds_no_fraction_psi(monkeypatch):
+    # the four criteria, enumeration and a "yes" read only psi's integers;
+    # the Fraction rows are built once, when the matrix is read
+    calls = []
+    real = strongprops._pair_rows
+
+    def counting_pair_rows(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(strongprops, "_pair_rows", counting_pair_rows)
+    a, g = ones_block_plus(4), catalog("K4uK1")
+    assert is_liberation_set(a, g, [(3, 5), (4, 5)]).answer
+    assert not is_liberation_set(a, g, [(1, 5)]).answer
+    assert is_liberation_set(a, g, [(3, 5), (4, 5)], "sap").answer
+    assert len(enumerate_minimal_liberation_sets(a, g, max_size=2)) == 6
+    assert has_strong_property(a, g, "sap").answer
+    assert calls == []
+    vm = strongprops.psi(a, g, "ssp")
+    assert vm.ncols == vm.matrix.cols == 10 and vm.matrix == vm.matrix
+    assert len(calls) == 1
+    vm = strongprops.psi(a, g, "sap")
+    assert vm.ncols == vm.matrix.cols == 25
+    assert len(calls) == 2
+    # an obstruction certificate reads the matrix
+    assert not has_strong_property(a, g, "ssp").answer
+    assert len(calls) == 3
 
 
 def test_k4k1_singleton_fails():
@@ -217,8 +246,8 @@ def test_random_certificates_have_valid_witnesses():
 
 @pytest.mark.parametrize("mode", SAMPLE_MODES)
 def test_witnesses_lie_in_column_space_with_support_beta(mode):
-    # every "yes" carries a witness that the public Fraction-route
-    # col_space_contains places in Col(psi), supported exactly on beta
+    # every "yes" carries a witness that the Fraction solver oracle places
+    # in Col(psi), supported exactly on beta
     rng = random.Random(SEED)
     names = ["P4", "P5", "C5", "K1,3", "2K2", "K4uK1", "C6"]
     positives = 0
@@ -235,7 +264,9 @@ def test_witnesses_lie_in_column_space_with_support_beta(mode):
             support = {e for e, x in zip(cert.rows, cert.witness) if x != 0}
             assert support == set(beta)
             vm = strongprops.psi(a, g, kind)
-            assert col_space_contains(vm.matrix, list(cert.witness))
+            y = solve(vm.matrix, list(cert.witness))
+            assert y is not None
+            assert vm.matrix @ RatMatrix.column(y) == RatMatrix.column(cert.witness)
     assert positives >= 10
 
 
@@ -266,9 +297,9 @@ def test_input_validation():
 
 
 @st.composite
-def liberation_instances(draw, max_n=7):
-    """(a, g, beta): a sample of S(g) in any sampling mode, on a graph with
-    a nonedge, and a nonempty set beta of up to three nonedges."""
+def liberation_instances(draw, max_n=7, modes=SAMPLE_MODES):
+    """(a, g, beta): a sample of S(g) in one of the sampling modes, on a
+    graph with a nonedge, and a nonempty set beta of up to three nonedges."""
     n = draw(st.integers(2, max_n))
     pairs = list(combinations(range(1, n + 1), 2))
     mask = draw(st.lists(st.booleans(), min_size=len(pairs),
@@ -276,7 +307,7 @@ def liberation_instances(draw, max_n=7):
     mask[draw(st.integers(0, len(pairs) - 1))] = False
     g = build_graph(n, [e for e, keep in zip(pairs, mask) if keep])
     a = sample_S(g, seed=draw(st.integers(0, 2**32)),
-                 mode=draw(st.sampled_from(SAMPLE_MODES)))
+                 mode=draw(st.sampled_from(modes)))
     nonedges = g.nonedges()
     beta = draw(st.lists(st.sampled_from(nonedges), min_size=1,
                          max_size=min(3, len(nonedges)), unique=True))
@@ -295,6 +326,24 @@ def test_four_criteria_agree_over_sample_modes(case, kind):
                                    kind).answer for e in beta]
     assert cert.answer == all(wrt)
     assert [v for _, v in cert.per_beta_prime] == wrt
+
+
+@pytest.mark.parametrize("kind", ("ssp", "sap"))
+@pytest.mark.parametrize("mode", SAMPLE_MODES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_witness_matches_fraction_block_oracle(mode, kind, data):
+    # the integer witness against the Fraction one, read off the block of
+    # the public column echelon of psi's Fraction matrix
+    a, g, beta = data.draw(liberation_instances(modes=(mode,)))
+    cert = is_liberation_set(a, g, beta, kind)
+    vm = strongprops.psi(a, g, kind)
+    beta_idx = [vm.rows.index(e) for e in beta]
+    ech = column_echelon(vm.matrix, beta_idx)
+    want = (witness_from_block(ech.block, beta_idx, len(vm.rows))
+            if ech.top_independent else None)
+    assert cert.witness == want
+    assert cert.answer == (want is not None)
 
 
 def _relabel(a, g, beta, perm):

@@ -204,7 +204,7 @@ def test_forged_witness_rejected_under_optimize():
         a[4, 4] = 4
         # Col(psi) forces x3 = -x4 on the rows of (3, 5) and (4, 5); this
         # forgery has support beta but x3 = x4
-        forged = lambda block, beta_idx, nrows: tuple(
+        forged = lambda ech, beta_idx, nrows: tuple(
             Fraction(int(i in beta_idx)) for i in range(nrows))
         liberation._witness_from_block = forged
         try:
