@@ -17,7 +17,8 @@ The pivot count of the forward pass is the rank. Clearing the rows above the
 pivots too, those from a given row index on, and dividing each pivot row by
 its pivot entry gives the reduced form of the rows from that index on: from
 row 0 it is the reduced row echelon form, on which kernels and solves are
-read off. A column
+read off; a kernel is read off the integer rows as ratios to the pivot
+entries, with no Fraction form built first. A column
 echelon form is the same elimination run on the integer columns, the
 transposed problem; its pivot and zero-row structure is read off the
 integer rows, and only the entries it returns become Fractions. Its lower
@@ -275,17 +276,23 @@ def _primitive(ints):
 def _eliminate(a, cols, reduce_from=None):
     """Content-reduced integer elimination: (integer rows, pivot columns).
 
-    a is a list of integer rows; pivots are taken in their first cols
-    entries, and rows may run on past them (an augmented part, combined
-    along). a is reordered and its rows are replaced, never changed in
-    place, so rows shared with a caller's cache stay intact. At pivot entry
-    pv, each row with entry f != 0 in the pivot column becomes the primitive
-    part of (pv/g) row - (f/g) pivot_row, g = gcd(pv, f); rows with f = 0
-    are not touched. Rows below the pivot are cleared; with reduce_from set,
-    so are the rows above it from index reduce_from on: 0 gives full
-    Gauss-Jordan, a larger index leaves the rows before it unreduced above
-    later pivots. Rows past the last pivot end up zero in the first cols
-    entries.
+    a is a list of integer rows (lists or tuples); pivots are taken in their
+    first cols entries, and rows may run on past them (an augmented part,
+    combined along). a is reordered and its rows are replaced, never changed
+    in place, so rows shared with a caller's cache stay intact. At pivot
+    entry pv, each row with entry f != 0 in the pivot column becomes the
+    primitive part of (pv/g) row - (f/g) pivot_row, g = gcd(pv, f); rows
+    with f = 0 are not touched. Rows below the pivot are cleared; with
+    reduce_from set, so are the rows above it from index reduce_from on: 0
+    gives full Gauss-Jordan, a larger index leaves the rows before it
+    unreduced above later pivots. Rows past the last pivot end up zero in
+    the first cols entries.
+
+    The pivot row and every row below it are zero before the pivot column
+    c, so a combination is formed only past c: a row below keeps its zero
+    prefix, and a row above it scales its prefix by pv/g. Entry c of the
+    combination is zero. The rows returned are those of the combination
+    over every entry.
 
     Only integers appear and every division is by a gcd, so the arithmetic
     is exact. Each row stays primitive and lies on the same line as its row
@@ -300,26 +307,38 @@ def _eliminate(a, cols, reduce_from=None):
     """
     rows = len(a)
     pivots = []
+    r = 0
     for c in range(cols):
-        r = len(pivots)
-        pivot_row = next((i for i in range(r, rows) if a[i][c]), None)
-        if pivot_row is None:
+        for i in range(r, rows):
+            if a[i][c]:
+                break
+        else:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
+        a[r], a[i] = a[i], a[r]
         ar = a[r]
         pv = ar[c]
+        c1 = c + 1
+        tail = ar[c1:]
+        zeros = [0] * c1
         start = r + 1 if reduce_from is None else min(reduce_from, r + 1)
         for i in range(start, rows):
-            f = a[i][c]
+            ai = a[i]
+            f = ai[c]
             if not f or i == r:
                 continue
             g = gcd(pv, f)
             p, q = pv // g, f // g
-            row = [p * x - q * y for x, y in zip(a[i], ar)]
-            g = gcd(*row)
-            a[i] = [x // g for x in row] if g > 1 else row
+            row = [p * x - q * y for x, y in zip(ai[c1:], tail)]
+            if i < r:
+                row = [p * x for x in ai[:c]] + [0] + row
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
+            else:
+                g = gcd(*row)
+                a[i] = zeros + ([x // g for x in row] if g > 1 else row)
         pivots.append(c)
-        if len(pivots) == rows:
+        r += 1
+        if r == rows:
             break
     return a, pivots
 
@@ -429,26 +448,41 @@ def _column_echelon(cols, nrows, bottom_rows, reduce_from) -> _IntColumnEchelon:
 # ---------------------------------------------------------------------------
 # Kernels and column spaces
 
+def _kernel_vectors(a, cols):
+    """A basis of the right kernel of the matrix with integer rows a (each
+    any nonzero multiple of its row; a is reordered), as Fraction vectors
+    of length cols, one per free column f in increasing order: 1 at f, and
+    at each pivot column minus the reduced row echelon entry in column f,
+    read off _eliminate(a, cols, reduce_from=0) as the pivot row's entry
+    over its pivot entry."""
+    a, pivots = _eliminate(a, cols, 0)
+    pset = set(pivots)
+    basis = []
+    for f in range(cols):
+        if f in pset:
+            continue
+        v = [_ZERO] * cols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            x = a[r][f]
+            if x:
+                v[c] = Fraction(-x, a[r][c])
+        basis.append(v)
+    return basis
+
+
 def kernel_basis(m: RatMatrix) -> RatMatrix:
     """Columns span the (right) kernel of m. Shape cols x nullity."""
-    rr = rref(m)
-    pivots = set(rr.pivot_cols)
-    free = [j for j in range(m.cols) if j not in pivots]
-    basis = []
-    pivot_list = list(rr.pivot_cols)
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivot_list):
-            v[c] = -rr.matrix.data[r][f]
-        basis.append(v)
-    return RatMatrix(m.cols, len(basis),
-                     [[basis[k][i] for k in range(len(basis))] for i in range(m.cols)])
+    basis = _kernel_vectors(_int_rows(m), m.cols)
+    return RatMatrix._wrap(m.cols, len(basis),
+                           [list(row) for row in zip(*basis)] if basis
+                           else [[] for _ in range(m.cols)])
 
 
 def left_kernel_basis(m: RatMatrix) -> RatMatrix:
     """Rows span the left kernel of m. Shape (rows-rank) x rows."""
-    return kernel_basis(m.transpose()).transpose()
+    basis = _kernel_vectors(_int_rows(m.transpose()), m.rows)
+    return RatMatrix._wrap(len(basis), m.rows, basis)
 
 
 def col_space_contains(m: RatMatrix, x) -> bool:

@@ -45,7 +45,8 @@ from .exactla import (RatMatrix, _column_echelon, _eliminate,
                       _in_column_span, _int_vector)
 from .graphs import EdgeSet, Graph, nonedge_set
 from .patterns import SAMPLE_MODES, CertificateError, sample_S
-from .strongprops import _drop_one_verdicts, normalize_kind, psi
+from .strongprops import (_drop_one_verdicts, _selected_rank,
+                          normalize_kind, psi)
 
 CRITERIA = ("definitional", "row-rank", "witness", "echelon")
 
@@ -193,8 +194,13 @@ def enumerate_minimal_liberation_sets(a, g: Graph, kind: str = "ssp",
     """All inclusion-minimal liberation sets of a over g up to max_size.
 
     Exhaustive over nonedge subsets in increasing size; supersets of a found
-    set are skipped, and candidates are screened by the drop-one check on a
-    single shared verification matrix.
+    set are skipped. A candidate beta passes the drop-one check when, for
+    each e in beta, the rows of the one shared verification matrix outside
+    beta - e are independent. Candidates share those row sets (every
+    singleton selects all rows, and {e, f} selects all rows but f, as does
+    {f, g} for g != f), so each distinct selection is ranked once per call,
+    exact or float alike, and its verdict kept in a dict keyed by the rows
+    it leaves out.
     """
     kind = normalize_kind(kind)
     vm = psi(a, g, kind)
@@ -202,6 +208,16 @@ def enumerate_minimal_liberation_sets(a, g: Graph, kind: str = "ssp",
     if not 1 <= max_size <= len(rows):
         raise ValueError("max_size must lie in 1..%d, the nonedge count, got %d"
                          % (len(rows), max_size))
+    independent = {}
+
+    def rows_independent(left_out):
+        ok = independent.get(left_out)
+        if ok is None:
+            sel_idx = [k for k in range(len(rows)) if k not in left_out]
+            ok = independent[left_out] = (
+                _selected_rank(vm, sel_idx) == len(sel_idx))
+        return ok
+
     found = []
     found_sets = []
     for size in range(1, max_size + 1):
@@ -209,9 +225,9 @@ def enumerate_minimal_liberation_sets(a, g: Graph, kind: str = "ssp",
             cset = set(combo)
             if any(prev <= cset for prev in found_sets):
                 continue
-            pairs = [rows[i] for i in combo]
-            if all(ok for _, ok in _drop_one_verdicts(vm, pairs)):
-                found.append(nonedge_set(g, pairs))
+            if all(rows_independent(combo[:t] + combo[t + 1:])
+                   for t in range(size)):
+                found.append(nonedge_set(g, [rows[i] for i in combo]))
                 found_sets.append(cset)
     return found
 

@@ -20,9 +20,12 @@ are one numpy gather. The integer rows and columns of exact rank and
 echelon work come from one such gather of D A (D the lcm of A's
 denominators), each row or column divided by the gcd of its entries.
 psi checks the pattern at once, and each form is built when first read:
-exact rank and liberation work reads only the integers, so the Fraction
-rows are built only for an obstruction certificate or a caller that reads
-VerificationMatrix.matrix.
+exact rank, liberation and obstruction work reads only the integers, so
+the Fraction rows are built only for a caller that reads
+VerificationMatrix.matrix. An obstruction comes off the kernel of the
+integer columns cut to the selected rows (exactla._kernel_vectors) and is
+re-checked with integer products of D A and L X, L the lcm of the
+denominators of the reassembled X.
 """
 
 from __future__ import annotations
@@ -37,11 +40,10 @@ import numpy as np
 from .exactla import (
     RatMatrix,
     _eliminate,
+    _kernel_vectors,
     _primitive,
     _scaled_to_integers,
-    commutator,
     kernel_basis,
-    left_kernel_basis,
 )
 from .graphs import Graph, complement
 from .numla import numeric_rank
@@ -224,14 +226,29 @@ def _reassemble(coeffs, pairs, n):
     return x
 
 
+def _int_product(p, q):
+    """Product of two square integer matrices given as row lists."""
+    qt = list(zip(*q))
+    return [[sum(x * y for x, y in zip(row, col)) for col in qt] for row in p]
+
+
 def _verify_certificate(a, kind, x, pairs_graph: Graph):
-    """The reassembled X must be a genuine obstruction."""
+    """The reassembled X must be a genuine obstruction. The product is
+    checked in integers: with D and L the lcms of the denominators of A
+    and X, (D A)(L X), less (L X)(D A) for "ssp", is D L times A X (or
+    [A, X]), so it vanishes exactly when that does."""
     if not in_class(x, complement(pairs_graph), "S_cl0"):
         raise CertificateError("obstruction is not supported on the nonedges")
-    prod = commutator(a, x) if kind == "ssp" else a @ x
-    if not prod.is_zero():
+    ai = _scaled_to_integers(a)[1]
+    xi = _scaled_to_integers(x)[1]
+    ax = _int_product(ai, xi)
+    if kind == "ssp":
+        annihilates = ax == _int_product(xi, ai)
+    else:
+        annihilates = not any(map(any, ax))
+    if not annihilates:
         raise CertificateError("obstruction does not annihilate the matrix")
-    if x.is_zero():
+    if not any(map(any, xi)):
         raise CertificateError("obstruction is zero")
 
 
@@ -255,10 +272,12 @@ def _verdict_wrt(vm: VerificationMatrix, h: Graph,
     r, m = _selected_rank(vm, sel_idx, tol), len(sel_idx)
     if r == m or not vm.exact:
         return StrongPropertyResult(r == m, vm.kind, r, m - r, sel_pairs)
+    # the left kernel of the selected rows is the kernel of their
+    # transpose, whose rows are the integer columns cut to the selection
+    cols = [_primitive([col[k] for k in sel_idx]) for col in vm.int_cols]
     cert = []
-    lk = left_kernel_basis(vm.matrix.submatrix(row_idx=sel_idx))
-    for t in range(lk.rows):
-        x = _reassemble(lk.row(t), sel_pairs, vm.graph.n)
+    for v in _kernel_vectors(cols, m):
+        x = _reassemble(v, sel_pairs, vm.graph.n)
         _verify_certificate(vm.source, vm.kind, x, h)
         cert.append(x)
     return StrongPropertyResult(False, vm.kind, r, m - r, sel_pairs, tuple(cert))

@@ -129,17 +129,24 @@ def _normalize_pairs(g: Graph, h: Graph, f):
 
     Second coordinates may instead be given in the disjoint-union labeling
     |V(G)|+1 .. |V(G)|+|V(H)|; if any coordinate exceeds |V(H)| the whole
-    set is read that way and shifted down.
+    set is read that way and shifted down. A second coordinate outside
+    1 .. |V(G)|+|V(H)| fits neither labeling and is refused first.
     """
     pairs = [(int(u), int(v)) for (u, v) in f]
+    top = g.n + h.n
+    for (_, v) in pairs:
+        if not 1 <= v <= top:
+            raise ValueError("second coordinate %d outside 1..%d, so not a"
+                             " vertex of the second factor in either"
+                             " labeling" % (v, top))
     if any(v > h.n for (_, v) in pairs):
-        shifted = []
-        for (u, v) in pairs:
-            if not g.n < v <= g.n + h.n:
-                raise ValueError("second coordinate %d not a vertex of the"
-                                 " second factor in either labeling" % v)
-            shifted.append((u, v - g.n))
-        pairs = shifted
+        for (_, v) in pairs:
+            if v <= g.n:
+                raise ValueError(
+                    "second coordinate %d is in the product labeling, but"
+                    " others exceed |V(H)| = %d and read as the disjoint-union"
+                    " labeling %d..%d" % (v, h.n, g.n + 1, top))
+        pairs = [(u, v - g.n) for (u, v) in pairs]
     for (u, v) in pairs:
         if not (1 <= u <= g.n and 1 <= v <= h.n):
             raise ValueError("pair (%d,%d) outside the product" % (u, v))

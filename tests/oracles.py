@@ -3,13 +3,18 @@
 They are written the direct way, with no regard for speed: the dense
 commutator construction of the verification matrix, an exact solver read
 off the reduced row echelon form, spectral disjointness from the gcd of
-characteristic polynomials, and the liberation witness read off the
-Fraction block of the public column echelon form.
+characteristic polynomials, the liberation witness read off the Fraction
+block of the public column echelon form, the integer elimination that
+combines every entry of a row, kernels read off the Fraction reduced row
+echelon form, and minimal liberation sets by testing every nonedge subset.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from liberatrix.exactla import RatMatrix, charpoly, poly_gcd, rref
+from liberatrix.liberation import is_liberation_set
 
 
 def basis_X(n: int, i: int, j: int) -> RatMatrix:
@@ -75,3 +80,67 @@ def witness_from_block(block: RatMatrix, beta_idx, nrows):
                 x[idx] = v
             return tuple(x)
     return None
+
+
+def eliminate_dense(a, cols, reduce_from=None):
+    """exactla._eliminate with each combination formed over all entries:
+    the same pivot choice, row order and primitive parts."""
+    rows = len(a)
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, rows) if a[i][c]), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        ar = a[r]
+        pv = ar[c]
+        start = r + 1 if reduce_from is None else min(reduce_from, r + 1)
+        for i in range(start, rows):
+            f = a[i][c]
+            if not f or i == r:
+                continue
+            g = gcd(pv, f)
+            p, q = pv // g, f // g
+            row = [p * x - q * y for x, y in zip(a[i], ar)]
+            g = gcd(*row)
+            a[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        if len(pivots) == rows:
+            break
+    return a, pivots
+
+
+def kernel_basis_rref(m: RatMatrix) -> RatMatrix:
+    """Columns span the right kernel of m, read off the Fraction reduced
+    row echelon form: one column per free column f, 1 at f and minus the
+    rref entries in column f at the pivot columns."""
+    rr = rref(m)
+    pivots = set(rr.pivot_cols)
+    free = [j for j in range(m.cols) if j not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for r, c in enumerate(rr.pivot_cols):
+            v[c] = -rr.matrix.data[r][f]
+        basis.append(v)
+    return RatMatrix(m.cols, len(basis),
+                     [[basis[k][i] for k in range(len(basis))]
+                      for i in range(m.cols)])
+
+
+def left_kernel_basis_rref(m: RatMatrix) -> RatMatrix:
+    """Rows span the left kernel of m: the transposed kernel of m^T."""
+    return kernel_basis_rref(m.transpose()).transpose()
+
+
+def minimal_liberation_sets(a, g, kind, max_size):
+    """Every nonedge subset of g up to max_size that is_liberation_set
+    accepts, kept when no other accepted subset lies inside it; as pair
+    tuples."""
+    accepted = [set(beta) for size in range(1, max_size + 1)
+                for beta in combinations(g.nonedges(), size)
+                if is_liberation_set(a, g, list(beta), kind).answer]
+    return {tuple(sorted(s)) for s in accepted
+            if not any(t < s for t in accepted)}

@@ -86,41 +86,105 @@ def test_graph_file_input(tmp_path):
     assert main(["zf", "--number", "--graph", str(p)]) == 0
 
 
-def test_bad_inputs_exit_two(tmp_path, capsys):
-    assert main(["zf", "--number", "--graph", "catalog:NOPE"]) == 2
-    assert "error:" in capsys.readouterr().err
-    assert main(["zf", "--closure", "--graph", "catalog:P4"]) == 2
-    assert main(["verify", "--kind", "ssp", "--graph", "catalog:P4",
-                 "--matrix", str(tmp_path / "missing.txt")]) == 2
-    header = tmp_path / "header.txt"
-    header.write_text("2\n1 1\n1 0\n")
-    assert main(["verify", "--kind", "ssp", "--graph", "catalog:P2",
-                 "--matrix", str(header)]) == 2
-    assert main(["realize", "--spectrum", "1e400,1,2",
-                 "--shape", "path"]) == 2
-    big = tmp_path / "big.txt"
-    big.write_text("2 2\n1e400 1\n1 0\n")
-    assert main(["liberate", "--graph", "catalog:2K1", "--matrix", str(big),
-                 "--beta", "1-2"]) == 2
-    one = tmp_path / "one.txt"
-    one.write_text("1 1\n1\n")
-    assert main(["directsum", "--matrix-a", str(big), "--matrix-b", str(one),
-                 "--beta", "1-3"]) == 2
-    assert main(["zf", "--number", "--graph", "catalog:P3",
-                 "--json", str(tmp_path / "no" / "such" / "r.json")]) == 2
-    two = tmp_path / "two.txt"
-    two.write_text("2 2\n1 0\n0 2\n")
-    assert main(["verify", "--kind", "ssp", "--graph", "catalog:0K2",
-                 "--matrix", str(two)]) == 2
-    for size in ("0", "-2"):
-        assert main(["libset", "--enumerate", "--graph", "catalog:2K1",
-                     "--matrix", str(two), "--max-size", size]) == 2
-    for tol in ("-1", "0", "nan", "inf"):
-        assert main(["directsum", "--matrix-a", str(one), "--matrix-b",
-                     str(one), "--beta", "1-2", "--tol", tol]) == 2
-    with pytest.raises(SystemExit) as ex:
-        main(["realize", "--spectrum", "--graph", "catalog:P5"])
-    assert ex.value.code == 2
+# input files for the bad-input table, written under tmp_path
+BAD_INPUT_FILES = {
+    "header.txt": "2\n1 1\n1 0\n",
+    "big.txt": "2 2\n1e400 1\n1 0\n",
+    "one.txt": "1 1\n1\n",
+    "two.txt": "2 2\n1 0\n0 2\n",
+    "p3.txt": "3 3\n1 1 0\n1 1 1\n0 1 1\n",
+    "k4k1.txt": "5 5\n" + "1 1 1 1 0\n" * 4 + "0 0 0 0 4\n",
+}
+
+# (id, argv with {d} for the file directory, LIBERATRIX_SEED or None,
+#  a fragment of the error message)
+BAD_INPUTS = [
+    ("unknown-catalog-name", "zf --number --graph catalog:NOPE", None,
+     "unknown catalog name"),
+    ("closure-without-filled", "zf --closure --graph catalog:P4", None,
+     "need --filled"),
+    ("missing-matrix-file", "verify --kind ssp --graph catalog:P4"
+     " --matrix {d}/missing.txt", None, "No such file"),
+    ("bad-matrix-header", "verify --kind ssp --graph catalog:P2"
+     " --matrix {d}/header.txt", None, "rows cols"),
+    ("spectrum-overflow", "realize --spectrum 1e400,1,2 --shape path", None,
+     "too large for a float"),
+    ("liberate-matrix-overflow", "liberate --graph catalog:2K1"
+     " --matrix {d}/big.txt --beta 1-2", None, "too large for a float"),
+    ("directsum-matrix-overflow", "directsum --matrix-a {d}/big.txt"
+     " --matrix-b {d}/one.txt --beta 1-3", None, "too large for a float"),
+    ("unwritable-json", "zf --number --graph catalog:P3"
+     " --json {d}/no/such/r.json", None, "No such file"),
+    ("zero-copy-catalog", "verify --kind ssp --graph catalog:0K2"
+     " --matrix {d}/two.txt", None, "copy count 0"),
+    ("max-size-zero", "libset --enumerate --graph catalog:2K1"
+     " --matrix {d}/two.txt --max-size 0", None, "max_size must lie"),
+    ("max-size-negative", "libset --enumerate --graph catalog:2K1"
+     " --matrix {d}/two.txt --max-size -2", None, "max_size must lie"),
+] + [
+    ("tol-%s" % tol, "directsum --matrix-a {d}/one.txt --matrix-b"
+     " {d}/one.txt --beta 1-2 --tol %s" % tol, None, "--tol must be")
+    for tol in ("-1", "0", "nan", "inf")
+] + [
+    ("spectrum-without-value", "realize --spectrum --graph catalog:P5", None,
+     "expected one argument"),
+    ("wrt-not-a-supergraph", "verify --kind ssp --graph catalog:P3"
+     " --matrix {d}/p3.txt --wrt catalog:3K1", None, "not a supergraph"),
+    ("zf-liberate-pair-outside", "zf-liberate --matrix-a {d}/two.txt"
+     " --matrix-b {d}/one.txt --pairs 1-9", None, "second coordinate 9"),
+    ("graph-libset-zero-trials", "graph-libset --graph catalog:P3"
+     " --beta 1-3 --trials 0", None, "trials must be positive"),
+    ("unknown-replay", "reproduce nope", None, "invalid choice"),
+    ("seed-not-an-int", "zf --number --graph catalog:P3 --seed x", None,
+     "invalid int value"),
+    ("seed-env-not-an-int", "zf --number --graph catalog:P3", "x",
+     "LIBERATRIX_SEED must be an integer"),
+    ("unknown-kind", "verify --kind xyz --graph catalog:P3"
+     " --matrix {d}/p3.txt", None, "invalid choice"),
+    ("cover-vertex-outside", "zf --cover --graph catalog:P3 --filled 1,9",
+     None, "vertex 9 outside"),
+    ("closure-vertex-zero", "zf --closure --graph catalog:P3 --filled 0",
+     None, "vertex 0 outside"),
+    ("libset-check-without-beta", "libset --graph catalog:K4uK1"
+     " --matrix {d}/k4k1.txt", None, "needs --beta"),
+    ("libset-beta-on-an-edge", "libset --graph catalog:K4uK1"
+     " --matrix {d}/k4k1.txt --beta 1-2", None, "edges of the graph"),
+    ("realize-spectrum-wrong-size", "realize --graph catalog:P3"
+     " --spectrum 1,2", None, "does not fit 3 vertices"),
+    ("realize-path-repeated-value", "realize --shape path --spectrum 1,1,2",
+     None, "simple eigenvalues"),
+    ("directsum-equal-pair", "directsum --matrix-a {d}/two.txt"
+     " --matrix-b {d}/one.txt --beta 1-1", None, "bad pair '1-1'"),
+]
+
+
+@pytest.mark.parametrize("argv, seed_env, message",
+                         [case[1:] for case in BAD_INPUTS],
+                         ids=[case[0] for case in BAD_INPUTS])
+def test_bad_inputs_exit_two(argv, seed_env, message, tmp_path, capsys,
+                             monkeypatch):
+    # bad input exits 2 with an error line, from argparse or from main
+    for name, text in BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    if seed_env is None:
+        monkeypatch.delenv("LIBERATRIX_SEED", raising=False)
+    else:
+        monkeypatch.setenv("LIBERATRIX_SEED", seed_env)
+    try:
+        code = main(argv.format(d=tmp_path).split())
+    except SystemExit as ex:
+        code = ex.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+
+
+def test_local_cover_names_the_coordinate_outside_both_labelings(capsys):
+    # 1 fits the product labeling of P3 x P3; 9 fits neither labeling
+    assert main(["zf", "--local-cover", "--graph", "catalog:P3",
+                 "--graph-h", "catalog:P3", "--pairs", "1-1,9-9"]) == 2
+    err = capsys.readouterr().err
+    assert "second coordinate 9" in err and "coordinate 1 " not in err
 
 
 def test_zero_denominator_entry_exits_two(tmp_path, capsys):

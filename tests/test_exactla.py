@@ -25,7 +25,8 @@ from liberatrix.exactla import (
     rank,
     rref,
 )
-from oracles import solve
+from oracles import (eliminate_dense, kernel_basis_rref,
+                     left_kernel_basis_rref, solve)
 
 # Verification matrix of the rank-1-plus-point instance, frozen:
 # rows indexed by the four bridge nonedges.
@@ -454,3 +455,50 @@ def test_constructors_give_fraction_entries_in_own_rows():
         RatMatrix.zeros(-1, 2)
     assert a.data == before and z.data == [[5, 0], [0, 0]]
     assert all(type(x) is Fraction for row in z.data for x in row)
+
+
+@st.composite
+def elimination_cases(draw):
+    """(rows, cols, reduce_from): integer rows, often zero or repeated in
+    part, as lists or tuples, pivoting in the first cols entries with up to
+    three augmented entries after them; reduce_from None, 0 or a row
+    index."""
+    cols = draw(st.integers(0, 6))
+    width = cols + draw(st.integers(0, 3))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        if rows and draw(st.booleans()):
+            base = draw(st.sampled_from(rows))
+            k = draw(st.integers(-3, 3))
+            row = [k * x + (y if draw(st.booleans()) else 0)
+                   for x, y in zip(base, draw(st.lists(
+                       entry, min_size=width, max_size=width)))]
+        else:
+            row = draw(st.lists(entry, min_size=width, max_size=width))
+        rows.append(tuple(row) if draw(st.booleans()) else row)
+    reduce_from = draw(st.one_of(st.none(), st.just(0),
+                                 st.integers(0, len(rows))))
+    return rows, cols, reduce_from
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_cases())
+def test_eliminate_matches_dense_oracle(case):
+    # combinations formed from the pivot column on give the same rows,
+    # row types and pivots as combinations over every entry
+    rows, cols, reduce_from = case
+    before = [r[:] for r in rows]
+    got = _eliminate(list(rows), cols, reduce_from)
+    assert got == eliminate_dense(list(rows), cols, reduce_from)
+    assert rows == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(echelon_cases())
+def test_kernel_bases_match_fraction_rref_oracle(case):
+    # kernels read off the integer elimination equal those read off the
+    # Fraction rref, shapes included
+    m, _ = case
+    assert kernel_basis(m) == kernel_basis_rref(m)
+    assert left_kernel_basis(m) == left_kernel_basis_rref(m)

@@ -18,7 +18,7 @@ from liberatrix.liberation import (
 )
 from liberatrix.patterns import SAMPLE_MODES, sample_S
 from liberatrix.strongprops import has_strong_property, has_strong_property_wrt
-from oracles import solve, witness_from_block
+from oracles import minimal_liberation_sets, solve, witness_from_block
 
 SEED = 20260816
 
@@ -81,8 +81,9 @@ def test_certificate_builds_psi_once(monkeypatch):
 
 
 def test_integer_path_builds_no_fraction_psi(monkeypatch):
-    # the four criteria, enumeration and a "yes" read only psi's integers;
-    # the Fraction rows are built once, when the matrix is read
+    # the four criteria, enumeration, a "yes" and an obstruction read only
+    # psi's integers; the Fraction rows are built once, when the matrix is
+    # read
     calls = []
     real = strongprops._pair_rows
 
@@ -104,9 +105,10 @@ def test_integer_path_builds_no_fraction_psi(monkeypatch):
     vm = strongprops.psi(a, g, "sap")
     assert vm.ncols == vm.matrix.cols == 25
     assert len(calls) == 2
-    # an obstruction certificate reads the matrix
-    assert not has_strong_property(a, g, "ssp").answer
-    assert len(calls) == 3
+    # an obstruction comes off the integer columns
+    res = has_strong_property(a, g, "ssp")
+    assert not res.answer and len(res.certificate) == 1
+    assert len(calls) == 2
 
 
 def test_k4k1_singleton_fails():
@@ -158,20 +160,20 @@ def test_g151_constructed_counterexample():
 
 def test_drop_one_criterion_builds_no_certificate(monkeypatch):
     # the definitional criterion reads verdicts only; the failing drop must
-    # not pay for a left kernel and its reassembled obstructions
+    # not pay for a kernel and its reassembled obstructions
     a = direct_sum(
         RatMatrix.from_rows([[0, 1, 1, 1], [1, -1, 0, 0],
                              [1, 0, 0, 0], [1, 0, 0, 0]]),
         RatMatrix.from_rows([[0, 1], [1, 1]]))
     entry = catalog_entry("G151")
     calls = []
-    real = strongprops.left_kernel_basis
+    real = strongprops._kernel_vectors
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(strongprops, "left_kernel_basis", counting)
+    monkeypatch.setattr(strongprops, "_kernel_vectors", counting)
     cert = is_liberation_set(a, entry.base, entry.beta)
     assert cert.per_beta_prime == (((2, 6), True), ((3, 5), True),
                                    ((4, 5), True), ((4, 6), False))
@@ -297,10 +299,10 @@ def test_input_validation():
 
 
 @st.composite
-def liberation_instances(draw, max_n=7, modes=SAMPLE_MODES):
+def liberation_instances(draw, max_n=7, modes=SAMPLE_MODES, min_n=2):
     """(a, g, beta): a sample of S(g) in one of the sampling modes, on a
     graph with a nonedge, and a nonempty set beta of up to three nonedges."""
-    n = draw(st.integers(2, max_n))
+    n = draw(st.integers(min_n, max_n))
     pairs = list(combinations(range(1, n + 1), 2))
     mask = draw(st.lists(st.booleans(), min_size=len(pairs),
                          max_size=len(pairs)))
@@ -344,6 +346,25 @@ def test_witness_matches_fraction_block_oracle(mode, kind, data):
             if ech.top_independent else None)
     assert cert.witness == want
     assert cert.answer == (want is not None)
+
+
+@pytest.mark.parametrize("kind", ("ssp", "sap"))
+@pytest.mark.parametrize("mode", SAMPLE_MODES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_enumeration_matches_brute_force_oracle(mode, kind, data):
+    # every nonedge subset up to max_size certified one by one, kept when
+    # minimal; float input of the same draw gives the same sets
+    a, g, _ = data.draw(liberation_instances(max_n=6, modes=(mode,),
+                                              min_n=3))
+    max_size = data.draw(st.integers(1, min(3, len(g.nonedges()))))
+    got = enumerate_minimal_liberation_sets(a, g, kind, max_size=max_size)
+    pairs = [f.pairs for f in got]
+    assert len(set(pairs)) == len(pairs)
+    assert set(pairs) == minimal_liberation_sets(a, g, kind, max_size)
+    floats = enumerate_minimal_liberation_sets(a.to_float(), g, kind,
+                                               max_size=max_size)
+    assert [f.pairs for f in floats] == pairs
 
 
 def _relabel(a, g, beta, perm):
