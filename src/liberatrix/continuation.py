@@ -15,8 +15,9 @@ by construction, not merely small.
 
 realize_spectrum() builds matrices with a prescribed spectrum for a few
 stock shapes; realize_in_pattern() does the same for an arbitrary pattern
-with the same Newton solver from random isospectral starts, holding one
-re-seeded entry fixed when a limit collapses, as liberate holds a new pair;
+with the same Newton solver from random isospectral starts, holding one more
+re-seeded entry fixed each time a limit collapses, as liberate holds a new
+pair, and keeping every held entry held;
 complete_pattern_low_rank() rounds out a rank-deficient matrix to a full
 pattern without raising the rank, by the same minimum-norm Newton loop on
 the factor V of V S V^T with its closed-form Jacobian.
@@ -70,11 +71,17 @@ def _pattern_slots(g: Graph):
     return slots
 
 
+def _slot_index(slots) -> np.ndarray:
+    """The slots as a (k, 2) integer array of (row, column) pairs; a list of
+    pairs or such an array."""
+    return np.asarray(slots, dtype=int).reshape(-1, 2)
+
+
 def _build_from_slots(n, slots, x):
+    idx = _slot_index(slots)
     a = np.zeros((n, n))
-    for (i, j), v in zip(slots, x):
-        a[i, j] = v
-        a[j, i] = v
+    a[idx[:, 0], idx[:, 1]] = x
+    a[idx[:, 1], idx[:, 0]] = x
     return a
 
 
@@ -93,10 +100,11 @@ def _cluster_pairs(mults):
 
 def _jacobian(q, pairs, slots):
     """d (Q^T A(x) Q)_ab / d x_ij for the within-cluster pairs (a, b) and
-    the slots (i, j): Q_ia Q_jb + Q_ja Q_ib, or Q_ia Q_ib on the diagonal."""
+    the slots (i, j): Q_ia Q_jb + Q_ja Q_ib, or Q_ia Q_ib on the diagonal.
+    The slots are a list of pairs or their _slot_index array."""
     ra, rb = pairs
-    si = np.array([i for i, _ in slots], dtype=int)
-    sj = np.array([j for _, j in slots], dtype=int)
+    idx = _slot_index(slots)
+    si, sj = idx[:, 0], idx[:, 1]
     qi, qj = q[si], q[sj]
     jac = qi[:, ra] * qj[:, rb] + qj[:, ra] * qi[:, rb]
     jac[si == sj] *= 0.5
@@ -120,14 +128,17 @@ def _newton(n, slots, free, target, x, tol, max_steps=40):
     scale = max(1.0, float(np.max(np.abs(tgt))))
     pairs = _cluster_pairs(multiplicity_list(tgt, 1e-6 * scale).multiplicities)
     on_diag = pairs[0] == pairs[1]
-    free_slots = [slots[k] for k in free]
+    # index the slots once; each step assembles A(x) by fancy indexing
+    idx = _slot_index(slots)
+    free = np.asarray(free, dtype=int)
+    free_idx = idx[free]
     full = np.array(x, dtype=float)
 
     def system(y):
         full[free] = y
-        vals, q = np.linalg.eigh(_build_from_slots(n, slots, full))
+        vals, q = np.linalg.eigh(_build_from_slots(n, idx, full))
         res = np.where(on_diag, vals[pairs[0]] - tgt[pairs[0]], 0.0)
-        return res, _jacobian(q, pairs, free_slots)
+        return res, _jacobian(q, pairs, free_idx)
 
     y, reason = _min_norm_newton(system, full[free], tol, max_steps)
     full[free] = y
@@ -356,9 +367,10 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
     to zero). Then every collapsed edge entry is re-seeded at +-0.1 times
     the spectral spread and the solve rerun with the first of them held at
     its seed value, as liberate holds a new pair: with every entry free the
-    minimum-norm steps walk the re-seeded entries back to zero. Up to ten
-    such rounds run per attempt. Feasibility is the caller's burden;
-    infeasible targets surface as non-convergence.
+    minimum-norm steps walk the re-seeded entries back to zero. Each held
+    entry stays held in the later rounds, so the held set grows by one
+    entry per round; up to ten rounds run per attempt. Feasibility is the
+    caller's burden; infeasible targets surface as non-convergence.
     """
     values = sorted(_flat_values(spectrum))
     if len(values) != g.n:
@@ -376,6 +388,7 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
         x = np.array([b[i, j] for (i, j) in slots])
         ok = False
         dead = []
+        held = set()
         free = range(len(slots))
         for _round in range(10):
             x, reason = _newton(g.n, slots, free, target_vals, x, tol * vscale)
@@ -387,8 +400,10 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
                 break
             for k in dead:
                 x[k] = 0.1 * spread * (1 if rng.random() < 0.5 else -1)
-            # hold one re-seeded entry off zero, as liberate holds a new pair
-            free = [k for k in range(len(slots)) if k != dead[0]]
+            # hold one more re-seeded entry off zero, as liberate holds a new
+            # pair; the entries held in earlier rounds stay held
+            held.add(dead[0])
+            free = [k for k in range(len(slots)) if k not in held]
         if not ok or dead:
             continue
         a = _build_from_slots(g.n, slots, x)

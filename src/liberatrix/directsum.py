@@ -102,7 +102,12 @@ def is_generic(w, tol: float = 1e-8) -> bool:
     """Every maximal square row-submatrix of a basis matrix is invertible.
 
     The answer depends only on the column span: a change of basis multiplies
-    each minor by the same nonzero factor.
+    each minor by the same nonzero factor. A RatMatrix is tested by one exact
+    rank per row selection. A float matrix is False when a row's norm is at
+    most tol times the largest; otherwise its rows are scaled to unit norm
+    and one batched determinant over the C(n, d) row selections decides,
+    each minor counting as singular when its absolute value is at most tol.
+    Both raise ValueError on a rank-deficient basis.
     """
     if isinstance(w, RatMatrix):
         n, d = w.rows, w.cols
@@ -119,17 +124,15 @@ def is_generic(w, tol: float = 1e-8) -> bool:
         raise ValueError("basis matrix is rank-deficient")
     if d == 0:
         return True
-    scale = float(max(np.linalg.norm(arr[r]) for r in range(n)))
-    for sel in combinations(range(n), d):
-        sub = arr[list(sel)]
-        norms = np.array([np.linalg.norm(sub[r]) for r in range(d)])
-        # a numerically zero row is singular outright; testing the
-        # row-normalized determinant keeps the threshold scale-free
-        if np.any(norms <= tol * scale):
-            return False
-        if abs(float(np.linalg.det(sub / norms[:, None]))) <= tol:
-            return False
-    return True
+    norms = np.array([np.linalg.norm(row) for row in arr])
+    # every row lies in some selection, and a numerically zero row makes
+    # its minors singular outright
+    if np.any(norms <= tol * float(np.max(norms))):
+        return False
+    # the row-normalized determinants keep the threshold scale-free
+    sels = np.array(list(combinations(range(n), d)), dtype=int)
+    dets = np.linalg.det((arr / norms[:, None])[sels])
+    return not np.any(np.abs(dets) <= tol)
 
 
 def _as_bridge(m, n, beta) -> EdgeSet:

@@ -6,15 +6,19 @@ off the reduced row echelon form, spectral disjointness from the gcd of
 characteristic polynomials, the liberation witness read off the Fraction
 block of the public column echelon form, the integer elimination that
 combines every entry of a row, kernels read off the Fraction reduced row
-echelon form, and minimal liberation sets by testing every nonedge subset.
+echelon form, minimal liberation sets by testing every nonedge subset, and
+genericity of a float basis by one determinant per row selection.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import numpy as np
+
 from liberatrix.exactla import RatMatrix, charpoly, poly_gcd, rref
 from liberatrix.liberation import is_liberation_set
+from liberatrix.numla import numeric_rank
 
 
 def basis_X(n: int, i: int, j: int) -> RatMatrix:
@@ -144,3 +148,27 @@ def minimal_liberation_sets(a, g, kind, max_size):
                 if is_liberation_set(a, g, list(beta), kind).answer]
     return {tuple(sorted(s)) for s in accepted
             if not any(t < s for t in accepted)}
+
+
+def is_generic_per_subset(w, tol=1e-8):
+    """directsum.is_generic on a float basis matrix, one row selection at a
+    time: the row norms and the determinant of each selection in turn."""
+    arr = np.asarray(w, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError("expected a matrix of basis columns")
+    n, d = arr.shape
+    if numeric_rank(arr, tol) != d:
+        raise ValueError("basis matrix is rank-deficient")
+    if d == 0:
+        return True
+    scale = float(max(np.linalg.norm(arr[r]) for r in range(n)))
+    for sel in combinations(range(n), d):
+        sub = arr[list(sel)]
+        norms = np.array([np.linalg.norm(sub[r]) for r in range(d)])
+        # a numerically zero row is singular outright; testing the
+        # row-normalized determinant keeps the threshold scale-free
+        if np.any(norms <= tol * scale):
+            return False
+        if abs(float(np.linalg.det(sub / norms[:, None]))) <= tol:
+            return False
+    return True

@@ -94,6 +94,8 @@ BAD_INPUT_FILES = {
     "two.txt": "2 2\n1 0\n0 2\n",
     "p3.txt": "3 3\n1 1 0\n1 1 1\n0 1 1\n",
     "k4k1.txt": "5 5\n" + "1 1 1 1 0\n" * 4 + "0 0 0 0 4\n",
+    "short-graph.txt": "4 2\n1 2\n",
+    "token-graph.txt": "3 2\n1 2\n2 x\n",
 }
 
 # (id, argv with {d} for the file directory, LIBERATRIX_SEED or None,
@@ -155,6 +157,16 @@ BAD_INPUTS = [
      None, "simple eigenvalues"),
     ("directsum-equal-pair", "directsum --matrix-a {d}/two.txt"
      " --matrix-b {d}/one.txt --beta 1-1", None, "bad pair '1-1'"),
+    ("graph-file-missing-edges", "zf --number --graph {d}/short-graph.txt",
+     None, "expected 4 edge numbers"),
+    ("graph-file-non-integer", "zf --number --graph {d}/token-graph.txt",
+     None, "invalid literal"),
+    ("libset-beta-loop", "libset --graph catalog:K4uK1"
+     " --matrix {d}/k4k1.txt --beta 2-2", None, "need distinct"),
+    ("libset-beta-duplicate", "libset --graph catalog:K4uK1"
+     " --matrix {d}/k4k1.txt --beta 3-5,3-5", None, "duplicate pair"),
+    ("zf-above-16-vertices", "zf --number --graph catalog:K17", None,
+     "capped at 16 vertices"),
 ]
 
 

@@ -295,6 +295,33 @@ def test_realize_in_pattern_holds_a_reseeded_entry(case, monkeypatch):
     assert calls[0] <= free_resolve_solves // 2
 
 
+# The most Newton solves realize_in_pattern may take over seeds 0-19 on each
+# COLLAPSING spectrum when the held set keeps every entry held in an earlier
+# round: half the count with one held entry per re-solve on C6 (260), no
+# more than that count on C5 (46 and 48).
+HELD_SET_SOLVES = {
+    "C6 (-r3)^2 0^2 (r3)^2": 130,
+    "C5 1,2,2": 46,
+    "C5 2,2,1": 48,
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLLAPSING))
+def test_realize_in_pattern_keeps_held_entries_held(case, monkeypatch):
+    g, target, _ = COLLAPSING[case]
+    calls = [0]
+    newton = continuation._newton
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "_newton", counting)
+    for seed in range(20):
+        assert_realizes(realize_in_pattern(g, target, seed=seed), g, target)
+    assert calls[0] <= HELD_SET_SOLVES[case]
+
+
 def test_realize_in_pattern_c6c8_block_seeds():
     g, target, _ = COLLAPSING["C6 (-r3)^2 0^2 (r3)^2"]
     # replays._realize_ssp's seeds, bare and under reproduce("c6c8", 0)

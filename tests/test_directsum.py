@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liberatrix.directsum import (
     directsum_liberation,
@@ -14,6 +16,7 @@ from liberatrix.exactla import RatMatrix, direct_sum
 from liberatrix.graphs import bridge_set, catalog, catalog_entry, disjoint_union
 from liberatrix.liberation import is_liberation_set
 from liberatrix.numla import random_orthogonal, sym_eigen
+from oracles import is_generic_per_subset
 
 SEED = 20260816
 
@@ -147,6 +150,46 @@ def test_is_generic_basis_invariant():
         while abs(np.linalg.det(q)) < 0.2:
             q = rng.standard_normal((2, 2))
         assert is_generic(w) == is_generic(w @ q)
+
+
+@st.composite
+def basis_matrices(draw):
+    """n x d matrices, d <= n <= 7, with entries rounded to one decimal, so
+    that zero entries and equal rows are common; on request a zero row, two
+    proportional rows (every minor holding both is singular), nudged off
+    proportional by about the tolerance, or a repeated column
+    (rank-deficient)."""
+    n = draw(st.integers(1, 7))
+    d = draw(st.integers(0, n))
+    entry = st.floats(-2.0, 2.0).map(lambda v: round(v, 1))
+    w = np.array(draw(st.lists(entry, min_size=n * d, max_size=n * d)),
+                 dtype=float).reshape(n, d)
+    if d >= 1 and draw(st.booleans()):
+        w[draw(st.integers(0, n - 1))] = 0.0
+    if d >= 2 and draw(st.booleans()):
+        r, s = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        w[s] = draw(st.sampled_from((-2.0, 0.5, 1.0, 3.0))) * w[r]
+        w[s, draw(st.integers(0, d - 1))] += draw(
+            st.sampled_from((0.0, 3e-9, 1e-8, 3e-8)))
+    if d >= 2 and draw(st.integers(0, 3)) == 0:
+        w[:, d - 1] = w[:, 0]
+    return w * draw(st.sampled_from((1e-3, 1.0, 1e3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(basis_matrices())
+# a minor of rows 1 and 2 at 0.7 and 1.2 times the tolerance
+@example(np.array([[1.0, 0.0], [1.0, 7e-9], [0.0, 1.0]]))
+@example(np.array([[1.0, 0.0], [1.0, 1.2e-8], [0.0, 1.0]]))
+def test_is_generic_matches_per_subset_oracle(w):
+    try:
+        expected = is_generic_per_subset(w)
+    except ValueError as ex:
+        with pytest.raises(ValueError, match=str(ex)):
+            is_generic(w)
+    else:
+        assert is_generic(w) is expected
 
 
 def test_directsum_wrt_rejects_weak_block():
