@@ -29,7 +29,7 @@ from .exactla import RatMatrix, parse_entry, read_matrix, write_matrix
 from .graphs import EdgeSet, Graph, catalog, read_graph
 from .liberation import (enumerate_minimal_liberation_sets,
                          is_graph_liberation_set, is_liberation_set)
-from .numla import SymMatrix, multiplicity_list, sym_eigen
+from .numla import multiplicity_list, sym_eigen
 from .patterns import in_class
 from .strongprops import has_strong_property, has_strong_property_wrt
 from .zeroforcing import (closure, is_local_zf_cover, is_zf_cover,
@@ -142,8 +142,6 @@ def _jsonable(obj):
         return {"rows": obj.rows, "cols": obj.cols,
                 "entries": [[str(obj[i, j]) for j in range(obj.cols)]
                             for i in range(obj.rows)]}
-    if isinstance(obj, SymMatrix):
-        return _jsonable(obj.array)
     if isinstance(obj, Graph):
         return {"n": obj.n, "edges": [list(e) for e in obj.edges]}
     if isinstance(obj, EdgeSet):

@@ -13,13 +13,17 @@ certificate comes in two kinds: bridges checked through the Sylvester
 intertwiner space (`directsum_liberation`) or a zero-forcing cover of the
 Cartesian product (`zf_liberation`).
 
-`TABLE6` states each table row's ordered multiplicity lists once, and one
-row builder, `_row_glue`, realizes any list of any row. The list targets
-(`g100`, `g127g169`, `g163`, `g129`, `g171`, `g175`) are entries of
-`_LIST_TARGETS`, run by one runner: each step draws target values, checks
-and realizes every list of its row, and the last list's matrix then grows
-into the one-pair rows of that row. `table6` realizes every list of every
-row at two independent draws.
+The table rows are data. `_SPLITS` names, for each ordered multiplicity
+list of a row, its blocks A and B (a shape and the indices of the list's
+values each takes) and its glue options; one function, `_block`, realizes
+any block, and `_row_glue` realizes any list of any row. `TABLE6`, every
+list of every row, is read off `_SPLITS` and the one-pair rows, which grow
+their parent row's matrix by one pair. The list targets (`g100`,
+`g127g169`, `g163`, `g129`, `g171`, `g175`) are entries of `_LIST_TARGETS`,
+run by one runner: each step draws target values, checks and realizes every
+list of its row, and the last list's matrix then grows into the one-pair
+rows of that row. `table6` realizes every list of every row at two
+independent draws.
 """
 
 from __future__ import annotations
@@ -174,13 +178,6 @@ def _nonzero_fraction(rng):
     return Fraction(sign * rng.randint(1, 9), rng.randint(1, 9))
 
 
-def _expand(values, mults):
-    out = []
-    for v, m in zip(values, mults):
-        out.extend([float(v)] * int(m))
-    return out
-
-
 def _block_diag(*blocks):
     arrs = [np.asarray(b, dtype=float) for b in blocks]
     n = sum(a.shape[0] for a in arrs)
@@ -191,41 +188,6 @@ def _block_diag(*blocks):
         out[at:at + k, at:at + k] = a
         at += k
     return out
-
-
-def _embed(n, placements):
-    """Place blocks at explicit 1-based vertex lists, order preserved."""
-    out = np.zeros((n, n))
-    for verts, block in placements:
-        b = np.asarray(block, dtype=float)
-        for i, u in enumerate(verts):
-            for j, v in enumerate(verts):
-                out[u - 1, v - 1] = b[i, j]
-    return out
-
-
-def _sym2(lo, hi):
-    """Edge block with spectrum {lo, hi} and nowhere-zero eigenvectors."""
-    return np.array([[(lo + hi) / 2.0, (hi - lo) / 2.0],
-                     [(hi - lo) / 2.0, (lo + hi) / 2.0]])
-
-
-def _complete_block(k, repeated, simple):
-    """All-pairs block with spectrum {repeated^(k-1), simple}."""
-    return repeated * np.eye(k) + ((simple - repeated) / k) * np.ones((k, k))
-
-
-def _two_double(p, q):
-    """Signed 4-cycle in ring order with spectrum {p^2, q^2}.
-
-    One negative edge makes the square of the ring part 2I, so both
-    eigenvalues are doubled with generic eigenspaces.
-    """
-    c = (p + q) / 2.0
-    w = (q - p) / (2.0 * math.sqrt(2.0))
-    ring = np.array([[0, 1, 0, -1], [1, 0, 1, 0],
-                     [0, 1, 0, 1], [-1, 0, 1, 0]], dtype=float)
-    return c * np.eye(4) + w * ring
 
 
 def _quiet(fn, *args, **kwargs):
@@ -391,129 +353,82 @@ def _glue(a, b, seed, bridges=None, cover=None, place=None):
     lib = liberate(_block_diag(a, b), base, cert.beta, seed=seed)
     if place is None:
         return _Glue(a, b, cert, lib, lib.matrix)
-    return _Glue(a, b, cert, lib, _embed(len(place), ((place, lib.matrix),)))
+    idx = np.asarray(place) - 1
+    out = np.zeros_like(lib.matrix)
+    out[np.ix_(idx, idx)] = lib.matrix
+    return _Glue(a, b, cert, lib, out)
 
 
 # ---------------------------------------------------------------------------
 # table rows glued from two blocks
 
-def _g100_blocks(mults, v, seed):
-    a = realize_spectrum([v[0], v[1], v[1], v[2]], "star",
-                         seed=_subseed(seed, "star")).array
-    return a, _sym2(v[2], v[3])
+# shapes realized with the strong property in their own pattern
+_SSP_SHAPES = {"fork": build_graph(5, ((1, 2), (2, 3), (3, 4), (3, 5))),
+               "c5": cycle_graph(5), "c4": cycle_graph(4)}
 
 
-def _g127_blocks(mults, v, seed):
-    b = realize_spectrum([v[1], v[2], v[3]], "path",
-                         seed=_subseed(seed, "path")).array
-    return _complete_block(3, v[0], v[3]), b
+def _block(shape, idx, values, seed):
+    """The block of shape whose spectrum is values[i] for i in idx.
+
+    ones is r*I + ((s - r)/k)*J, the simple value s first and the repeated
+    value r after it; fork, c5 and c4 are realized in their pattern with the
+    strong property; any other shape is realize_spectrum's.
+    """
+    v = [values[i] for i in idx]
+    if shape == "ones":
+        k = len(v)
+        return v[1] * np.eye(k) + ((v[0] - v[1]) / k) * np.ones((k, k))
+    if shape in _SSP_SHAPES:
+        return _realize_ssp(_SSP_SHAPES[shape], v, _subseed(seed, shape))
+    return realize_spectrum(v, shape, seed=_subseed(seed, shape)).array
 
 
-def _g169_blocks(mults, v, seed):
-    other = v[2] if mults == (1, 3, 2) else v[0]
-    return _complete_block(4, v[1], other), _sym2(v[0], v[2])
-
-
-def _g163_blocks(mults, w, seed):
-    if mults == (1, 1, 3, 1):
-        a, bspec = _complete_block(3, w[2], w[3]), [w[0], w[1], w[2]]
-    else:  # (1, 3, 1, 1)
-        a, bspec = _complete_block(3, w[1], w[0]), [w[1], w[2], w[3]]
-    b = realize_spectrum(bspec, "path", seed=_subseed(seed, "path")).array
-    return a, b
-
-
-def _g151_family_blocks(mults, values, seed):
-    """Blocks of the family member whose spectrum hits the target values."""
-    if mults == (1, 3, 1, 1):
-        s = values[1]
-        lam_m, two_a, lam_p = (values[0] - s, values[2] - s, values[3] - s)
-    elif mults == (1, 1, 3, 1):
-        s = values[2]
-        lam_m, two_a, lam_p = (values[0] - s, values[1] - s, values[3] - s)
-    elif mults == (1, 3, 2):
-        s = values[1]
-        lam_m, lam_p = values[0] - s, values[2] - s
-        two_a = lam_p
-    elif mults == (2, 3, 1):
-        s = values[1]
-        lam_m, lam_p = values[0] - s, values[2] - s
-        two_a = lam_m
-    else:
-        raise ValueError("no family member for %s" % (mults,))
-    m = np.zeros((6, 6))
-    m[0, 0] = lam_m + lam_p
-    t = math.sqrt(-lam_m * lam_p / 3.0)
-    for i in (1, 2, 3):
-        m[0, i] = m[i, 0] = t
-    for i in (4, 5):
-        for j in (4, 5):
-            m[i, j] = two_a / 2.0
-    m = m + s * np.eye(6)
-    return m[:4, :4], m[4:, 4:]
-
-
-def _g151_signed_blocks(mults, v, seed):
-    doubled = (v[1], v[2]) if mults == (1, 2, 3) else (v[0], v[1])
-    return _two_double(*doubled), _sym2(v[0], v[2])
-
-
-def _g129_blocks(mults, v, seed):
-    if mults == (1, 3, 1, 1):
-        spec5, theta = [v[0], v[1], v[1], v[2], v[3]], v[1]
-    elif mults == (1, 1, 3, 1):
-        spec5, theta = [v[0], v[1], v[2], v[2], v[3]], v[2]
-    else:
-        raise ValueError("no construction for %s" % (mults,))
-    fork = build_graph(5, ((1, 2), (2, 3), (3, 4), (3, 5)))
-    return (_realize_ssp(fork, spec5, _subseed(seed, "fork")),
-            np.array([[theta]]))
-
-
-_C5_LIFT = {
-    (1, 2, 3): ((1, 2, 2), 2),
-    (1, 3, 2): ((1, 2, 2), 1),
-    (3, 2, 1): ((2, 2, 1), 0),
-    (2, 3, 1): ((2, 2, 1), 1),
-    (1, 1, 3, 1): ((1, 1, 2, 1), 2),
-    (1, 3, 1, 1): ((1, 2, 1, 1), 1),
+# _glue options by name: a catalog entry's bridges, or bridges or a forcing
+# cover with the placement of a + b in the catalog's labels. G151 also splits
+# as a 4-cycle on 1, 3, 5, 4 plus the pair 2, 6: a 4-cycle block with two
+# doubled values puts one at either extreme, out of the star split's reach.
+_GLUE = {
+    **{name: {"bridges": catalog_entry(name).beta}
+       for name in ("G100", "G127", "G151", "G163", "G169")},
+    "G151 c4": {"bridges": ((1, 5), (3, 6), (4, 6)),
+                "place": (1, 3, 5, 4, 2, 6)},
+    "G129": {"cover": ((1, 1), (4, 1), (5, 1)), "place": (4, 3, 2, 1, 6, 5)},
+    "G171": {"cover": ((1, 1), (3, 1), (4, 1), (5, 1))},
+    "G175": {"cover": tuple((u, v) for u in (2, 3, 4) for v in (1, 2)),
+             "place": (6, 1, 3, 5, 4, 2)},
 }
 
-
-def _g171_blocks(mults, values, seed):
-    base_mults, pos = _C5_LIFT[mults]
-    m = _realize_ssp(cycle_graph(5), _expand(values, base_mults),
-                     _subseed(seed, "c5"))
-    return m, np.array([[values[pos]]])
-
-
-def _g175_blocks(mults, w, seed):
-    a = realize_spectrum([w[0], w[1], w[1], w[2]], "star",
-                         seed=_subseed(seed, "star")).array
-    return a, np.diag([w[1], w[2]] if mults == (1, 3, 2) else [w[0], w[1]])
-
-
-# name -> (block builder, _glue options): the catalog entry's bridges, or a
-# forcing cover and the placement of a + b in the catalog's labels
-_GLUE_ROWS = {
-    **{name: (blocks, {"bridges": catalog_entry(name).beta})
-       for name, blocks in (("G100", _g100_blocks), ("G127", _g127_blocks),
-                            ("G151", _g151_family_blocks),
-                            ("G163", _g163_blocks), ("G169", _g169_blocks))},
-    "G129": (_g129_blocks, {"cover": ((1, 1), (4, 1), (5, 1)),
-                            "place": (4, 3, 2, 1, 6, 5)}),
-    "G171": (_g171_blocks, {"cover": ((1, 1), (3, 1), (4, 1), (5, 1))}),
-    "G175": (_g175_blocks,
-             {"cover": tuple((u, v) for u in (2, 3, 4) for v in (1, 2)),
-              "place": (6, 1, 3, 5, 4, 2)}),
+# row -> ordered list -> (block A, block B, name of its _GLUE options); a
+# block is (shape, value indices), index i standing for the list's i-th
+# value. A row's lists run in this order in its list target.
+_SPLITS = {
+    "G100": {(1, 2, 2, 1): (("star", (0, 1, 1, 2)), ("path", (2, 3)), "G100")},
+    "G127": {(2, 1, 1, 2): (("ones", (3, 0, 0)), ("path", (1, 2, 3)), "G127")},
+    "G129": {(1, 3, 1, 1): (("fork", (0, 1, 1, 2, 3)), ("diagonal", (1,)),
+                            "G129"),
+             (1, 1, 3, 1): (("fork", (0, 1, 2, 2, 3)), ("diagonal", (2,)),
+                            "G129")},
+    "G151": {(1, 1, 3, 1): (("star", (0, 2, 2, 3)), ("path", (1, 2)), "G151"),
+             (1, 3, 1, 1): (("star", (0, 1, 1, 3)), ("path", (1, 2)), "G151"),
+             (1, 2, 3): (("c4", (1, 1, 2, 2)), ("path", (0, 2)), "G151 c4"),
+             (3, 2, 1): (("c4", (0, 0, 1, 1)), ("path", (0, 2)), "G151 c4"),
+             (1, 3, 2): (("star", (0, 1, 1, 2)), ("path", (1, 2)), "G151"),
+             (2, 3, 1): (("star", (0, 1, 1, 2)), ("path", (0, 1)), "G151")},
+    "G163": {(1, 1, 3, 1): (("ones", (3, 2, 2)), ("path", (0, 1, 2)), "G163"),
+             (1, 3, 1, 1): (("ones", (0, 1, 1)), ("path", (1, 2, 3)), "G163")},
+    "G169": {(1, 3, 2): (("ones", (2, 1, 1, 1)), ("path", (0, 2)), "G169"),
+             (2, 3, 1): (("ones", (0, 1, 1, 1)), ("path", (0, 2)), "G169")},
+    "G171": {(1, 2, 3): (("c5", (0, 1, 1, 2, 2)), ("diagonal", (2,)), "G171"),
+             (1, 3, 2): (("c5", (0, 1, 1, 2, 2)), ("diagonal", (1,)), "G171"),
+             (3, 2, 1): (("c5", (0, 0, 1, 1, 2)), ("diagonal", (0,)), "G171"),
+             (2, 3, 1): (("c5", (0, 0, 1, 1, 2)), ("diagonal", (1,)), "G171"),
+             (1, 1, 3, 1): (("c5", (0, 1, 2, 2, 3)), ("diagonal", (2,)),
+                            "G171"),
+             (1, 3, 1, 1): (("c5", (0, 1, 1, 2, 3)), ("diagonal", (1,)),
+                            "G171")},
+    "G175": {(1, 3, 2): (("star", (0, 1, 1, 2)), ("diagonal", (1, 2)), "G175"),
+             (2, 3, 1): (("star", (0, 1, 1, 2)), ("diagonal", (0, 1)), "G175")},
 }
-
-# G151's (1,2,3) and (3,2,1) are out of the family's reach: the pattern also
-# splits as a signed 4-cycle on 1,3,5,4 plus the pair 2,6, which puts a
-# doubled value at either extreme.
-_G151_SIGNED_LISTS = ((1, 2, 3), (3, 2, 1))
-_G151_SIGNED = (_g151_signed_blocks, {"bridges": ((1, 5), (3, 6), (4, 6)),
-                                      "place": (1, 3, 5, 4, 2, 6)})
 
 # rows grown from a parent row by the pair their catalog entry adds:
 # name -> (parent row, stage name when a list target grows into the row)
@@ -522,6 +437,12 @@ _ONE_PAIR_ROWS = {
     "G153": ("G129", "a different added pair reaches the other pattern"),
     "G187": ("G171", "one added pair reaches the densest pattern"),
 }
+
+# every ordered list recorded for each six-vertex row; a one-pair row
+# carries its parent's lists
+TABLE6 = {**{name: tuple(lists) for name, lists in _SPLITS.items()},
+          **{name: tuple(_SPLITS[parent])
+             for name, (parent, _) in _ONE_PAIR_ROWS.items()}}
 
 
 def _grow(parent, name, seed):
@@ -533,17 +454,17 @@ def _grow(parent, name, seed):
 def _row_glue(name, mults, values, seed):
     """The glue record of one list of row name, matrix in the row's labels.
 
-    A one-pair row grows its parent row's matrix by its pair; G151's signed
-    lists take the signed split; every other list glues the row's blocks.
+    A one-pair row grows its parent row's matrix by its pair; every other
+    row glues the two blocks its split names in _SPLITS.
     """
     if name in _ONE_PAIR_ROWS:
         glue = _row_glue(_ONE_PAIR_ROWS[name][0], mults, values, seed)
         if glue.matrix is None:
             return glue
         return glue._replace(matrix=_grow(glue.matrix, name, seed))
-    signed = name == "G151" and mults in _G151_SIGNED_LISTS
-    blocks, options = _G151_SIGNED if signed else _GLUE_ROWS[name]
-    return _glue(*blocks(mults, values, seed), seed, **options)
+    a, b, options = _SPLITS[name][mults]
+    return _glue(_block(*a, values, seed), _block(*b, values, seed), seed,
+                 **_GLUE[options])
 
 
 def _build_list(name, mults, values, seed):
@@ -861,24 +782,6 @@ def _run_prism(run, seed):
 
 # ---------------------------------------------------------------------------
 # the table batch
-
-TABLE6 = {
-    "G100": ((1, 2, 2, 1),),
-    "G127": ((2, 1, 1, 2),),
-    "G129": ((1, 3, 1, 1), (1, 1, 3, 1)),
-    "G145": ((1, 1, 3, 1), (1, 3, 1, 1)),
-    "G151": ((1, 1, 3, 1), (1, 3, 1, 1), (1, 2, 3), (3, 2, 1),
-             (1, 3, 2), (2, 3, 1)),
-    "G153": ((1, 1, 3, 1), (1, 3, 1, 1)),
-    "G163": ((1, 1, 3, 1), (1, 3, 1, 1)),
-    "G169": ((1, 3, 2), (2, 3, 1)),
-    "G171": ((1, 2, 3), (1, 3, 2), (3, 2, 1), (2, 3, 1),
-             (1, 1, 3, 1), (1, 3, 1, 1)),
-    "G175": ((1, 3, 2), (2, 3, 1)),
-    "G187": ((1, 1, 3, 1), (1, 3, 1, 1), (1, 2, 3), (3, 2, 1),
-             (1, 3, 2), (2, 3, 1)),
-}
-
 
 def _table6_row(name, seed, draws=2):
     """Realize every list of row name at each draw; draws are seeded by

@@ -1,5 +1,8 @@
+import random
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from liberatrix import replays as rp
@@ -151,6 +154,60 @@ def test_list_target_stages_and_data_keys(name):
     stages, keys = _LIST_STAGES[name]
     assert rep and [st.name for st in rep.stages] == stages
     assert list(rep.data) == keys
+
+
+# the ordered lists recorded for each row, written out independently of the
+# split table that TABLE6 is read from
+_TABLE6_LISTS = {
+    "G100": ((1, 2, 2, 1),),
+    "G127": ((2, 1, 1, 2),),
+    "G129": ((1, 3, 1, 1), (1, 1, 3, 1)),
+    "G145": ((1, 1, 3, 1), (1, 3, 1, 1)),
+    "G151": ((1, 1, 3, 1), (1, 3, 1, 1), (1, 2, 3), (3, 2, 1),
+             (1, 3, 2), (2, 3, 1)),
+    "G153": ((1, 1, 3, 1), (1, 3, 1, 1)),
+    "G163": ((1, 1, 3, 1), (1, 3, 1, 1)),
+    "G169": ((1, 3, 2), (2, 3, 1)),
+    "G171": ((1, 2, 3), (1, 3, 2), (3, 2, 1), (2, 3, 1),
+             (1, 1, 3, 1), (1, 3, 1, 1)),
+    "G175": ((1, 3, 2), (2, 3, 1)),
+    "G187": ((1, 1, 3, 1), (1, 3, 1, 1), (1, 2, 3), (3, 2, 1),
+             (1, 3, 2), (2, 3, 1)),
+}
+
+_SPLIT_LISTS = [(row, mults) for row, lists in rp._SPLITS.items()
+                for mults in lists]
+
+
+@pytest.mark.parametrize("row, mults", _SPLIT_LISTS)
+def test_split_blocks_share_out_the_list(row, mults):
+    (_, idx_a), (_, idx_b), glue = rp._SPLITS[row][mults]
+    assert len(idx_a) + len(idx_b) == 6
+    assert Counter(idx_a + idx_b) == dict(enumerate(mults))
+    assert glue in rp._GLUE
+
+
+def test_table6_holds_the_recorded_lists():
+    assert len(rp.TABLE6) == 11
+    assert sum(len(lists) for lists in rp.TABLE6.values()) == 32
+    assert {row: set(lists) for row, lists in rp.TABLE6.items()} == \
+        {row: set(lists) for row, lists in _TABLE6_LISTS.items()}
+
+
+def test_one_pair_rows_carry_their_parents_lists():
+    for row, (parent, _) in rp._ONE_PAIR_ROWS.items():
+        assert row not in rp._SPLITS
+        assert rp.TABLE6[row] == tuple(rp._SPLITS[parent])
+
+
+@pytest.mark.parametrize("row, mults", _SPLIT_LISTS)
+def test_blocks_carry_the_spectrum_their_indices_name(row, mults):
+    values = rp._draw_values(random.Random(7), len(mults))
+    for shape, idx in rp._SPLITS[row][mults][:2]:
+        block = rp._block(shape, idx, values, seed=3)
+        got = np.linalg.eigvalsh(block)
+        want = sorted(values[i] for i in idx)
+        assert np.max(np.abs(got - want)) <= 1e-8, (shape, idx)
 
 
 @pytest.mark.parametrize("mults", ((1, 2, 3), (3, 2, 1)), ids=("123", "321"))
