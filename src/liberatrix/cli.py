@@ -22,8 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import REGISTRY
-from .continuation import liberate, realize_in_pattern, realize_spectrum
+from . import REGISTRY, __version__
+from .continuation import (SHAPES, liberate, realize_in_pattern,
+                           realize_spectrum)
 from .directsum import directsum_liberation
 from .exactla import RatMatrix, parse_entry, read_matrix, write_matrix
 from .graphs import EdgeSet, Graph, catalog, read_graph
@@ -31,11 +32,9 @@ from .liberation import (enumerate_minimal_liberation_sets,
                          is_graph_liberation_set, is_liberation_set)
 from .numla import multiplicity_list, sym_eigen
 from .patterns import in_class
-from .strongprops import has_strong_property, has_strong_property_wrt
+from .strongprops import KINDS, has_strong_property, has_strong_property_wrt
 from .zeroforcing import (closure, is_local_zf_cover, is_zf_cover,
                           local_closure, zero_forcing_number, zf_liberation)
-
-VERSION = "0.1.0"
 
 
 @dataclasses.dataclass
@@ -45,7 +44,7 @@ class RunReport:
     verdicts: dict
     certificates: object = None
     timings: dict = dataclasses.field(default_factory=dict)
-    version: str = VERSION
+    version: str = __version__
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +166,14 @@ def _default_seed():
         raise ValueError("LIBERATRIX_SEED must be an integer, got %r" % raw)
 
 
-def _check_common(args):
-    """Range check on the shared --tol. At a tolerance of zero or below,
-    every rounding residue would count toward a numeric rank."""
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ValueError("--tol must be finite and positive, got %r" % args.tol)
+def _tolerance(text):
+    """Type of --tol. At a tolerance of zero or below, every rounding
+    residue would count toward a numeric rank."""
+    val = float(text)
+    if not (math.isfinite(val) and val > 0):
+        raise argparse.ArgumentTypeError(
+            "--tol must be finite and positive, got %r" % val)
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +184,9 @@ def _cmd_verify(args):
     g = _load_graph(args.graph)
     if args.wrt:
         h = _load_graph(args.wrt)
-        res = has_strong_property_wrt(a, g, h, args.kind, tol=args.tol)
+        res = has_strong_property_wrt(a, g, h, args.kind)
     else:
-        res = has_strong_property(a, g, args.kind, tol=args.tol)
+        res = has_strong_property(a, g, args.kind)
     print("%s: answer=%s rank=%d/%d nullity=%d"
           % (res.kind, res.answer, res.rank, len(res.rows), res.nullity))
     verdicts = {"answer": res.answer, "kind": res.kind, "rank": res.rank,
@@ -375,33 +377,34 @@ def _build_parser():
     """The argument parser, built once per process; parse_args leaves it
     unchanged."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (default: env LIBERATRIX_SEED or 0)")
-    common.add_argument("--tol", type=float, default=1e-8,
-                        help="numeric tolerance where one applies")
-    common.add_argument("--trials", type=int, default=60,
-                        help="sample count for randomized checks")
     common.add_argument("--json", metavar="PATH", dest="json_path",
                         help="write a JSON run report to PATH")
     common.add_argument("--timed", action="store_true",
                         help="include wall-clock timings in the report")
+    # only the numeric and sampled commands read a seed or a tolerance
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None,
+                        help="RNG seed (default: env LIBERATRIX_SEED or 0)")
+    tolerant = argparse.ArgumentParser(add_help=False)
+    tolerant.add_argument("--tol", type=_tolerance, default=1e-8,
+                          help="numeric tolerance")
 
     p = argparse.ArgumentParser(
         prog="liberatrix",
         description="liberation-set certificates, direct-sum gluing, and "
                     "zero-forcing covers for symmetric matrix patterns")
-    p.add_argument("--version", action="version", version=VERSION)
+    p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("verify", parents=[common],
                        help="strong property of a matrix over a pattern")
-    q.add_argument("--kind", choices=("ssp", "sap"), required=True)
+    q.add_argument("--kind", choices=KINDS, required=True)
     q.add_argument("--graph", required=True)
     q.add_argument("--matrix", required=True)
     q.add_argument("--wrt", help="check relative to this supergraph")
     q.set_defaults(func=_cmd_verify)
 
-    q = sub.add_parser("liberate", parents=[common],
+    q = sub.add_parser("liberate", parents=[common, seeded, tolerant],
                        help="perturb into a denser pattern, spectrum fixed")
     q.add_argument("--graph", required=True)
     q.add_argument("--matrix", required=True)
@@ -414,26 +417,28 @@ def _build_parser():
     mode = q.add_mutually_exclusive_group()
     mode.add_argument("--check", action="store_true", default=True)
     mode.add_argument("--enumerate", action="store_true", default=False)
-    q.add_argument("--kind", choices=("ssp", "sap"), default="ssp")
+    q.add_argument("--kind", choices=KINDS, default="ssp")
     q.add_argument("--graph", required=True)
     q.add_argument("--matrix", required=True)
     q.add_argument("--beta")
     q.add_argument("--max-size", type=int, default=3)
     q.set_defaults(func=_cmd_libset)
 
-    q = sub.add_parser("directsum", parents=[common],
+    q = sub.add_parser("directsum", parents=[common, tolerant],
                        help="bridge-set certificate for a block pair")
-    q.add_argument("--kind", choices=("ssp", "sap"), default="ssp")
+    q.add_argument("--kind", choices=KINDS, default="ssp")
     q.add_argument("--matrix-a", required=True)
     q.add_argument("--matrix-b", required=True)
     q.add_argument("--beta", required=True)
     q.set_defaults(func=_cmd_directsum)
 
-    q = sub.add_parser("graph-libset", parents=[common],
+    q = sub.add_parser("graph-libset", parents=[common, seeded],
                        help="randomized pattern-level liberation check")
-    q.add_argument("--kind", choices=("ssp", "sap"), default="ssp")
+    q.add_argument("--kind", choices=KINDS, default="ssp")
     q.add_argument("--graph", required=True)
     q.add_argument("--beta", required=True)
+    q.add_argument("--trials", type=int, default=60,
+                   help="number of sampled matrices")
     q.set_defaults(func=_cmd_graph_libset)
 
     q = sub.add_parser("zf", parents=[common],
@@ -450,24 +455,23 @@ def _build_parser():
     q.add_argument("--pairs", help='product pairs "1-1,2-1" for covers')
     q.set_defaults(func=_cmd_zf)
 
-    q = sub.add_parser("zf-liberate", parents=[common],
+    q = sub.add_parser("zf-liberate", parents=[common, tolerant],
                        help="bridge a block pair through a forcing cover")
-    q.add_argument("--kind", choices=("ssp", "sap"), default="ssp")
+    q.add_argument("--kind", choices=KINDS, default="ssp")
     q.add_argument("--matrix-a", required=True)
     q.add_argument("--matrix-b", required=True)
     q.add_argument("--pairs", required=True)
     q.set_defaults(func=_cmd_zf_liberate)
 
-    q = sub.add_parser("realize", parents=[common],
+    q = sub.add_parser("realize", parents=[common, seeded],
                        help="build a matrix hitting a target spectrum")
     q.add_argument("--spectrum", required=True, help='values "0,0,0,4,4"')
-    q.add_argument("--shape", choices=("path", "star", "complete",
-                                       "diagonal"), default="path")
+    q.add_argument("--shape", choices=SHAPES, default="path")
     q.add_argument("--graph", help="realize inside this pattern instead")
     q.add_argument("--out", help="write the matrix here")
     q.set_defaults(func=_cmd_realize)
 
-    q = sub.add_parser("reproduce", parents=[common],
+    q = sub.add_parser("reproduce", parents=[common, seeded],
                        help="replay a worked construction end to end")
     q.add_argument("name", choices=REGISTRY)
     q.set_defaults(func=_cmd_reproduce)
@@ -488,7 +492,7 @@ def _collect_inputs(args):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_join_spectrum(argv))
-    if args.seed is None:
+    if "seed" in vars(args) and args.seed is None:
         try:
             args.seed = _default_seed()
         except ValueError as ex:
@@ -496,7 +500,6 @@ def main(argv=None) -> int:
             return 2
     t0 = time.perf_counter()
     try:
-        _check_common(args)
         code, verdicts, certs = args.func(args)
     except (ValueError, KeyError, OSError, RuntimeError) as ex:
         print("error: %s" % ex, file=sys.stderr)

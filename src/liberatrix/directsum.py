@@ -135,20 +135,6 @@ def is_generic(w, tol: float = 1e-8) -> bool:
     return not np.any(np.abs(dets) <= tol)
 
 
-def _as_bridge(m, n, beta) -> EdgeSet:
-    if isinstance(beta, EdgeSet):
-        if beta.tag != "bridging":
-            raise ValueError("expected a bridging pair set, got %r" % beta.tag)
-        if beta.first_block != m:
-            raise ValueError("bridge set built for block size %s, not %d"
-                             % (beta.first_block, m))
-        for (u, v) in beta.pairs:
-            if not (1 <= u <= m and m + 1 <= v <= m + n):
-                raise ValueError("pair (%d,%d) out of range" % (u, v))
-        return beta
-    return bridge_set(m, n, beta)
-
-
 def _check_blocks_strong(a, b, kind):
     msgs = []
     for name, blk in (("first", a), ("second", b)):
@@ -230,7 +216,7 @@ def directsum_liberation(a, b, beta, kind: str = "ssp",
     kind = normalize_kind(kind)
     arr_a, arr_b = _finite_square(a), _finite_square(b)
     m, n = arr_a.shape[0], arr_b.shape[0]
-    beta = _as_bridge(m, n, beta)
+    beta = bridge_set(m, n, beta)
     if len(beta) == 0:
         raise ValueError("a liberation set must be nonempty")
     _check_blocks_strong(a, b, kind)

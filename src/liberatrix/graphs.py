@@ -190,7 +190,14 @@ def nonedge_set(g: Graph, pairs) -> EdgeSet:
 
 
 def bridge_set(m, n, pairs) -> EdgeSet:
-    """Bridging pairs between blocks 1..m and m+1..m+n (union labels)."""
+    """Bridging pairs between blocks 1..m and m+1..m+n (union labels). An
+    EdgeSet given must be a bridging set built for the same first block."""
+    if isinstance(pairs, EdgeSet):
+        if pairs.tag != "bridging":
+            raise ValueError("expected a bridging pair set, got %r" % pairs.tag)
+        if pairs.first_block != m:
+            raise ValueError("bridge set built for block size %s, not %d"
+                             % (pairs.first_block, m))
     pairs = edge_pairs(pairs)
     for i, j in pairs:
         if not (1 <= i <= m and m + 1 <= j <= m + n):

@@ -114,6 +114,13 @@ def _witness_from_block(ech, beta_idx, nrows):
     return None
 
 
+def _nonedges(g: Graph, beta) -> EdgeSet:
+    """beta checked as nonedges of g; a bridging EdgeSet is refused."""
+    if isinstance(beta, EdgeSet) and beta.tag != "nonedges":
+        raise ValueError("expected a nonedge set, got tag %r" % beta.tag)
+    return nonedge_set(g, beta)
+
+
 def is_liberation_set(a, g: Graph, beta, kind: str = "ssp") -> LiberationCertificate:
     """Certificate that beta is (or is not) a liberation set of a over g.
 
@@ -124,14 +131,9 @@ def is_liberation_set(a, g: Graph, beta, kind: str = "ssp") -> LiberationCertifi
         raise TypeError("is_liberation_set needs an exact RatMatrix, got %s"
                         % type(a).__name__)
     kind = normalize_kind(kind)
-    beta = beta if isinstance(beta, EdgeSet) else nonedge_set(g, beta)
+    beta = _nonedges(g, beta)
     if len(beta) == 0:
         raise ValueError("a liberation set must be nonempty")
-    if beta.tag != "nonedges":
-        raise ValueError("expected a nonedge set, got tag %r" % beta.tag)
-    bad = set(beta.pairs) & set(g.edges)
-    if bad:
-        raise ValueError("pairs %s are edges of the graph" % sorted(bad))
 
     vm = psi(a, g, kind)
     rows = vm.rows
@@ -257,7 +259,7 @@ def is_graph_liberation_set(g: Graph, beta, kind: str = "ssp",
     kind = normalize_kind(kind)
     if trials < 1:
         raise ValueError("trials must be positive")
-    beta = beta if isinstance(beta, EdgeSet) else nonedge_set(g, beta)
+    beta = _nonedges(g, beta)
     rng = random.Random(seed)
     for t in range(trials):
         mode = SAMPLE_MODES[t % len(SAMPLE_MODES)]

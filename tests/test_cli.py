@@ -1,9 +1,15 @@
+import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from liberatrix.cli import _build_parser, _jsonable, _parse_pairs, main
+from liberatrix import __version__
+from liberatrix.cli import (_build_parser, _join_spectrum, _jsonable,
+                            _parse_pairs, main)
 from liberatrix.exactla import RatMatrix, read_matrix
 from liberatrix.graphs import add_edges, catalog, format_graph_text
 
@@ -137,10 +143,10 @@ BAD_INPUTS = [
     ("graph-libset-zero-trials", "graph-libset --graph catalog:P3"
      " --beta 1-3 --trials 0", None, "trials must be positive"),
     ("unknown-replay", "reproduce nope", None, "invalid choice"),
-    ("seed-not-an-int", "zf --number --graph catalog:P3 --seed x", None,
+    ("seed-not-an-int", "reproduce k4k1 --seed x", None,
      "invalid int value"),
-    ("seed-env-not-an-int", "zf --number --graph catalog:P3", "x",
-     "LIBERATRIX_SEED must be an integer"),
+    ("seed-env-not-an-int", "graph-libset --graph catalog:P3 --beta 1-3",
+     "x", "LIBERATRIX_SEED must be an integer"),
     ("unknown-kind", "verify --kind xyz --graph catalog:P3"
      " --matrix {d}/p3.txt", None, "invalid choice"),
     ("cover-vertex-outside", "zf --cover --graph catalog:P3 --filled 1,9",
@@ -243,12 +249,16 @@ def test_json_byte_identical_for_exact_command(k4k1_matrix, tmp_path):
 def test_parser_built_once_leaves_no_state_between_calls(k4k1_matrix,
                                                          tmp_path):
     runs = (["libset", "--enumerate", "--graph", "catalog:K4uK1",
-             "--matrix", k4k1_matrix, "--max-size", "2", "--seed", "3"],
+             "--matrix", k4k1_matrix, "--max-size", "2"],
             ["libset", "--graph", "catalog:K4uK1", "--matrix", k4k1_matrix,
              "--beta", "3-5,4-5"],
             ["verify", "--kind", "sap", "--graph", "catalog:K4uK1",
-             "--matrix", k4k1_matrix, "--tol", "1e-6"],
-            ["zf", "--number", "--graph", "catalog:P3xP4"])
+             "--matrix", k4k1_matrix],
+            ["zf", "--number", "--graph", "catalog:P3xP4"],
+            ["liberate", "--graph", "catalog:K4uK1", "--matrix", k4k1_matrix,
+             "--beta", "3-5,4-5", "--seed", "3", "--tol", "1e-6"],
+            ["graph-libset", "--graph", "catalog:K1,3", "--beta", "2-3",
+             "--trials", "4", "--seed", "3"])
 
     def report(argv, tag):
         rp = tmp_path / ("%s.json" % tag)
@@ -260,7 +270,7 @@ def test_parser_built_once_leaves_no_state_between_calls(k4k1_matrix,
         _build_parser.cache_clear()
         alone.append(report(argv, "alone%d" % k))
     _build_parser.cache_clear()
-    for order in ((0, 1, 2, 3), (3, 2, 1, 0)):
+    for order in (range(len(runs)), reversed(range(len(runs)))):
         for k in order:
             assert report(runs[k], "seq%d" % k) == alone[k]
     assert _build_parser.cache_info().misses == 1
@@ -312,8 +322,10 @@ def test_seed_env_default(k4k1_matrix, tmp_path, monkeypatch):
           "--beta", "3-5,4-5", "--json", str(rp)])
     assert json.loads(rp.read_text())["inputs"]["seed"] == 7
 
+    # only the seeded commands read the variable
     monkeypatch.setenv("LIBERATRIX_SEED", "zebra")
-    assert main(["zf", "--number", "--graph", "catalog:P3"]) == 2
+    assert main(["reproduce", "k4k1"]) == 2
+    assert main(["zf", "--number", "--graph", "catalog:P3"]) == 0
 
 
 def test_jsonable_covers_the_payload_types():
@@ -330,3 +342,88 @@ def test_jsonable_covers_the_payload_types():
     assert doc["g"]["edges"] == [[1, 2]]
     assert doc["t"] == [1, "x"]
     assert doc["s"] == [1, 3]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# each subcommand's long options besides --help: --json and --timed on all,
+# --seed on the seeded commands, --tol on the numeric ones, --trials on the
+# sampled one
+OPTIONS = {
+    "verify": {"--kind", "--graph", "--matrix", "--wrt"},
+    "liberate": {"--seed", "--tol", "--graph", "--matrix", "--beta", "--out"},
+    "libset": {"--check", "--enumerate", "--kind", "--graph", "--matrix",
+               "--beta", "--max-size"},
+    "directsum": {"--tol", "--kind", "--matrix-a", "--matrix-b", "--beta"},
+    "graph-libset": {"--seed", "--trials", "--kind", "--graph", "--beta"},
+    "zf": {"--closure", "--number", "--cover", "--local-cover", "--graph",
+           "--graph-h", "--filled", "--pairs"},
+    "zf-liberate": {"--tol", "--kind", "--matrix-a", "--matrix-b",
+                    "--pairs"},
+    "realize": {"--seed", "--spectrum", "--shape", "--graph", "--out"},
+    "reproduce": {"--seed"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {o for a in q._actions for o in a.option_strings
+                  if o.startswith("--") and o != "--help"}
+           for name, q in sub.choices.items()}
+    assert got == {name: opts | {"--json", "--timed"}
+                   for name, opts in OPTIONS.items()}
+    assert sum(len(opts) for opts in got.values()) == 64
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --kind ssp --graph catalog:P2 --matrix {d}/two.txt --seed 1",
+    "zf --number --graph catalog:P3 --tol 1e-6",
+    "reproduce k4k1 --trials 3",
+])
+def test_options_a_command_does_not_read_exit_two(argv, tmp_path, capsys):
+    (tmp_path / "two.txt").write_text(BAD_INPUT_FILES["two.txt"])
+    with pytest.raises(SystemExit) as ex:
+        main(argv.format(d=tmp_path).split())
+    assert ex.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_reports_record_only_options_of_their_command(k4k1_matrix, tmp_path,
+                                                      monkeypatch):
+    monkeypatch.delenv("LIBERATRIX_SEED", raising=False)
+    rp = tmp_path / "v.json"
+    main(["verify", "--kind", "ssp", "--graph", "catalog:K4uK1",
+          "--matrix", k4k1_matrix, "--json", str(rp)])
+    assert json.loads(rp.read_text())["inputs"] == {
+        "graph": "catalog:K4uK1", "kind": "ssp", "matrix": k4k1_matrix}
+    assert main(["reproduce", "k4k1", "--seed", "1", "--json", str(rp)]) == 0
+    assert json.loads(rp.read_text())["inputs"] == {"name": "k4k1",
+                                                    "seed": 1}
+    main(["graph-libset", "--graph", "catalog:P3", "--beta", "1-3",
+          "--trials", "2", "--json", str(rp)])
+    assert set(json.loads(rp.read_text())["inputs"]) == {
+        "beta", "graph", "kind", "seed", "trials"}
+
+
+def test_version_is_the_package_version(capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(["--version"])
+    assert ex.value.code == 0
+    assert capsys.readouterr().out.strip() == __version__
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"', pyproject,
+                     re.M).group(1) == __version__
+
+
+def test_readme_cli_lines_parse():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CLI quick start", 1)[1].split("```")[1]
+    lines = [ln for ln in block.splitlines() if ln.startswith("liberatrix ")]
+    assert len(lines) >= 9
+    commands = set()
+    for line in lines:
+        args = _build_parser().parse_args(
+            _join_spectrum(shlex.split(line)[1:]))
+        commands.add(args.command)
+    assert commands == set(OPTIONS)

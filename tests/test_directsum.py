@@ -1,10 +1,11 @@
 import math
 import warnings
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from liberatrix.directsum import (
@@ -13,9 +14,12 @@ from liberatrix.directsum import (
     sylvester_space,
 )
 from liberatrix.exactla import RatMatrix, direct_sum
-from liberatrix.graphs import bridge_set, catalog, catalog_entry, disjoint_union
+from liberatrix.graphs import (EdgeSet, bridge_set, catalog, catalog_entry,
+                               disjoint_union)
 from liberatrix.liberation import is_liberation_set
 from liberatrix.numla import random_orthogonal, sym_eigen
+from liberatrix.patterns import pattern_of
+from liberatrix.strongprops import has_strong_property
 from oracles import is_generic_per_subset
 
 SEED = 20260816
@@ -209,6 +213,23 @@ def test_directsum_float_blocks_warn():
         directsum_liberation(np.diag([1.0, 2.0]), np.diag([3.0]), [(1, 3)])
 
 
+def test_bridge_edge_set_is_checked_like_a_pair_list():
+    one = RatMatrix.from_rows([[1]])
+    # the one bridge {1-2} listed twice is not two bridges
+    with pytest.raises(ValueError, match="duplicate pair"):
+        directsum_liberation(one, one, EdgeSet(((1, 2), (1, 2)),
+                                                "bridging", 1))
+    with pytest.raises(ValueError, match="expected a bridging pair set"):
+        directsum_liberation(one, one, EdgeSet(((1, 2),)))
+    with pytest.raises(ValueError, match="built for block size 2, not 1"):
+        directsum_liberation(one, all_ones(2), bridge_set(2, 1, [(1, 3)]))
+    with pytest.raises(ValueError, match="does not bridge"):
+        directsum_liberation(one, one, EdgeSet(((1, 3),), "bridging", 1))
+    flipped = directsum_liberation(bordered_star(1, 1), all_ones(2),
+                                   EdgeSet(((6, 4), (5, 1)), "bridging", 4))
+    assert flipped.beta.pairs == ((1, 5), (4, 6))
+
+
 def test_g151_directsum_matches_exact_route():
     entry = catalog_entry("G151")
     a1 = bordered_star(1, 1)
@@ -266,3 +287,97 @@ def test_c6_c8_grid_liberation():
     assert cert.validator("generic-eigenspaces")[0]
     assert cert.validator("beta-shape")[0]
     assert cert.dimension == 4
+
+
+def rank_one_update(c, s, u):
+    """c I + s u u^T. With u nowhere zero its pattern is complete, so SSP
+    holds vacuously, and c has multiplicity len(u) - 1."""
+    k = len(u)
+    return RatMatrix.from_rows([[(c if i == j else 0) + s * u[i] * u[j]
+                                 for j in range(k)] for i in range(k)])
+
+
+def weighted_laplacian(k, edges, weights):
+    rows = [[Fraction(0)] * k for _ in range(k)]
+    for (i, j), w in zip(edges, weights):
+        rows[i - 1][j - 1] -= w
+        rows[j - 1][i - 1] -= w
+        rows[i - 1][i - 1] += w
+        rows[j - 1][j - 1] += w
+    return RatMatrix.from_rows(rows)
+
+
+@st.composite
+def bridged_blocks(draw):
+    """(A, B, beta): exact SSP blocks on 2-4 vertices that share an
+    eigenvalue, and a nonempty set of bridges between them. The blocks are
+    either c I + s u u^T and c I + t w w^T, sharing c with multiplicities
+    (m - 1, n - 1), or weighted Laplacians of connected graphs, sharing 0
+    and kept when exact SSP holds."""
+    nonzero = st.sampled_from([Fraction(k, d) for k in (-3, -2, -1, 1, 2, 3)
+                               for d in (1, 2)])
+    rank_one = draw(st.booleans())
+    c = Fraction(draw(st.integers(-2, 2)))
+    blocks = []
+    for _ in range(2):
+        k = draw(st.integers(2, 4))
+        if rank_one:
+            u = draw(st.lists(nonzero, min_size=k, max_size=k))
+            blocks.append(rank_one_update(c, draw(nonzero), u))
+            continue
+        # a random spanning tree, then any of the other pairs
+        edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, k + 1)]
+        edges += [e for e in combinations(range(1, k + 1), 2)
+                  if e not in edges and draw(st.booleans())]
+        weights = draw(st.lists(st.integers(1, 3), min_size=len(edges),
+                                max_size=len(edges)))
+        lap = weighted_laplacian(k, edges, weights)
+        assume(has_strong_property(lap, pattern_of(lap), "ssp").answer)
+        blocks.append(lap)
+    a, b = blocks
+    m, n = a.rows, b.rows
+    bridges = [(u, v) for u in range(1, m + 1)
+               for v in range(m + 1, m + n + 1)]
+    beta = draw(st.lists(st.sampled_from(bridges), min_size=1,
+                         max_size=min(6, len(bridges)), unique=True))
+    return a, b, sorted(beta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bridged_blocks())
+def test_directsum_matches_exact_route_on_random_blocks(case):
+    # the direct-sum theorem against the liberation criteria on A + B
+    a, b, beta = case
+    cert = directsum_liberation(a, b, beta)
+    union = disjoint_union(pattern_of(a), pattern_of(b))
+    exact = is_liberation_set(direct_sum(a, b), union, beta)
+    assert cert.answer == exact.answer
+    assert dict(cert.per_beta_prime) == dict(exact.per_beta_prime)
+
+
+def permuted(a, perm):
+    """Row and column i of a become perm[i]."""
+    out = RatMatrix.zeros(a.rows, a.cols)
+    for i in range(a.rows):
+        for j in range(a.cols):
+            out[perm[i], perm[j]] = a[i, j]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(bridged_blocks(), st.data())
+def test_directsum_relabeling_equivariance(case, data):
+    # permuting within each block moves the bridges and nothing else
+    a, b, beta = case
+    m = a.rows
+    sa = data.draw(st.permutations(range(m)))
+    sb = data.draw(st.permutations(range(b.rows)))
+
+    def move(e):
+        return (sa[e[0] - 1] + 1, m + sb[e[1] - m - 1] + 1)
+    cert = directsum_liberation(a, b, beta)
+    moved = directsum_liberation(permuted(a, sa), permuted(b, sb),
+                                 [move(e) for e in beta])
+    assert (moved.answer, moved.dimension) == (cert.answer, cert.dimension)
+    assert dict(moved.per_beta_prime) == {move(e): ok
+                                          for e, ok in cert.per_beta_prime}

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from liberatrix import liberation, strongprops
 from liberatrix.exactla import RatMatrix, charpoly, column_echelon, direct_sum
-from liberatrix.graphs import (add_edges, bridge_set, build_graph, catalog,
-                               catalog_entry, complement)
+from liberatrix.graphs import (EdgeSet, add_edges, bridge_set, build_graph,
+                               catalog, catalog_entry, complement)
 from liberatrix.liberation import (
     enumerate_minimal_liberation_sets,
     is_graph_liberation_set,
@@ -296,6 +296,28 @@ def test_input_validation():
         is_liberation_set(a, g, bridge_set(4, 1, [(1, 5)]))
     with pytest.raises(ValueError):
         is_graph_liberation_set(g, [(1, 5)], trials=0)
+
+
+
+def test_edge_set_input_is_checked_like_a_pair_list():
+    # an EdgeSet goes through the same nonedge checks as a list of pairs
+    a = ones_block_plus(4)
+    g = catalog("K4uK1")
+    with pytest.raises(ValueError, match="out of range"):
+        is_liberation_set(a, g, EdgeSet(((3, 9),)))
+    with pytest.raises(ValueError, match="duplicate pair"):
+        is_liberation_set(a, g, EdgeSet(((3, 5), (3, 5))))
+    with pytest.raises(ValueError, match="edges of the graph"):
+        is_liberation_set(a, g, EdgeSet(((1, 2), (3, 5))))
+    flipped = is_liberation_set(a, g, EdgeSet(((5, 3), (5, 4))))
+    listed = is_liberation_set(a, g, [(3, 5), (4, 5)])
+    assert flipped.beta == listed.beta
+    assert (flipped.answer, flipped.criteria) == (listed.answer,
+                                                  listed.criteria)
+    with pytest.raises(ValueError, match="duplicate pair"):
+        is_graph_liberation_set(g, EdgeSet(((3, 5), (3, 5))), trials=2)
+    with pytest.raises(ValueError, match="expected a nonedge set"):
+        is_graph_liberation_set(g, bridge_set(4, 1, [(1, 5)]), trials=2)
 
 
 @st.composite

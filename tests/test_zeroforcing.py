@@ -206,6 +206,35 @@ def test_standard_closure_inside_local_closure(gh):
     assert standard <= local_closure(g, h, pairs).blue
 
 
+def relabeled(g, perm):
+    """Vertex v of g becomes perm[v - 1] + 1."""
+    return build_graph(g.n, [(perm[i - 1] + 1, perm[j - 1] + 1)
+                             for i, j in g.edges])
+
+
+@settings(max_examples=100, deadline=None)
+@given(products(), st.data())
+def test_covers_under_product_relabeling(gh, data):
+    # sigma on G and tau on H move (u, v) to (sigma(u), tau(v)) and map
+    # forcing closures, and so covers, onto each other
+    g, h, pairs = gh
+    sg = data.draw(st.permutations(range(g.n)))
+    sh = data.draw(st.permutations(range(h.n)))
+    g2, h2 = relabeled(g, sg), relabeled(h, sh)
+
+    def move(u, v):
+        return sg[u - 1] + 1, sh[v - 1] + 1
+    moved = [move(u, v) for (u, v) in pairs]
+    flat = {product_index(u, v, h.n): product_index(*move(u, v), h.n)
+            for u in range(1, g.n + 1) for v in range(1, h.n + 1)}
+    assert (local_closure(g2, h2, moved).blue
+            == {flat[x] for x in local_closure(g, h, pairs).blue})
+    assert is_local_zf_cover(g2, h2, moved) == is_local_zf_cover(g, h, pairs)
+    labels = [product_index(u, v, h.n) for (u, v) in pairs]
+    assert (is_zf_cover(cartesian_product(g2, h2), [flat[x] for x in labels])
+            == is_zf_cover(cartesian_product(g, h), labels))
+
+
 def test_cover_to_bridge():
     c4, k2 = catalog("C4"), catalog("K2")
     beta = cover_to_bridge(c4, k2, PRISM_COVER)
