@@ -46,14 +46,14 @@ def charpoly_coeffs(a) -> np.ndarray:
     return np.poly(np.linalg.eigvalsh(np.asarray(a, dtype=float)))[1:]
 
 
-def _min_norm_newton(system, x, tol, max_steps=40):
+def _min_norm_newton(system, x, tol):
     """Newton with minimum-norm steps, x -= lstsq(J, r) for (r, J) = system(x).
 
     Returns (x, reason) with reason "converged" once max |r| <= tol, "not
-    converged" after max_steps steps, or "non-finite step".
+    converged" after 40 steps, or "non-finite step".
     """
     x = np.array(x, dtype=float)
-    for _ in range(max_steps):
+    for _ in range(40):
         res, jac = system(x)
         if float(np.max(np.abs(res), initial=0.0)) <= tol:
             return x, "converged"
@@ -111,7 +111,7 @@ def _jacobian(q, pairs, slots):
     return jac.T
 
 
-def _newton(n, slots, free, target, x, tol, max_steps=40):
+def _newton(n, slots, free, target, x, tol):
     """Newton on the isospectral manifold over the slots indexed by free.
 
     Each step factors A(x) = Q diag(lam) Q^T, with lam matched to the sorted
@@ -140,7 +140,7 @@ def _newton(n, slots, free, target, x, tol, max_steps=40):
         res = np.where(on_diag, vals[pairs[0]] - tgt[pairs[0]], 0.0)
         return res, _jacobian(q, pairs, free_idx)
 
-    y, reason = _min_norm_newton(system, full[free], tol, max_steps)
+    y, reason = _min_norm_newton(system, full[free], tol)
     full[free] = y
     return full, reason
 
@@ -237,12 +237,7 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
 def _flat_values(target):
     """The target spectrum as a flat list of floats; ValueError on a NaN or
     infinite value."""
-    if hasattr(target, "values") and hasattr(target, "multiplicities"):
-        vals = []
-        for v, m in zip(target.values, target.multiplicities):
-            vals.extend([float(v)] * int(m))
-    else:
-        vals = [float(v) for v in target]
+    vals = [float(v) for v in target]
     if not all(math.isfinite(v) for v in vals):
         raise ValueError("spectrum has a non-finite value")
     return vals
@@ -330,15 +325,13 @@ def realize_spectrum(target, shape: str, seed=0, tol: float = 1e-9) -> SymMatrix
     return SymMatrix(out)
 
 
-def _complete_generic(values, seed, tries=60):
+def _complete_generic(values, seed):
     from .directsum import is_generic
 
     n = len(values)
-    if n == 1:
-        return np.array([[float(values[0])]])
     d = np.diag(np.array(values))
     ml = multiplicity_list(values, tol=1e-12)
-    for k in range(tries):
+    for k in range(60):
         q = random_orthogonal(n, (seed, k))
         a = q @ d @ q.T
         off_ok = all(abs(a[i, j]) > MIN_ENTRY
@@ -354,7 +347,7 @@ def _complete_generic(values, seed, tries=60):
             pos += m
         if generic:
             return a
-    raise RuntimeError("no generic completion found in %d draws" % tries)
+    raise RuntimeError("no generic completion found in 60 draws")
 
 
 def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,

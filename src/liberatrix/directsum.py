@@ -40,6 +40,8 @@ def sylvester_space(a, b, tol: float = 1e-8, kind: str = "ssp") -> SylvesterSpac
     Eigenvalues of both blocks are clustered together at one shared
     tolerance; a gap falling in (tol, 10 tol) marks the result ambiguous and
     emits a warning, since the common-spectrum decision is then fragile.
+    basis lists the outer products U_A[:, i] U_B[:, j]^T of the eigenvector
+    blocks (U_A, U_B), block by block, i then j.
     """
     kind = normalize_kind(kind)
     a = _finite_square(a)
@@ -82,20 +84,23 @@ def sylvester_space(a, b, tol: float = 1e-8, kind: str = "ssp") -> SylvesterSpac
         ub = q_b[:, ib]
         common.append((value, len(ia), len(ib)))
         blocks.append((ua, ub))
-        for i in range(ua.shape[1]):
-            for j in range(ub.shape[1]):
-                y = np.outer(ua[:, i], ub[:, j])
-                if kind == "sap":
-                    resid = max(float(np.max(np.abs(a @ y))),
-                                float(np.max(np.abs(y @ b))))
-                else:
-                    resid = float(np.max(np.abs(a @ y - y @ b)))
-                if resid > 1e-9 * scale:
-                    raise RuntimeError(
-                        "intertwining residual %.2e exceeds bound" % resid)
-                basis.append(y)
+        # for y = u v^T, A y = (A u) v^T and y B = u (B^T v)^T, so one
+        # broadcast bounds every pair (i, j) of the block
+        left, right = _products(a @ ua, ub), _products(ua, b.T @ ub)
+        resid = float(np.max(np.abs(
+            np.stack([left, right]) if kind == "sap" else left - right)))
+        if resid > 1e-9 * scale:
+            raise RuntimeError(
+                "intertwining residual %.2e exceeds bound" % resid)
+        basis.extend(_products(ua, ub))
     return SylvesterSpace(tuple(basis), len(basis), tuple(common), kind,
                           ambiguous, tuple(blocks))
+
+
+def _products(p, q):
+    """The outer products p[:, i] q[:, j]^T, i then j, stacked."""
+    return (p.T[:, None, :, None] * q.T[None, :, None, :]).reshape(
+        -1, p.shape[0], q.shape[0])
 
 
 def is_generic(w, tol: float = 1e-8) -> bool:
@@ -150,12 +155,13 @@ def _check_blocks_strong(a, b, kind):
 
 
 def _evaluation(space: SylvesterSpace, pairs, m) -> np.ndarray:
-    """The intertwining basis evaluated at the bridges, one row per pair."""
-    ev = np.zeros((len(pairs), space.dimension))
-    for r, (u, v) in enumerate(pairs):
-        for t, y in enumerate(space.basis):
-            ev[r, t] = y[u - 1, v - m - 1]
-    return ev
+    """The intertwining basis evaluated at the bridges, one row per pair:
+    each block's eigenvector rows at the bridge ends, multiplied pairwise."""
+    us = [u - 1 for u, _ in pairs]
+    vs = [v - m - 1 for _, v in pairs]
+    return np.hstack([np.zeros((len(pairs), 0))] + [
+        (ua[us][:, :, None] * ub[vs][:, None, :]).reshape(len(pairs), -1)
+        for ua, ub in space.eigvec_blocks])
 
 
 @dataclass(frozen=True)
@@ -179,7 +185,7 @@ class DirectSumCertificate:
         raise KeyError(name)
 
 
-def _beta_shape(pairs, m, k, ell):
+def _beta_shape(pairs, k, ell):
     """Classify the bridge layout against the recognized sufficient shapes."""
     rows = {}
     cols = {}
@@ -240,7 +246,7 @@ def directsum_liberation(a, b, beta, kind: str = "ssp",
                            "both shared-eigenvalue eigenspaces generic"
                            if generic else "a shared-eigenvalue eigenspace has"
                            " a singular square submatrix"))
-        shape_ok, detail = _beta_shape(beta.pairs, m, k, ell)
+        shape_ok, detail = _beta_shape(beta.pairs, k, ell)
         validators.append(("beta-shape", shape_ok, detail))
     else:
         validators.append(("multiplicity-pair", False, "undefined"))

@@ -197,12 +197,12 @@ def _quiet(fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
-def _realize_ssp(g, spec, seed, tries=6):
-    for k in range(tries):
+def _realize_ssp(g, spec, seed):
+    for k in range(6):
         m = realize_in_pattern(g, spec, seed=_subseed(seed, "try", k))
         if has_strong_property(m, g, "ssp").answer:
             return m
-    raise RuntimeError("no strong realization found in %d tries" % tries)
+    raise RuntimeError("no strong realization found in 6 tries")
 
 
 def _det(m: RatMatrix) -> Fraction:

@@ -1,13 +1,14 @@
 """Zero forcing games and their bridge to direct-sum liberation sets.
 
 The color change rule: a blue vertex with exactly one white neighbor forces
-that neighbor blue. One fixed-point loop runs it under two rules: the
-standard rule reads a vertex's whole neighborhood, the local rule on a
-Cartesian product reads the vertex's copy of each factor in turn. Covers are
-sets that keep forcing after any single removal; translated to bridging edges
-between the two summands of a direct sum, they certify liberation sets, in
-the spectral sense under the standard rule and in the kernel sense under the
-local one.
+that neighbor blue. One fixed-point loop runs it under two rules, each a
+table of per-vertex neighbor groups: the standard rule reads a vertex's
+whole neighborhood, the local rule on a Cartesian product of G and H reads
+the vertex's copy of each factor in turn. Covers are sets that keep forcing
+after any single removal, checked on one table. Translated to bridging edges
+between the two summands of a direct sum, covers of pairs (u, v) in
+V(G) x V(H) certify liberation sets, in the spectral sense under the
+standard rule and in the kernel sense under the local one.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def _first_force(order, blue, groups):
     return None
 
 
-def _force(n, filled, schedule, groups, labels) -> ColorState:
+def _force(n, filled, groups, schedule=None, what="vertices") -> ColorState:
     """Fixed point of forcing over per-vertex neighbor groups.
 
     groups[u] lists (tag, neighbors); a blue u forces the one white member of
@@ -64,12 +65,24 @@ def _force(n, filled, schedule, groups, labels) -> ColorState:
     """
     order = list(schedule) if schedule is not None else list(range(1, n + 1))
     if sorted(order) != list(range(1, n + 1)):
-        raise ValueError("schedule must be a permutation of the %s" % labels)
+        raise ValueError("schedule must be a permutation of the %s" % what)
     blue, log = set(filled), []
     while (step := _first_force(order, blue, groups)) is not None:
         blue.add(step[1])
         log.append(step)
     return ColorState(n, frozenset(blue), tuple(log))
+
+
+def _standard_rule(g: Graph):
+    """Neighbor groups of the color change rule: whole neighborhoods."""
+    return {v: (("standard", sorted(g.neighbors(v))),)
+            for v in range(1, g.n + 1)}
+
+
+def _is_cover(n, labels, groups) -> bool:
+    """Does labels still force all n vertices after any one is dropped?"""
+    return all(_force(n, labels[:i] + labels[i + 1:], groups).complete
+               for i in range(len(labels)))
 
 
 def closure(g: Graph, filled, schedule=None) -> ColorState:
@@ -79,10 +92,7 @@ def closure(g: Graph, filled, schedule=None) -> ColorState:
     (ascending labels by default), so the log is reproducible. The final
     blue set does not depend on the schedule; the log may.
     """
-    groups = {v: (("standard", sorted(g.neighbors(v))),)
-              for v in range(1, g.n + 1)}
-    return _force(g.n, _check_vertices(g, filled), schedule, groups,
-                  "vertices")
+    return _force(g.n, _check_vertices(g, filled), _standard_rule(g), schedule)
 
 
 def is_zf_set(g: Graph, filled) -> bool:
@@ -102,10 +112,11 @@ def zero_forcing_number(g: Graph, bound: int = ZF_EXHAUSTIVE_BOUND) -> ZfNumber:
     """
     if g.n > bound:
         raise ValueError("exhaustive search capped at %d vertices" % bound)
+    groups = _standard_rule(g)
     verts = range(1, g.n + 1)
     for k in range(1, g.n + 1):
         for cand in combinations(verts, k):
-            if closure(g, cand).complete:
+            if _force(g.n, cand, groups).complete:
                 return ZfNumber(k, cand)
     raise AssertionError("the full vertex set always forces")
 
@@ -116,41 +127,41 @@ def is_zf_cover(g: Graph, f) -> bool:
     Vacuously true for empty f; callers that need a nonempty cover must say
     so themselves.
     """
-    f = _check_vertices(g, f)
-    return all(
-        closure(g, f[:i] + f[i + 1:]).complete for i in range(len(f)))
+    return _is_cover(g.n, _check_vertices(g, f), _standard_rule(g))
 
 
 # ---------------------------------------------------------------------------
 # Cartesian products and the local rule
 
 def _normalize_pairs(g: Graph, h: Graph, f):
-    """Pairs (u, v) with u in V(G), v in V(H).
+    """Pairs (u, v) with u in V(G) and v in V(H), sorted, without repeats.
 
-    Second coordinates may instead be given in the disjoint-union labeling
-    |V(G)|+1 .. |V(G)|+|V(H)|; if any coordinate exceeds |V(H)| the whole
-    set is read that way and shifted down. A second coordinate outside
-    1 .. |V(G)|+|V(H)| fits neither labeling and is refused first.
+    Both coordinates are product labels: v runs over 1 .. |V(H)| whatever
+    the other pairs are. Second coordinates are checked first, so a pair
+    written with a bridge end in place of v is refused by that coordinate.
     """
     pairs = [(int(u), int(v)) for (u, v) in f]
-    top = g.n + h.n
     for (_, v) in pairs:
-        if not 1 <= v <= top:
-            raise ValueError("second coordinate %d outside 1..%d, so not a"
-                             " vertex of the second factor in either"
-                             " labeling" % (v, top))
-    if any(v > h.n for (_, v) in pairs):
-        for (_, v) in pairs:
-            if v <= g.n:
-                raise ValueError(
-                    "second coordinate %d is in the product labeling, but"
-                    " others exceed |V(H)| = %d and read as the disjoint-union"
-                    " labeling %d..%d" % (v, h.n, g.n + 1, top))
-        pairs = [(u, v - g.n) for (u, v) in pairs]
+        if not 1 <= v <= h.n:
+            raise ValueError("second coordinate %d outside 1..%d" % (v, h.n))
     for (u, v) in pairs:
-        if not (1 <= u <= g.n and 1 <= v <= h.n):
+        if not 1 <= u <= g.n:
             raise ValueError("pair (%d,%d) outside the product" % (u, v))
     return sorted(set(pairs))
+
+
+def _local_rule(g: Graph, h: Graph):
+    """Neighbor groups of the copy-restricted rule on the product of g and
+    h, keyed by product label: the vertex's copy of g, then of h."""
+    return {
+        product_index(u, v, h.n): (
+            ("G-local", [product_index(w, v, h.n) for w in g.neighbors(u)]),
+            ("H-local", [product_index(u, w, h.n) for w in h.neighbors(v)]))
+        for u in range(1, g.n + 1) for v in range(1, h.n + 1)}
+
+
+def _product_labels(g: Graph, h: Graph, f):
+    return [product_index(u, v, h.n) for (u, v) in _normalize_pairs(g, h, f)]
 
 
 def local_closure(g: Graph, h: Graph, filled, schedule=None) -> ColorState:
@@ -160,27 +171,18 @@ def local_closure(g: Graph, h: Graph, filled, schedule=None) -> ColorState:
     copy of g (tag "G-local") or of h (tag "H-local"). Vertices in the
     returned state are the product labels, row-major in (u, v).
     """
-    pairs = _normalize_pairs(g, h, filled)
-    groups = {
-        product_index(u, v, h.n): (
-            ("G-local", [product_index(w, v, h.n) for w in g.neighbors(u)]),
-            ("H-local", [product_index(u, w, h.n) for w in h.neighbors(v)]))
-        for u in range(1, g.n + 1) for v in range(1, h.n + 1)}
-    filled = [product_index(u, v, h.n) for (u, v) in pairs]
-    return _force(g.n * h.n, filled, schedule, groups, "product labels")
+    return _force(g.n * h.n, _product_labels(g, h, filled), _local_rule(g, h),
+                  schedule, "product labels")
 
 
 def is_local_zf_cover(g: Graph, h: Graph, f) -> bool:
-    pairs = _normalize_pairs(g, h, f)
-    return all(
-        local_closure(g, h, pairs[:i] + pairs[i + 1:]).complete
-        for i in range(len(pairs)))
+    return _is_cover(g.n * h.n, _product_labels(g, h, f), _local_rule(g, h))
 
 
 def cover_to_bridge(g: Graph, h: Graph, f):
     """Translate product vertices (u, v) to bridging pairs {u, v + |V(g)|}."""
-    pairs = _normalize_pairs(g, h, f)
-    return bridge_set(g.n, h.n, [(u, v + g.n) for (u, v) in pairs])
+    return bridge_set(g.n, h.n,
+                      [(u, v + g.n) for (u, v) in _normalize_pairs(g, h, f)])
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +220,13 @@ def zf_liberation(a, b, f, kind: str = "ssp", tol: float = 1e-8) -> ZfLiberation
     pairs = _normalize_pairs(g, h, f)
     if not pairs:
         raise ValueError("a candidate cover must be nonempty")
-    if kind == "ssp":
-        prod = cartesian_product(g, h)
-        labels = [product_index(u, v, h.n) for (u, v) in pairs]
-        combinatorial = is_zf_cover(prod, labels)
-        state = closure(prod, labels)
-    else:
-        combinatorial = is_local_zf_cover(g, h, pairs)
-        state = local_closure(g, h, pairs)
-    beta = cover_to_bridge(g, h, pairs)
-    algebraic = directsum_liberation(a, b, beta, kind=kind, tol=tol)
+    groups = (_standard_rule(cartesian_product(g, h)) if kind == "ssp"
+              else _local_rule(g, h))
+    labels = [product_index(u, v, h.n) for (u, v) in pairs]
+    combinatorial = _is_cover(g.n * h.n, labels, groups)
+    state = _force(g.n * h.n, labels, groups)
+    algebraic = directsum_liberation(
+        a, b, [(u, v + g.n) for (u, v) in pairs], kind=kind, tol=tol)
     if combinatorial and not algebraic.answer:
         raise RuntimeError(
             "cover verified but the algebraic certificate failed; "
@@ -236,6 +235,6 @@ def zf_liberation(a, b, f, kind: str = "ssp", tol: float = 1e-8) -> ZfLiberation
     if not combinatorial and algebraic.answer:
         note = ("cover check failed but the algebraic certificate holds; "
                 "the implication is one-directional")
-    return ZfLiberationReport(kind, tuple(pairs), beta, combinatorial,
-                              algebraic, combinatorial == algebraic.answer,
-                              state, note)
+    return ZfLiberationReport(kind, tuple(pairs), algebraic.beta,
+                              combinatorial, algebraic,
+                              combinatorial == algebraic.answer, state, note)

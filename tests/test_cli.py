@@ -10,7 +10,7 @@ import pytest
 from liberatrix import __version__
 from liberatrix.cli import (_build_parser, _join_spectrum, _jsonable,
                             _parse_pairs, main)
-from liberatrix.exactla import RatMatrix, read_matrix
+from liberatrix.exactla import RatMatrix, read_matrix, write_matrix
 from liberatrix.graphs import add_edges, catalog, format_graph_text
 
 
@@ -84,6 +84,84 @@ def test_zf_local_cover(capsys):
                  "--graph-h", "catalog:P2", "--pairs", "1-1,2-1,3-2,4-2"])
     assert code == 0
     assert "local cover: True" in capsys.readouterr().out
+
+
+def run_json(argv, tmp_path, capsys):
+    """main(argv) with a JSON report: (exit code, first output line,
+    report)."""
+    rp = tmp_path / "report.json"
+    code = main(argv + ["--json", str(rp)])
+    return (code, capsys.readouterr().out.splitlines()[0],
+            json.loads(rp.read_text()))
+
+
+def write_matrices(tmp_path, **rows):
+    """Each keyword's rows written as a matrix file; name -> path."""
+    paths = {name: str(tmp_path / ("%s.txt" % name)) for name in rows}
+    for name, mat in rows.items():
+        write_matrix(RatMatrix.from_rows(mat), paths[name])
+    return paths
+
+
+def test_directsum_certifies_and_refutes_g151_bridges(tmp_path, capsys):
+    # the bordered star and J2 of the G151 construction, then its
+    # counterexample blocks, across G151's four bridges
+    m = write_matrices(
+        tmp_path,
+        star=[[1, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]],
+        ones=[[1, 1], [1, 1]],
+        bad_star=[[0, 1, 1, 1], [1, -1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]],
+        bad_edge=[[0, 1], [1, 1]])
+    keys = {"answer", "kind", "dimension", "common", "ambiguous"}
+    for a, b, code, answer in (("star", "ones", 0, True),
+                               ("bad_star", "bad_edge", 1, False)):
+        got, line, doc = run_json(
+            ["directsum", "--matrix-a", m[a], "--matrix-b", m[b],
+             "--beta", "2-6,3-5,4-5,4-6"], tmp_path, capsys)
+        assert got == code
+        assert line == ("direct-sum liberation: %s (intertwiner dimension 2)"
+                        % answer)
+        assert set(doc["verdicts"]) == keys
+        assert doc["verdicts"]["answer"] is answer
+
+
+def test_zf_closure_reports_forces(tmp_path, capsys):
+    code, line, doc = run_json(["zf", "--closure", "--graph", "catalog:P5",
+                                "--filled", "1"], tmp_path, capsys)
+    assert code == 0
+    assert line == "closure: 5/5 filled, 4 forces"
+    assert doc["verdicts"] == {"filled": [1, 2, 3, 4, 5], "complete": True,
+                               "forces": 4}
+    assert len(doc["certificates"]["log"]) == 4
+
+
+def test_zf_liberate_certifies_the_prism_cover(tmp_path, capsys):
+    m = write_matrices(tmp_path,
+                       c4=[[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1],
+                           [1, 0, 1, 0]],
+                       ones=[[1, 1], [1, 1]])
+    code, line, doc = run_json(
+        ["zf-liberate", "--kind", "sap", "--matrix-a", m["c4"],
+         "--matrix-b", m["ones"], "--pairs", "1-1,2-1,3-2,4-2"],
+        tmp_path, capsys)
+    assert code == 0
+    assert line == ("zero-forcing liberation: combinatorial=True"
+                    " algebraic=True agree=True")
+    assert doc["verdicts"] == {"combinatorial": True, "algebraic": True,
+                               "agree": True, "kind": "sap",
+                               "beta": [[1, 5], [2, 5], [3, 6], [4, 6]]}
+
+
+def test_graph_libset_reports_its_counterexample(tmp_path, capsys):
+    code, line, doc = run_json(["graph-libset", "--graph", "catalog:C4",
+                                "--beta", "1-3", "--trials", "3"],
+                               tmp_path, capsys)
+    assert code == 1
+    assert line == "graph liberation set: certified-counterexample"
+    assert doc["verdicts"] == {"verdict": "certified-counterexample",
+                               "kind": "ssp", "trials": 1}
+    assert doc["certificates"]["mode"] == "unit-off-diagonal"
+    assert doc["certificates"]["counterexample"]["rows"] == 4
 
 
 def test_graph_file_input(tmp_path):

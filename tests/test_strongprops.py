@@ -275,6 +275,14 @@ def test_wrt_examples():
         has_strong_property_wrt(a, h1, g, "ssp")
 
 
+def test_wrt_kernel_check_no_relative_to_own_graph():
+    # J4 + [4] relative to K4uK1 itself: one kernel vector, reassembled and
+    # re-checked as an obstruction before the "no"
+    a, g = k4k1()
+    assert wrt_kernel_check(a, g, g, "ssp") is False
+    assert has_strong_property_wrt(a, g, g, "ssp").nullity == 1
+
+
 def test_wrt_monotone_and_kernel_agreement():
     rng = random.Random(SEED)
     names = ["P4", "C5", "K1,3", "P5", "C4", "2K2"]

@@ -1,10 +1,12 @@
 import random
 import warnings
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liberatrix.directsum import directsum_liberation
 from liberatrix.exactla import RatMatrix
 from liberatrix.graphs import build_graph, cartesian_product, catalog, product_index
 from liberatrix.zeroforcing import (
@@ -130,8 +132,9 @@ def test_union_of_disjoint_zf_sets_is_cover():
 def test_local_closure_prism_cover():
     c4, k2 = catalog("C4"), catalog("K2")
     assert is_local_zf_cover(c4, k2, PRISM_COVER)
-    # same set in the disjoint-union labeling of the second coordinate
-    assert is_local_zf_cover(c4, k2, [(1, 5), (2, 5), (3, 6), (4, 6)])
+    # second coordinates are product labels, never bridge ends
+    with pytest.raises(ValueError):
+        is_local_zf_cover(c4, k2, [(1, 5), (2, 5), (3, 6), (4, 6)])
     state = local_closure(c4, k2, PRISM_COVER)
     assert state.complete
     assert all(tag in ("G-local", "H-local") for (_, _, tag) in state.log)
@@ -294,3 +297,35 @@ def test_zf_liberation_validates():
     b = RatMatrix.from_rows([[3]])
     with pytest.raises(ValueError):
         zf_liberation(a, b, [], kind="ssp")
+
+
+def test_cover_pairs_take_product_labels_only():
+    # what a pair means does not depend on the other pairs of the set
+    p2, p4 = catalog("P2"), catalog("P4")
+    assert cover_to_bridge(p2, p4, [(1, 3), (2, 4)]).pairs == ((1, 5), (2, 6))
+    with pytest.raises(ValueError, match="second coordinate 5 outside 1..4"):
+        cover_to_bridge(p2, p4, [(1, 3), (2, 5)])
+    with pytest.raises(ValueError, match=r"pair \(3,1\) outside"):
+        cover_to_bridge(p2, p4, [(3, 1)])
+
+
+@pytest.mark.parametrize("scale, libsets", [(1, 34), (2, 103)])
+def test_k3_k3_covers_lie_inside_liberation_sets(scale, libsets):
+    # A = J3 and B = scale * J3 across all 511 nonempty bridge sets: the
+    # zero-forcing covers of K3 x K3 are liberation sets of A + B, and with
+    # B = J3 they are all of them
+    k3 = catalog("K3")
+    prod = cartesian_product(k3, k3)
+    cells = [(u, v) for u in range(1, 4) for v in range(1, 4)]
+    a = RatMatrix.from_rows([[1] * 3] * 3)
+    b = RatMatrix.from_rows([[scale] * 3] * 3)
+    covers, libs = set(), set()
+    for k in range(1, 10):
+        for f in combinations(cells, k):
+            if is_zf_cover(prod, [product_index(u, v, 3) for u, v in f]):
+                covers.add(f)
+            if directsum_liberation(a, b, cover_to_bridge(k3, k3, f)):
+                libs.add(f)
+    assert len(covers) == 34
+    assert len(libs) == libsets
+    assert covers <= libs
