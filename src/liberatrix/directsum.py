@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -26,12 +27,17 @@ from .strongprops import has_strong_property, normalize_kind
 
 @dataclass(frozen=True)
 class SylvesterSpace:
-    basis: tuple       # outer-product matrices of shape (m, n)
     dimension: int
     common: tuple      # ((value, mult in A, mult in B), ...)
     kind: str
     ambiguous: bool
     eigvec_blocks: tuple  # ((U_A, U_B) per common value, column blocks)
+
+    @cached_property
+    def basis(self) -> tuple:
+        """The outer-product matrices of shape (m, n), built on first read."""
+        return tuple(y for ua, ub in self.eigvec_blocks
+                     for y in _products(ua, ub))
 
 
 def sylvester_space(a, b, tol: float = 1e-8, kind: str = "ssp") -> SylvesterSpace:
@@ -41,7 +47,7 @@ def sylvester_space(a, b, tol: float = 1e-8, kind: str = "ssp") -> SylvesterSpac
     tolerance; a gap falling in (tol, 10 tol) marks the result ambiguous and
     emits a warning, since the common-spectrum decision is then fragile.
     basis lists the outer products U_A[:, i] U_B[:, j]^T of the eigenvector
-    blocks (U_A, U_B), block by block, i then j.
+    blocks (U_A, U_B), block by block, i then j, and is built on first read.
     """
     kind = normalize_kind(kind)
     a = _finite_square(a)
@@ -76,7 +82,6 @@ def sylvester_space(a, b, tol: float = 1e-8, kind: str = "ssp") -> SylvesterSpac
         warnings.warn("eigenvalue gap close to the clustering tolerance",
                       stacklevel=2)
 
-    basis = []
     common = []
     blocks = []
     for value, ia, ib in pieces:
@@ -92,9 +97,8 @@ def sylvester_space(a, b, tol: float = 1e-8, kind: str = "ssp") -> SylvesterSpac
         if resid > 1e-9 * scale:
             raise RuntimeError(
                 "intertwining residual %.2e exceeds bound" % resid)
-        basis.extend(_products(ua, ub))
-    return SylvesterSpace(tuple(basis), len(basis), tuple(common), kind,
-                          ambiguous, tuple(blocks))
+    return SylvesterSpace(sum(k * l for _, k, l in common), tuple(common),
+                          kind, ambiguous, tuple(blocks))
 
 
 def _products(p, q):

@@ -252,22 +252,34 @@ def is_graph_liberation_set(g: Graph, beta, kind: str = "ssp",
                             trials: int = 60, seed=0) -> GraphLiberationVerdict:
     """Sampling verdict for 'beta liberates every matrix with this pattern'.
 
-    The universal claim cannot be decided by finitely many samples, so the
-    positive answer is reported as probabilistic-yes; a failing sample is a
-    genuine counterexample and is returned with the certificate.
+    Each sample is decided by the drop-one rank check alone, as in
+    enumeration and liberate's precheck: for each e in beta, the rows of its
+    verification matrix outside beta - e must be independent. The universal
+    claim cannot be decided by finitely many samples, so the positive answer
+    is reported as probabilistic-yes. The first failing sample is certified
+    by is_liberation_set, whose four criteria must agree that it is no
+    liberation set, and is returned with its sampling mode as a genuine
+    counterexample.
     """
     kind = normalize_kind(kind)
     if trials < 1:
         raise ValueError("trials must be positive")
     beta = _nonedges(g, beta)
+    if len(beta) == 0:
+        raise ValueError("a liberation set must be nonempty")
     rng = random.Random(seed)
     for t in range(trials):
         mode = SAMPLE_MODES[t % len(SAMPLE_MODES)]
         if mode == "random-diagonal-collisions" and g.n < 2:
             mode = "random-rational"
         a = sample_S(g, seed=rng.randrange(2**63), mode=mode)
-        cert = is_liberation_set(a, g, beta, kind)
-        if not cert.answer:
-            return GraphLiberationVerdict(
-                "certified-counterexample", beta, kind, t + 1, seed, a, mode)
+        if all(ok for _, ok in _drop_one_verdicts(psi(a, g, kind), beta.pairs)):
+            continue
+        if is_liberation_set(a, g, beta, kind).answer:
+            raise RuntimeError(
+                "the drop-one rank check and the certificate disagree for "
+                "beta=%s kind=%s; this is a bug in one of the code paths"
+                % (beta.pairs, kind))
+        return GraphLiberationVerdict(
+            "certified-counterexample", beta, kind, t + 1, seed, a, mode)
     return GraphLiberationVerdict("probabilistic-yes", beta, kind, trials, seed)

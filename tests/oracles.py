@@ -6,10 +6,12 @@ off the reduced row echelon form, spectral disjointness from the gcd of
 characteristic polynomials, the liberation witness read off the Fraction
 block of the public column echelon form, the integer elimination that
 combines every entry of a row, kernels read off the Fraction reduced row
-echelon form, minimal liberation sets by testing every nonedge subset, and
-genericity of a float basis by one determinant per row selection.
+echelon form, minimal liberation sets by testing every nonedge subset,
+genericity of a float basis by one determinant per row selection, and the
+sampled pattern-level verdict with a full certificate on every sample.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -17,8 +19,11 @@ from math import gcd
 import numpy as np
 
 from liberatrix.exactla import RatMatrix, charpoly, poly_gcd, rref
-from liberatrix.liberation import is_liberation_set
+from liberatrix.graphs import nonedge_set
+from liberatrix.liberation import GraphLiberationVerdict, is_liberation_set
 from liberatrix.numla import numeric_rank
+from liberatrix.patterns import SAMPLE_MODES, sample_S
+from liberatrix.strongprops import normalize_kind
 
 
 def basis_X(n: int, i: int, j: int) -> RatMatrix:
@@ -172,3 +177,21 @@ def is_generic_per_subset(w, tol=1e-8):
         if abs(float(np.linalg.det(sub / norms[:, None]))) <= tol:
             return False
     return True
+
+
+def graph_liberation_reference(g, beta, kind, trials, seed):
+    """liberation.is_graph_liberation_set with the four-criteria certificate
+    of is_liberation_set deciding every sample: the same draws, the first
+    failing sample returned as the counterexample with its mode."""
+    kind = normalize_kind(kind)
+    beta = nonedge_set(g, beta)
+    rng = random.Random(seed)
+    for t in range(trials):
+        mode = SAMPLE_MODES[t % len(SAMPLE_MODES)]
+        if mode == "random-diagonal-collisions" and g.n < 2:
+            mode = "random-rational"
+        a = sample_S(g, seed=rng.randrange(2**63), mode=mode)
+        if not is_liberation_set(a, g, beta, kind).answer:
+            return GraphLiberationVerdict(
+                "certified-counterexample", beta, kind, t + 1, seed, a, mode)
+    return GraphLiberationVerdict("probabilistic-yes", beta, kind, trials, seed)

@@ -83,6 +83,18 @@ def test_sylvester_dimension_counts_products():
         assert np.max(np.abs(a @ y - y @ b)) <= 1e-9
 
 
+def test_sylvester_basis_is_built_on_first_read():
+    a = planted([0.0, 0.0, 1.0, 2.0], SEED)
+    b = planted([0.0, 1.0, 1.0, 5.0, 7.0], SEED + 1)
+    s = sylvester_space(a, b)
+    assert "basis" not in vars(s)
+    assert len(s.basis) == s.dimension and s.basis is s.basis
+    # block by block, i then j: the outer products of the blocks' columns
+    expect = [np.outer(ua[:, i], ub[:, j]) for ua, ub in s.eigvec_blocks
+              for i in range(ua.shape[1]) for j in range(ub.shape[1])]
+    assert all(np.array_equal(y, e) for y, e in zip(s.basis, expect))
+
+
 def test_sylvester_ambiguous_gap_warns():
     a = np.diag([0.0, 5e-8])
     b = np.diag([0.0])

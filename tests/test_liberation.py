@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from liberatrix import liberation, strongprops
 from liberatrix.exactla import RatMatrix, charpoly, column_echelon, direct_sum
 from liberatrix.graphs import (EdgeSet, add_edges, bridge_set, build_graph,
-                               catalog, catalog_entry, complement)
+                               catalog, catalog_entry, complement, nonedge_set)
 from liberatrix.liberation import (
     enumerate_minimal_liberation_sets,
     is_graph_liberation_set,
@@ -18,7 +20,8 @@ from liberatrix.liberation import (
 )
 from liberatrix.patterns import SAMPLE_MODES, sample_S
 from liberatrix.strongprops import has_strong_property, has_strong_property_wrt
-from oracles import minimal_liberation_sets, solve, witness_from_block
+from oracles import (graph_liberation_reference, minimal_liberation_sets,
+                     solve, witness_from_block)
 
 SEED = 20260816
 
@@ -225,6 +228,82 @@ def test_graph_level_counterexample():
     assert v.verdict == "certified-counterexample" and not bool(v)
     a = v.counterexample
     assert a[0, 0] == a[1, 1]
+
+
+def test_graph_level_empty_beta_is_refused():
+    g = catalog("P3")
+    for beta in ([], nonedge_set(g, [])):
+        with pytest.raises(ValueError, match="must be nonempty"):
+            is_graph_liberation_set(g, beta, trials=3)
+
+
+def _count_calls(monkeypatch, name):
+    """Replace liberation.<name> by a wrapper; returns its results so far."""
+    fn, seen = getattr(liberation, name), []
+
+    def counted(*args, **kwargs):
+        seen.append(fn(*args, **kwargs))
+        return seen[-1]
+    monkeypatch.setattr(liberation, name, counted)
+    return seen
+
+
+def test_graph_level_certifies_only_the_counterexample(monkeypatch):
+    certs = _count_calls(monkeypatch, "is_liberation_set")
+    star = complement(catalog("K4uK1"))
+    for beta in ([(1, 2), (2, 3), (1, 3)], [(1, 2), (1, 3), (1, 4)]):
+        assert is_graph_liberation_set(star, beta, trials=9, seed=SEED)
+    assert certs == []
+    v = is_graph_liberation_set(catalog("C4"), [(1, 3)], trials=3)
+    assert (v.verdict, v.trials) == ("certified-counterexample", 1)
+    assert [c.answer for c in certs] == [False]
+    assert dict(certs[0].criteria) == dict.fromkeys(liberation.CRITERIA, False)
+
+
+def test_graph_level_empty_beta_draws_no_sample(monkeypatch):
+    draws = _count_calls(monkeypatch, "sample_S")
+    with pytest.raises(ValueError):
+        is_graph_liberation_set(catalog("P3"), [], trials=3)
+    assert draws == []
+
+
+def test_graph_level_counterexample_certificate_must_agree(monkeypatch):
+    # a failing drop-one rank answered yes by the certificate is a bug
+    monkeypatch.setattr(liberation, "is_liberation_set",
+                        lambda *args: SimpleNamespace(answer=True))
+    with pytest.raises(RuntimeError, match="disagree"):
+        is_graph_liberation_set(catalog("C4"), [(1, 3)], trials=3)
+
+
+def test_graph_level_matches_per_sample_certificates():
+    # every connected graph on 3-4 vertices, every nonedge set of size 1-2
+    queries = 0
+    for i, h in enumerate(nx.graph_atlas_g()):
+        if not 3 <= len(h) <= 4 or not nx.is_connected(h):
+            continue
+        g = build_graph(len(h), [(u + 1, v + 1) for u, v in h.edges()])
+        for size in (1, 2):
+            for beta in combinations(g.nonedges(), size):
+                for kind in ("ssp", "sap"):
+                    ref = graph_liberation_reference(g, beta, kind, 12, i)
+                    got = is_graph_liberation_set(g, beta, kind, 12, i)
+                    assert got == ref, (i, beta, kind)
+                    queries += 1
+    assert queries == 40
+
+
+def test_graph_level_reads_every_dropped_pair(monkeypatch):
+    # G151's constructed counterexample passes the drop-one check at its
+    # first three pairs and fails only at the last, (4, 6)
+    a = direct_sum(
+        RatMatrix.from_rows([[0, 1, 1, 1], [1, -1, 0, 0],
+                             [1, 0, 0, 0], [1, 0, 0, 0]]),
+        RatMatrix.from_rows([[0, 1], [1, 1]]))
+    entry = catalog_entry("G151")
+    monkeypatch.setattr(liberation, "sample_S", lambda *args, **kwargs: a)
+    v = is_graph_liberation_set(entry.base, entry.beta, trials=2)
+    assert (v.verdict, v.trials, v.counterexample) == (
+        "certified-counterexample", 1, a)
 
 
 def test_random_certificates_have_valid_witnesses():
