@@ -12,7 +12,7 @@ from .continuation import (LiberateResult, LowRankResult,
                            complete_pattern_low_rank, liberate,
                            realize_in_pattern, realize_spectrum)
 from .directsum import (DirectSumCertificate, SylvesterSpace,
-                        directsum_liberation, is_generic, sylvester_space)
+                        directsum_liberation, sylvester_space)
 from .exactla import (RatMatrix, charpoly, commutator, direct_sum,
                       kernel_basis, parse_matrix_text, rank, rref)
 from .graphs import (CatalogEntry, EdgeSet, Graph, add_edges, bridge_set,
@@ -24,9 +24,9 @@ from .graphs import (CatalogEntry, EdgeSet, Graph, add_edges, bridge_set,
 from .liberation import (GraphLiberationVerdict, LiberationCertificate,
                          enumerate_minimal_liberation_sets,
                          is_graph_liberation_set, is_liberation_set)
-from .numla import (MultiplicityList, SymMatrix, multiplicity_list,
-                    numeric_rank, random_orthogonal, read_float_matrix,
-                    sym_eigen)
+from .numla import (MultiplicityList, SymMatrix, is_generic,
+                    multiplicity_list, numeric_rank, random_orthogonal,
+                    read_float_matrix, sym_eigen)
 from .patterns import in_class, pair_position, pattern_of, sample_S
 from .strongprops import (StrongPropertyResult, VerificationMatrix,
                           has_strong_property, has_strong_property_wrt, psi,

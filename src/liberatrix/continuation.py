@@ -21,6 +21,11 @@ pair, and keeping every held entry held;
 complete_pattern_low_rank() rounds out a rank-deficient matrix to a full
 pattern without raising the rank, by the same minimum-norm Newton loop on
 the factor V of V S V^T with its closed-form Jacobian.
+
+Float input is checked by numla, the package's float layer: a matrix or
+target spectrum with a NaN or infinite entry raises ValueError before any
+solve. The Newton solver holds the free coordinates of a pattern as one
+(k, 2) array of 0-based (row, column) slots, the diagonal then the edges.
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, add_edges, nonedge_set
-from .numla import (SymMatrix, multiplicity_list, random_orthogonal,
+from .numla import (SymMatrix, _blocks_generic, _finite_square,
+                    _finite_values, multiplicity_list, random_orthogonal,
                     seeded_random, sym_eigen)
-from .patterns import _finite_square, _require_order, in_class
+from .patterns import _require_order, in_class
 from .strongprops import (_drop_one_verdicts, has_strong_property,
                           normalize_kind, psi)
 
@@ -64,24 +70,18 @@ def _min_norm_newton(system, x, tol):
     return x, "converged" if ok else "not converged"
 
 
-def _pattern_slots(g: Graph):
-    """Free coordinates of the closed class over g: diagonal then edges."""
-    slots = [(i, i) for i in range(g.n)]
-    slots.extend((i - 1, j - 1) for (i, j) in g.edges)
-    return slots
-
-
-def _slot_index(slots) -> np.ndarray:
-    """The slots as a (k, 2) integer array of (row, column) pairs; a list of
-    pairs or such an array."""
-    return np.asarray(slots, dtype=int).reshape(-1, 2)
+def _pattern_slots(g: Graph) -> np.ndarray:
+    """Free coordinates of the closed class over g, diagonal then edges, as
+    a (k, 2) integer array of 0-based (row, column) pairs."""
+    diag = np.arange(g.n)
+    edges = np.array(g.edges, dtype=int).reshape(-1, 2) - 1
+    return np.vstack([np.column_stack([diag, diag]), edges])
 
 
 def _build_from_slots(n, slots, x):
-    idx = _slot_index(slots)
     a = np.zeros((n, n))
-    a[idx[:, 0], idx[:, 1]] = x
-    a[idx[:, 1], idx[:, 0]] = x
+    a[slots[:, 0], slots[:, 1]] = x
+    a[slots[:, 1], slots[:, 0]] = x
     return a
 
 
@@ -101,10 +101,9 @@ def _cluster_pairs(mults):
 def _jacobian(q, pairs, slots):
     """d (Q^T A(x) Q)_ab / d x_ij for the within-cluster pairs (a, b) and
     the slots (i, j): Q_ia Q_jb + Q_ja Q_ib, or Q_ia Q_ib on the diagonal.
-    The slots are a list of pairs or their _slot_index array."""
+    The slots are a (k, 2) index array, as _pattern_slots gives."""
     ra, rb = pairs
-    idx = _slot_index(slots)
-    si, sj = idx[:, 0], idx[:, 1]
+    si, sj = slots[:, 0], slots[:, 1]
     qi, qj = q[si], q[sj]
     jac = qi[:, ra] * qj[:, rb] + qj[:, ra] * qi[:, rb]
     jac[si == sj] *= 0.5
@@ -128,15 +127,13 @@ def _newton(n, slots, free, target, x, tol):
     scale = max(1.0, float(np.max(np.abs(tgt))))
     pairs = _cluster_pairs(multiplicity_list(tgt, 1e-6 * scale).multiplicities)
     on_diag = pairs[0] == pairs[1]
-    # index the slots once; each step assembles A(x) by fancy indexing
-    idx = _slot_index(slots)
     free = np.asarray(free, dtype=int)
-    free_idx = idx[free]
+    free_idx = slots[free]
     full = np.array(x, dtype=float)
 
     def system(y):
         full[free] = y
-        vals, q = np.linalg.eigh(_build_from_slots(n, idx, full))
+        vals, q = np.linalg.eigh(_build_from_slots(n, slots, full))
         res = np.where(on_diag, vals[pairs[0]] - tgt[pairs[0]], 0.0)
         return res, _jacobian(q, pairs, free_idx)
 
@@ -193,10 +190,10 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
 
     h = add_edges(g, beta.pairs)
     slots = _pattern_slots(h)
-    beta_slot_idx = [slots.index((i - 1, j - 1)) for (i, j) in beta.pairs]
+    beta_slot_idx = [g.n + h.edges.index(e) for e in beta.pairs]
     target_vals = np.linalg.eigvalsh(arr)
     vscale = max(1.0, float(np.max(np.abs(target_vals))))
-    base = np.array([arr[i, j] for (i, j) in slots])
+    base = arr[slots[:, 0], slots[:, 1]]
     rng = seeded_random(seed)
     last_err = None
     for attempt in range(1, max_iter + 1):
@@ -233,15 +230,6 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
 
 # ---------------------------------------------------------------------------
 # Spectrum realization
-
-def _flat_values(target):
-    """The target spectrum as a flat list of floats; ValueError on a NaN or
-    infinite value."""
-    vals = [float(v) for v in target]
-    if not all(math.isfinite(v) for v in vals):
-        raise ValueError("spectrum has a non-finite value")
-    return vals
-
 
 def _lanczos_path(values):
     d = np.array(values)
@@ -296,7 +284,7 @@ def realize_spectrum(target, shape: str, seed=0, tol: float = 1e-9) -> SymMatrix
     resampled until the pattern is full and every eigenspace is generic.
     diagonal: distinct values on an empty graph.
     """
-    values = sorted(_flat_values(target))
+    values = sorted(_finite_values(target))
     n = len(values)
     if n == 0:
         raise ValueError("empty spectrum")
@@ -326,8 +314,6 @@ def realize_spectrum(target, shape: str, seed=0, tol: float = 1e-9) -> SymMatrix
 
 
 def _complete_generic(values, seed):
-    from .directsum import is_generic
-
     n = len(values)
     d = np.diag(np.array(values))
     ml = multiplicity_list(values, tol=1e-12)
@@ -336,16 +322,7 @@ def _complete_generic(values, seed):
         a = q @ d @ q.T
         off_ok = all(abs(a[i, j]) > MIN_ENTRY
                      for i in range(n) for j in range(i + 1, n))
-        if not off_ok:
-            continue
-        pos = 0
-        generic = True
-        for m in ml.multiplicities:
-            if not is_generic(q[:, pos:pos + m]):
-                generic = False
-                break
-            pos += m
-        if generic:
+        if off_ok and all(_blocks_generic(q, ml.multiplicities)):
             return a
     raise RuntimeError("no generic completion found in 60 draws")
 
@@ -365,7 +342,7 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
     entry per round; up to ten rounds run per attempt. Feasibility is the
     caller's burden; infeasible targets surface as non-convergence.
     """
-    values = sorted(_flat_values(spectrum))
+    values = sorted(_finite_values(spectrum))
     if len(values) != g.n:
         raise ValueError("spectrum size %d does not fit %d vertices"
                          % (len(values), g.n))
@@ -378,7 +355,7 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
     for _ in range(max_iter):
         q = random_orthogonal(g.n, rng.getrandbits(62))
         b = (q * target_vals) @ q.T
-        x = np.array([b[i, j] for (i, j) in slots])
+        x = b[slots[:, 0], slots[:, 1]]
         ok = False
         dead = []
         held = set()

@@ -14,14 +14,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
-from .exactla import RatMatrix, rank
+from .exactla import RatMatrix
 from .graphs import EdgeSet, bridge_set
-from .numla import multiplicity_list, numeric_rank, sym_eigen
-from .patterns import _finite_square, pattern_of
+from .numla import (_finite_square, is_generic, multiplicity_list,
+                    numeric_rank, sym_eigen)
+from .patterns import pattern_of
 from .strongprops import has_strong_property, normalize_kind
 
 
@@ -105,43 +105,6 @@ def _products(p, q):
     """The outer products p[:, i] q[:, j]^T, i then j, stacked."""
     return (p.T[:, None, :, None] * q.T[None, :, None, :]).reshape(
         -1, p.shape[0], q.shape[0])
-
-
-def is_generic(w, tol: float = 1e-8) -> bool:
-    """Every maximal square row-submatrix of a basis matrix is invertible.
-
-    The answer depends only on the column span: a change of basis multiplies
-    each minor by the same nonzero factor. A RatMatrix is tested by one exact
-    rank per row selection. A float matrix is False when a row's norm is at
-    most tol times the largest; otherwise its rows are scaled to unit norm
-    and one batched determinant over the C(n, d) row selections decides,
-    each minor counting as singular when its absolute value is at most tol.
-    Both raise ValueError on a rank-deficient basis.
-    """
-    if isinstance(w, RatMatrix):
-        n, d = w.rows, w.cols
-        if rank(w) != d:
-            raise ValueError("basis matrix is rank-deficient")
-        return all(
-            rank(w.submatrix(row_idx=list(sel))) == d
-            for sel in combinations(range(n), d))
-    arr = np.asarray(w, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("expected a matrix of basis columns")
-    n, d = arr.shape
-    if numeric_rank(arr, tol) != d:
-        raise ValueError("basis matrix is rank-deficient")
-    if d == 0:
-        return True
-    norms = np.array([np.linalg.norm(row) for row in arr])
-    # every row lies in some selection, and a numerically zero row makes
-    # its minors singular outright
-    if np.any(norms <= tol * float(np.max(norms))):
-        return False
-    # the row-normalized determinants keep the threshold scale-free
-    sels = np.array(list(combinations(range(n), d)), dtype=int)
-    dets = np.linalg.det((arr / norms[:, None])[sels])
-    return not np.any(np.abs(dets) <= tol)
 
 
 def _check_blocks_strong(a, b, kind):

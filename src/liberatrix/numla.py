@@ -1,10 +1,13 @@
-"""Floating-point symmetric eigencomputations and numeric rank.
+"""The package's float linear algebra: symmetric eigensystems, numeric
+rank, eigenvalue clustering and eigenspace genericity (is_generic).
 
-Eigensystems come from LAPACK through numpy.linalg.eigh: eigenvalues
-ascending with an orthonormal eigenvector matrix Q whose columns match.
-Eigenvalue clustering into a multiplicity list follows one rule, chained
-gaps at a tolerance, which every caller in the package shares. Seeded
-numeric draws come from seeded_random, a stdlib random.Random.
+Float input is checked here by one finiteness test, so a NaN or infinite
+entry raises ValueError on every numeric path. Eigensystems come from
+LAPACK through numpy.linalg.eigh: eigenvalues ascending with an orthonormal
+eigenvector matrix Q whose columns match. Eigenvalue clustering into a
+multiplicity list follows one rule, chained gaps at a tolerance, which
+every caller in the package shares. Seeded numeric draws come from
+seeded_random, a stdlib random.Random.
 """
 
 from __future__ import annotations
@@ -12,26 +15,51 @@ from __future__ import annotations
 import numbers
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .exactla import read_matrix
+from .exactla import RatMatrix, rank, read_matrix
 
 
-def _as_array(a):
+def _finite(arr, what):
+    """arr, once no entry of it is NaN or infinite; ValueError otherwise."""
+    if not np.isfinite(arr).all():
+        raise ValueError("%s has a non-finite entry" % what)
+    return arr
+
+
+def _finite_matrix(a):
+    """a as a 2-d float array; ValueError if it is not 2-d or has a NaN or
+    infinite entry."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
         raise ValueError("expected a 2-d array")
-    return arr
+    return _finite(arr, "matrix")
+
+
+def _finite_square(a):
+    """a as a square float array; ValueError if it is not square or has a
+    NaN or infinite entry."""
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError("expected a square matrix")
+    return _finite(arr, "matrix")
+
+
+def _finite_values(values):
+    """values as a flat list of floats; ValueError on a NaN or infinite
+    value."""
+    vals = [float(v) for v in values]
+    _finite(np.array(vals), "spectrum")
+    return vals
 
 
 class SymMatrix:
     """Symmetric float matrix; symmetry is enforced by storage."""
 
     def __init__(self, data, tol=1e-9):
-        arr = np.asarray(data, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("SymMatrix needs a square array")
+        arr = _finite_square(data)
         scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
         if arr.size and float(np.max(np.abs(arr - arr.T))) > tol * scale:
             raise ValueError("input is not symmetric within tolerance")
@@ -64,7 +92,7 @@ class SymMatrix:
 
 def sym_eigen(a):
     """Eigenvalues (ascending) and orthonormal Q for a symmetric matrix."""
-    return np.linalg.eigh(_as_array(a))
+    return np.linalg.eigh(_finite_square(a))
 
 
 @dataclass(frozen=True)
@@ -95,7 +123,7 @@ def multiplicity_list(values, tol=1e-8) -> MultiplicityList:
     the cluster mean. A gap strictly between tol and 10*tol flags the result
     ambiguous; callers deciding multiplicities should treat that as a warning.
     """
-    vals = sorted(float(x) for x in values)
+    vals = sorted(_finite_values(values))
     if not vals:
         return MultiplicityList((), (), tol)
     groups = [[vals[0]]]
@@ -116,11 +144,57 @@ def multiplicity_list(values, tol=1e-8) -> MultiplicityList:
 def numeric_rank(m, tol=1e-8) -> int:
     """Count of singular values above tol * the largest one (LAPACK SVD).
     Monotone nonincreasing in tol."""
-    a = _as_array(m)
+    a = _finite_matrix(m)
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     return int(np.sum(s > tol * s[0]))
+
+
+def is_generic(w, tol: float = 1e-8) -> bool:
+    """Every maximal square row-submatrix of a basis matrix is invertible.
+
+    The answer depends only on the column span: a change of basis multiplies
+    each minor by the same nonzero factor. A RatMatrix is tested by one exact
+    rank per row selection. A float matrix is False when a row's norm is at
+    most tol times the largest; otherwise its rows are scaled to unit norm
+    and one batched determinant over the C(n, d) row selections decides,
+    each minor counting as singular when its absolute value is at most tol.
+    Both raise ValueError on a rank-deficient basis, and a float matrix with
+    a NaN or infinite entry raises ValueError.
+    """
+    if isinstance(w, RatMatrix):
+        n, d = w.rows, w.cols
+        if rank(w) != d:
+            raise ValueError("basis matrix is rank-deficient")
+        return all(
+            rank(w.submatrix(row_idx=list(sel))) == d
+            for sel in combinations(range(n), d))
+    arr = _finite_matrix(w)
+    n, d = arr.shape
+    if numeric_rank(arr, tol) != d:
+        raise ValueError("basis matrix is rank-deficient")
+    if d == 0:
+        return True
+    norms = np.array([np.linalg.norm(row) for row in arr])
+    # every row lies in some selection, and a numerically zero row makes
+    # its minors singular outright
+    if np.any(norms <= tol * float(np.max(norms))):
+        return False
+    # the row-normalized determinants keep the threshold scale-free
+    sels = np.array(list(combinations(range(n), d)), dtype=int)
+    dets = np.linalg.det((arr / norms[:, None])[sels])
+    return not np.any(np.abs(dets) <= tol)
+
+
+def _blocks_generic(vecs, mults):
+    """is_generic of the consecutive column blocks of vecs, one block per
+    multiplicity in turn: an eigenvector matrix read cluster by cluster.
+    Lazy, so all() stops at the first block that is not generic."""
+    at = 0
+    for m in mults:
+        yield is_generic(vecs[:, at:at + m])
+        at += m
 
 
 def seeded_random(seed) -> random.Random:

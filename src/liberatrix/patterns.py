@@ -19,6 +19,7 @@ import numpy as np
 
 from .exactla import RatMatrix
 from .graphs import Graph, build_graph
+from .numla import _finite_square
 
 CLASS_TAGS = ("S", "S_cl", "S_cl0")
 
@@ -65,17 +66,6 @@ def _pattern_flags(a, g: Graph, tol: float = 1e-8):
     edge, nonedge = g.upper_masks
     return (not hit[nonedge].any(), bool(hit[edge].all()),
             not hit.diagonal().any())
-
-
-def _finite_square(a):
-    """a as a square float array; ValueError if it is not square or has a
-    NaN or infinite entry."""
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix has a non-finite entry")
-    return arr
 
 
 def _require_order(n, g: Graph):

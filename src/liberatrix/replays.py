@@ -42,14 +42,14 @@ import numpy as np
 from . import REGISTRY
 from .continuation import (complete_pattern_low_rank, liberate,
                            realize_in_pattern, realize_spectrum)
-from .directsum import directsum_liberation, is_generic, sylvester_space
+from .directsum import directsum_liberation, sylvester_space
 from .exactla import RatMatrix, charpoly, direct_sum
 from .graphs import (add_edges, build_graph, cartesian_product, catalog,
                      catalog_entry, cycle_graph, disjoint_union, path_graph,
                      product_index, star_graph)
 from .liberation import (enumerate_minimal_liberation_sets,
                          is_graph_liberation_set, is_liberation_set)
-from .numla import multiplicity_list, sym_eigen
+from .numla import _blocks_generic, is_generic, multiplicity_list, sym_eigen
 from .patterns import in_class, pair_position, pattern_of
 from .strongprops import has_strong_property, has_strong_property_wrt, psi
 from .zeroforcing import is_zf_cover, zf_liberation
@@ -178,15 +178,12 @@ def _nonzero_fraction(rng):
     return Fraction(sign * rng.randint(1, 9), rng.randint(1, 9))
 
 
-def _block_diag(*blocks):
-    arrs = [np.asarray(b, dtype=float) for b in blocks]
-    n = sum(a.shape[0] for a in arrs)
-    out = np.zeros((n, n))
-    at = 0
-    for a in arrs:
-        k = a.shape[0]
-        out[at:at + k, at:at + k] = a
-        at += k
+def _block_diag(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    m = a.shape[0]
+    out = np.zeros((m + b.shape[0],) * 2)
+    out[:m, :m] = a
+    out[m:, m:] = b
     return out
 
 
@@ -580,17 +577,6 @@ def _c6c8_blocks():
     return a, b
 
 
-def _eigenspace_generic_flags(arr):
-    vals, vecs = sym_eigen(np.asarray(arr, dtype=float))
-    ml = multiplicity_list(vals, tol=1e-8)
-    flags = []
-    at = 0
-    for value, k in ml:
-        flags.append((float(value), is_generic(vecs[:, at:at + k])))
-        at += k
-    return flags
-
-
 def _run_c6c8(run, seed):
     r3 = math.sqrt(3.0)
     s23 = math.sqrt(2.0 / 3.0)
@@ -600,11 +586,12 @@ def _run_c6c8(run, seed):
     run.check("closed-form spectra", max(dev_a, dev_b) <= 1e-9,
               "deviations %.1e / %.1e" % (dev_a, dev_b))
 
-    flags_a = _eigenspace_generic_flags(a)
-    flags_b = _eigenspace_generic_flags(b)
+    flags_a, flags_b = (
+        list(_blocks_generic(
+            vecs, multiplicity_list(vals, tol=1e-8).multiplicities))
+        for vals, vecs in (sym_eigen(a), sym_eigen(b)))
     run.check("every eigenspace generic except the first block's kernel",
-              [ok for _, ok in flags_a] == [True, False, True]
-              and all(ok for _, ok in flags_b))
+              flags_a == [True, False, True] and all(flags_b))
 
     exact_a = RatMatrix.from_rows(
         [[Fraction(round(x)) for x in row] for row in a])

@@ -14,6 +14,7 @@ standard rule and in the kernel sense under the local one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .directsum import directsum_liberation
@@ -49,7 +50,7 @@ def _check_vertices(g: Graph, filled):
 def _first_force(order, blue, groups):
     for u in order:
         if u in blue:
-            for tag, nbrs in groups[u]:
+            for tag, nbrs in groups[u - 1]:
                 whites = [w for w in nbrs if w not in blue]
                 if len(whites) == 1:
                     return (u, whites[0], tag)
@@ -59,9 +60,10 @@ def _first_force(order, blue, groups):
 def _force(n, filled, groups, schedule=None, what="vertices") -> ColorState:
     """Fixed point of forcing over per-vertex neighbor groups.
 
-    groups[u] lists (tag, neighbors); a blue u forces the one white member of
-    the first of its groups that has exactly one. One force per step, taken
-    at the first able vertex in schedule order, so the log is reproducible.
+    groups[u - 1] lists (tag, neighbors); a blue u forces the one white
+    member of the first of its groups that has exactly one. One force per
+    step, taken at the first able vertex in schedule order, so the log is
+    reproducible.
     """
     order = list(schedule) if schedule is not None else list(range(1, n + 1))
     if sorted(order) != list(range(1, n + 1)):
@@ -73,10 +75,12 @@ def _force(n, filled, groups, schedule=None, what="vertices") -> ColorState:
     return ColorState(n, frozenset(blue), tuple(log))
 
 
+@lru_cache(maxsize=64)
 def _standard_rule(g: Graph):
-    """Neighbor groups of the color change rule: whole neighborhoods."""
-    return {v: (("standard", sorted(g.neighbors(v))),)
-            for v in range(1, g.n + 1)}
+    """Neighbor groups of the color change rule: whole neighborhoods, in
+    label order. Built once per graph and shared, so held as tuples."""
+    return tuple((("standard", tuple(sorted(g.neighbors(v)))),)
+                 for v in range(1, g.n + 1))
 
 
 def _is_cover(n, labels, groups) -> bool:
@@ -150,14 +154,15 @@ def _normalize_pairs(g: Graph, h: Graph, f):
     return sorted(set(pairs))
 
 
+@lru_cache(maxsize=64)
 def _local_rule(g: Graph, h: Graph):
     """Neighbor groups of the copy-restricted rule on the product of g and
-    h, keyed by product label: the vertex's copy of g, then of h."""
-    return {
-        product_index(u, v, h.n): (
-            ("G-local", [product_index(w, v, h.n) for w in g.neighbors(u)]),
-            ("H-local", [product_index(u, w, h.n) for w in h.neighbors(v)]))
-        for u in range(1, g.n + 1) for v in range(1, h.n + 1)}
+    h, in product-label order: the vertex's copy of g, then of h. Built
+    once per pair of graphs and shared, so held as tuples."""
+    return tuple(
+        (("G-local", tuple(product_index(w, v, h.n) for w in g.neighbors(u))),
+         ("H-local", tuple(product_index(u, w, h.n) for w in h.neighbors(v))))
+        for u in range(1, g.n + 1) for v in range(1, h.n + 1))
 
 
 def _product_labels(g: Graph, h: Graph, f):
@@ -226,7 +231,7 @@ def zf_liberation(a, b, f, kind: str = "ssp", tol: float = 1e-8) -> ZfLiberation
     combinatorial = _is_cover(g.n * h.n, labels, groups)
     state = _force(g.n * h.n, labels, groups)
     algebraic = directsum_liberation(
-        a, b, [(u, v + g.n) for (u, v) in pairs], kind=kind, tol=tol)
+        a, b, cover_to_bridge(g, h, pairs), kind=kind, tol=tol)
     if combinatorial and not algebraic.answer:
         raise RuntimeError(
             "cover verified but the algebraic certificate failed; "

@@ -9,6 +9,8 @@ combines every entry of a row, kernels read off the Fraction reduced row
 echelon form, minimal liberation sets by testing every nonedge subset,
 genericity of a float basis by one determinant per row selection, and the
 sampled pattern-level verdict with a full certificate on every sample.
+connected_atlas gives the small connected graphs that the tests and the CI
+sweeps run over.
 """
 
 import random
@@ -19,7 +21,7 @@ from math import gcd
 import numpy as np
 
 from liberatrix.exactla import RatMatrix, charpoly, poly_gcd, rref
-from liberatrix.graphs import nonedge_set
+from liberatrix.graphs import build_graph, nonedge_set
 from liberatrix.liberation import GraphLiberationVerdict, is_liberation_set
 from liberatrix.numla import numeric_rank
 from liberatrix.patterns import SAMPLE_MODES, sample_S
@@ -156,8 +158,10 @@ def minimal_liberation_sets(a, g, kind, max_size):
 
 
 def is_generic_per_subset(w, tol=1e-8):
-    """directsum.is_generic on a float basis matrix, one row selection at a
-    time: the row norms and the determinant of each selection in turn."""
+    """numla.is_generic on a float basis matrix, one row selection at a
+    time: the row norms and the determinant of each selection in turn. The
+    library's version, also reached as liberatrix.is_generic and
+    directsum.is_generic, takes one batched determinant instead."""
     arr = np.asarray(w, dtype=float)
     if arr.ndim != 2:
         raise ValueError("expected a matrix of basis columns")
@@ -195,3 +199,12 @@ def graph_liberation_reference(g, beta, kind, trials, seed):
             return GraphLiberationVerdict(
                 "certified-counterexample", beta, kind, t + 1, seed, a, mode)
     return GraphLiberationVerdict("probabilistic-yes", beta, kind, trials, seed)
+
+
+def connected_atlas(lo, hi):
+    """The connected graphs on lo..hi vertices of the networkx graph atlas,
+    as liberatrix graphs keyed by atlas index; vertex k becomes k + 1."""
+    import networkx as nx
+    return {i: build_graph(len(g), [(u + 1, v + 1) for u, v in g.edges()])
+            for i, g in enumerate(nx.graph_atlas_g())
+            if lo <= len(g) <= hi and nx.is_connected(g)}

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liberatrix import __version__
+from liberatrix import __version__, zeroforcing
 from liberatrix.cli import (_build_parser, _join_spectrum, _jsonable,
                             _parse_pairs, main)
 from liberatrix.exactla import RatMatrix, read_matrix, write_matrix
@@ -84,6 +84,14 @@ def test_zf_local_cover(capsys):
                  "--graph-h", "catalog:P2", "--pairs", "1-1,2-1,3-2,4-2"])
     assert code == 0
     assert "local cover: True" in capsys.readouterr().out
+
+
+def test_zf_local_cover_builds_one_rule_table(capsys):
+    # the cover check and the closure share the copy-restricted rule's table
+    zeroforcing._local_rule.cache_clear()
+    main(["zf", "--local-cover", "--graph", "catalog:C4",
+          "--graph-h", "catalog:P2", "--pairs", "1-1,2-1,3-2,4-2"])
+    assert zeroforcing._local_rule.cache_info().misses == 1
 
 
 def run_json(argv, tmp_path, capsys):

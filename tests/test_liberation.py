@@ -3,7 +3,6 @@ from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,14 +13,15 @@ from liberatrix.exactla import RatMatrix, charpoly, column_echelon, direct_sum
 from liberatrix.graphs import (EdgeSet, add_edges, bridge_set, build_graph,
                                catalog, catalog_entry, complement, nonedge_set)
 from liberatrix.liberation import (
+    CRITERIA,
     enumerate_minimal_liberation_sets,
     is_graph_liberation_set,
     is_liberation_set,
 )
 from liberatrix.patterns import SAMPLE_MODES, sample_S
 from liberatrix.strongprops import has_strong_property, has_strong_property_wrt
-from oracles import (graph_liberation_reference, minimal_liberation_sets,
-                     solve, witness_from_block)
+from oracles import (connected_atlas, graph_liberation_reference,
+                     minimal_liberation_sets, solve, witness_from_block)
 
 SEED = 20260816
 
@@ -112,6 +112,17 @@ def test_integer_path_builds_no_fraction_psi(monkeypatch):
     res = has_strong_property(a, g, "ssp")
     assert not res.answer and len(res.certificate) == 1
     assert len(calls) == 2
+
+
+def test_criterion_reads_each_named_verdict():
+    a, g = ones_block_plus(4), catalog("K4uK1")
+    for beta, answer in (([(3, 5), (4, 5)], True), ([(3, 5)], False)):
+        cert = is_liberation_set(a, g, beta)
+        assert cert.answer is answer
+        assert ({name: cert.criterion(name) for name in CRITERIA}
+                == dict.fromkeys(CRITERIA, answer))
+    with pytest.raises(KeyError):
+        cert.criterion("no-such-criterion")
 
 
 def test_k4k1_singleton_fails():
@@ -278,10 +289,7 @@ def test_graph_level_counterexample_certificate_must_agree(monkeypatch):
 def test_graph_level_matches_per_sample_certificates():
     # every connected graph on 3-4 vertices, every nonedge set of size 1-2
     queries = 0
-    for i, h in enumerate(nx.graph_atlas_g()):
-        if not 3 <= len(h) <= 4 or not nx.is_connected(h):
-            continue
-        g = build_graph(len(h), [(u + 1, v + 1) for u, v in h.edges()])
+    for i, g in connected_atlas(3, 4).items():
         for size in (1, 2):
             for beta in combinations(g.nonedges(), size):
                 for kind in ("ssp", "sap"):

@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import liberatrix
+from liberatrix import directsum, numla
 from liberatrix.exactla import RatMatrix
 from liberatrix.numla import (
     MultiplicityList,
@@ -161,3 +163,7 @@ def test_parse_float_matrix(tmp_path):
     m = read_float_matrix(path)
     assert m.dtype == float
     assert np.array_equal(m, [[0.5, 0.0], [-3.0, 0.25]])
+
+
+def test_is_generic_has_one_home():
+    assert liberatrix.is_generic is directsum.is_generic is numla.is_generic

@@ -12,6 +12,8 @@ from liberatrix.continuation import (complete_pattern_low_rank,
 from liberatrix.directsum import directsum_liberation, sylvester_space
 from liberatrix.exactla import RatMatrix, commutator
 from liberatrix.graphs import build_graph, catalog
+from liberatrix.numla import (SymMatrix, is_generic, multiplicity_list,
+                              numeric_rank, sym_eigen)
 from liberatrix.patterns import (
     CLASS_TAGS,
     SAMPLE_MODES,
@@ -180,12 +182,15 @@ def test_pattern_of_non_finite_raises():
             for call in (lambda: pattern_of(a), lambda: in_class(a, g, "S_cl"),
                          lambda: complete_pattern_low_rank(a, g),
                          lambda: sylvester_space(a, np.eye(2)),
-                         lambda: directsum_liberation(a, np.eye(2), [(1, 4)])):
+                         lambda: directsum_liberation(a, np.eye(2), [(1, 4)]),
+                         lambda: sym_eigen(a), lambda: numeric_rank(a),
+                         lambda: SymMatrix(a), lambda: is_generic(a[:, :2])):
                 with pytest.raises(ValueError, match="non-finite"):
                     call()
     for spectrum in ([1.0, np.nan, 2.0], [np.inf, 0.0, 1.0]):
         for call in (lambda: realize_spectrum(spectrum, "diagonal"),
-                     lambda: realize_in_pattern(g, spectrum)):
+                     lambda: realize_in_pattern(g, spectrum),
+                     lambda: multiplicity_list(spectrum)):
             with pytest.raises(ValueError, match="non-finite"):
                 call()
 
