@@ -6,7 +6,7 @@ intertwining space: for kind "ssp" the solutions of AY = YB, spanned by outer
 products of eigenvectors at common eigenvalues; for kind "sap" the solutions
 of AY = O = YB, spanned by kernel outer products. A bridge set is certified by
 evaluating that space at the bridge positions and checking the evaluation map
-has trivial kernel.
+has trivial kernel. Each public entry point checks a float block once.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import numpy as np
 
 from .exactla import RatMatrix
 from .graphs import EdgeSet, bridge_set
-from .numla import (_finite_square, is_generic, multiplicity_list,
-                    numeric_rank, sym_eigen)
+from .numla import _finite_square, is_generic, multiplicity_list, numeric_rank
 from .patterns import pattern_of
 from .strongprops import has_strong_property, normalize_kind
 
@@ -50,10 +49,14 @@ def sylvester_space(a, b, tol: float = 1e-8, kind: str = "ssp") -> SylvesterSpac
     blocks (U_A, U_B), block by block, i then j, and is built on first read.
     """
     kind = normalize_kind(kind)
-    a = _finite_square(a)
-    b = _finite_square(b)
-    vals_a, q_a = sym_eigen(a)
-    vals_b, q_b = sym_eigen(b)
+    return _sylvester(_finite_square(a), _finite_square(b), tol, kind)
+
+
+def _sylvester(a, b, tol, kind) -> SylvesterSpace:
+    """sylvester_space on checked square float arrays and a normalized
+    kind; its warning points at the line calling the public entry point."""
+    vals_a, q_a = np.linalg.eigh(a)
+    vals_b, q_b = np.linalg.eigh(b)
     scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
 
     if kind == "sap":
@@ -80,7 +83,7 @@ def sylvester_space(a, b, tol: float = 1e-8, kind: str = "ssp") -> SylvesterSpac
                 pieces.append((value, ia, ib))
     if ambiguous:
         warnings.warn("eigenvalue gap close to the clustering tolerance",
-                      stacklevel=2)
+                      stacklevel=3)
 
     common = []
     blocks = []
@@ -193,7 +196,7 @@ def directsum_liberation(a, b, beta, kind: str = "ssp",
     if len(beta) == 0:
         raise ValueError("a liberation set must be nonempty")
     _check_blocks_strong(a, b, kind)
-    space = sylvester_space(arr_a, arr_b, tol, kind)
+    space = _sylvester(arr_a, arr_b, tol, kind)
 
     ev = _evaluation(space, beta.pairs, m)
     per = [(e, numeric_rank(np.delete(ev, k, axis=0), tol) == space.dimension)

@@ -35,7 +35,6 @@ of the four reads Psi's Fractions.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -44,9 +43,9 @@ from math import gcd, lcm
 from .exactla import (RatMatrix, _column_echelon, _eliminate,
                       _in_column_span, _int_vector)
 from .graphs import EdgeSet, Graph, nonedge_set
+from .numla import seeded_random
 from .patterns import SAMPLE_MODES, CertificateError, sample_S
-from .strongprops import (_drop_one_verdicts, _selected_rank,
-                          normalize_kind, psi)
+from .strongprops import _drop_one_verdicts, normalize_kind, psi
 
 CRITERIA = ("definitional", "row-rank", "witness", "echelon")
 
@@ -87,8 +86,6 @@ def _witness_from_block(ech, beta_idx, nrows):
     """
     k = ech.k
     w = len(ech.vectors) - k
-    if w == 0:
-        return None
     tail = ech.vectors[k:len(ech.pivots)]
     pv = [v[c] for v, c in zip(tail, ech.pivots[k:])]
     den = lcm(*[abs(p) // gcd(v[k + i], p)
@@ -196,13 +193,11 @@ def enumerate_minimal_liberation_sets(a, g: Graph, kind: str = "ssp",
     """All inclusion-minimal liberation sets of a over g up to max_size.
 
     Exhaustive over nonedge subsets in increasing size; supersets of a found
-    set are skipped. A candidate beta passes the drop-one check when, for
-    each e in beta, the rows of the one shared verification matrix outside
-    beta - e are independent. Candidates share those row sets (every
-    singleton selects all rows, and {e, f} selects all rows but f, as does
-    {f, g} for g != f), so each distinct selection is ranked once per call,
-    exact or float alike, and its verdict kept in a dict keyed by the rows
-    it leaves out.
+    set are skipped. Each candidate is decided by the drop-one rank check
+    (strongprops._drop_one_verdicts) on one shared verification matrix, which
+    keeps the verdict of each row selection it ranks; candidates share those
+    selections, so each distinct one is ranked once per call, exact or float
+    alike.
     """
     kind = normalize_kind(kind)
     vm = psi(a, g, kind)
@@ -210,28 +205,34 @@ def enumerate_minimal_liberation_sets(a, g: Graph, kind: str = "ssp",
     if not 1 <= max_size <= len(rows):
         raise ValueError("max_size must lie in 1..%d, the nonedge count, got %d"
                          % (len(rows), max_size))
-    independent = {}
-
-    def rows_independent(left_out):
-        ok = independent.get(left_out)
-        if ok is None:
-            sel_idx = [k for k in range(len(rows)) if k not in left_out]
-            ok = independent[left_out] = (
-                _selected_rank(vm, sel_idx) == len(sel_idx))
-        return ok
-
     found = []
     found_sets = []
     for size in range(1, max_size + 1):
-        for combo in combinations(range(len(rows)), size):
+        for combo in combinations(rows, size):
             cset = set(combo)
             if any(prev <= cset for prev in found_sets):
                 continue
-            if all(rows_independent(combo[:t] + combo[t + 1:])
-                   for t in range(size)):
-                found.append(nonedge_set(g, [rows[i] for i in combo]))
+            if all(ok for _, ok in _drop_one_verdicts(vm, combo)):
+                found.append(nonedge_set(g, combo))
                 found_sets.append(cset)
     return found
+
+
+def _first_failing_sample(samples, g: Graph, beta: EdgeSet, kind: str):
+    """(index, sample, certificate) of the first exact sample over g, read
+    lazily, that fails the drop-one rank check for beta, or None. Only it is
+    certified, and is_liberation_set's four criteria must agree on "no"."""
+    for t, a in enumerate(samples):
+        if all(ok for _, ok in _drop_one_verdicts(psi(a, g, kind), beta.pairs)):
+            continue
+        cert = is_liberation_set(a, g, beta, kind)
+        if cert.answer:
+            raise RuntimeError(
+                "the drop-one rank check and the certificate disagree for "
+                "beta=%s kind=%s; this is a bug in one of the code paths"
+                % (beta.pairs, kind))
+        return t, a, cert
+    return None
 
 
 @dataclass(frozen=True)
@@ -252,14 +253,13 @@ def is_graph_liberation_set(g: Graph, beta, kind: str = "ssp",
                             trials: int = 60, seed=0) -> GraphLiberationVerdict:
     """Sampling verdict for 'beta liberates every matrix with this pattern'.
 
-    Each sample is decided by the drop-one rank check alone, as in
-    enumeration and liberate's precheck: for each e in beta, the rows of its
-    verification matrix outside beta - e must be independent. The universal
-    claim cannot be decided by finitely many samples, so the positive answer
-    is reported as probabilistic-yes. The first failing sample is certified
-    by is_liberation_set, whose four criteria must agree that it is no
-    liberation set, and is returned with its sampling mode as a genuine
-    counterexample.
+    Samples cycle through the sampling modes, each seeded by one draw of
+    numla.seeded_random(seed), and are decided by _first_failing_sample:
+    the drop-one rank check alone, as in enumeration and liberate's
+    precheck. The universal claim cannot be decided by finitely many
+    samples, so the positive answer is reported as probabilistic-yes. The
+    first failing sample, certified by is_liberation_set, is returned with
+    its sampling mode as a genuine counterexample.
     """
     kind = normalize_kind(kind)
     if trials < 1:
@@ -267,19 +267,13 @@ def is_graph_liberation_set(g: Graph, beta, kind: str = "ssp",
     beta = _nonedges(g, beta)
     if len(beta) == 0:
         raise ValueError("a liberation set must be nonempty")
-    rng = random.Random(seed)
-    for t in range(trials):
-        mode = SAMPLE_MODES[t % len(SAMPLE_MODES)]
-        if mode == "random-diagonal-collisions" and g.n < 2:
-            mode = "random-rational"
-        a = sample_S(g, seed=rng.randrange(2**63), mode=mode)
-        if all(ok for _, ok in _drop_one_verdicts(psi(a, g, kind), beta.pairs)):
-            continue
-        if is_liberation_set(a, g, beta, kind).answer:
-            raise RuntimeError(
-                "the drop-one rank check and the certificate disagree for "
-                "beta=%s kind=%s; this is a bug in one of the code paths"
-                % (beta.pairs, kind))
-        return GraphLiberationVerdict(
-            "certified-counterexample", beta, kind, t + 1, seed, a, mode)
-    return GraphLiberationVerdict("probabilistic-yes", beta, kind, trials, seed)
+    rng, cycle = seeded_random(seed), len(SAMPLE_MODES)
+    hit = _first_failing_sample(
+        (sample_S(g, seed=rng.randrange(2**63), mode=SAMPLE_MODES[t % cycle])
+         for t in range(trials)), g, beta, kind)
+    if hit is None:
+        return GraphLiberationVerdict("probabilistic-yes", beta, kind, trials,
+                                      seed)
+    t, a, _ = hit
+    return GraphLiberationVerdict("certified-counterexample", beta, kind,
+                                  t + 1, seed, a, SAMPLE_MODES[t % cycle])

@@ -19,7 +19,7 @@ import numpy as np
 
 from .exactla import RatMatrix
 from .graphs import Graph, build_graph
-from .numla import _finite_square
+from .numla import _finite_square, seeded_random
 
 CLASS_TAGS = ("S", "S_cl", "S_cl0")
 
@@ -127,7 +127,7 @@ def _any_rational(rng: random.Random) -> Fraction:
 
 
 def sample_S(g: Graph, seed, mode: str = "random-rational") -> RatMatrix:
-    """Seeded rational sample from S(g).
+    """Seeded rational sample from S(g), drawn from numla.seeded_random(seed).
 
     Modes: "unit-off-diagonal" puts 1 on every edge with zero diagonal;
     "random-rational" draws nonzero edge entries and free diagonal entries;
@@ -136,7 +136,7 @@ def sample_S(g: Graph, seed, mode: str = "random-rational") -> RatMatrix:
     """
     if mode not in SAMPLE_MODES:
         raise ValueError("unknown sampling mode %r" % (mode,))
-    rng = random.Random(seed)
+    rng = seeded_random(seed)
     n = g.n
     m = RatMatrix.zeros(n, n)
     for (i, j) in g.edges:

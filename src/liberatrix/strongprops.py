@@ -31,7 +31,7 @@ denominators of the reassembled X.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -66,6 +66,9 @@ class VerificationMatrix:
     rows: tuple  # nonedge pairs, lexicographic
     source: object
     graph: Graph
+    # _drop_one_verdicts: full row rank of the rows outside a set of pairs
+    _full_rank: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     @property
     def exact(self):
@@ -283,14 +286,19 @@ def _verdict_wrt(vm: VerificationMatrix, h: Graph,
     return StrongPropertyResult(False, vm.kind, r, m - r, sel_pairs, tuple(cert))
 
 
-def _drop_one_verdicts(vm: VerificationMatrix, beta, tol: float = 1e-8):
+def _drop_one_verdicts(vm: VerificationMatrix, beta):
     """Yields (e, verdict) over the pairs e of beta: does vm's matrix have
     the property relative to vm.graph + (beta - e)? Rank only, no
-    certificate: the rows outside beta - e must be independent. Lazy, so
-    all(...) stops at the first failing pair."""
+    certificate: the rows outside beta - e must be independent. The one
+    drop-one routine: each selection's verdict is kept on vm, keyed by the
+    pairs it leaves out, so candidate sets that share a selection rank it
+    once. Lazy, so all(...) stops at the first failing pair."""
     for e in beta:
-        sel_idx = [k for k, f in enumerate(vm.rows) if f == e or f not in beta]
-        yield e, _selected_rank(vm, sel_idx, tol) == len(sel_idx)
+        out = frozenset(f for f in beta if f != e)
+        if out not in vm._full_rank:
+            sel_idx = [k for k, f in enumerate(vm.rows) if f not in out]
+            vm._full_rank[out] = _selected_rank(vm, sel_idx) == len(sel_idx)
+        yield e, vm._full_rank[out]
 
 
 def has_strong_property(a, g: Graph, kind: str, tol: float = 1e-8) -> StrongPropertyResult:

@@ -13,7 +13,6 @@ connected_atlas gives the small connected graphs that the tests and the CI
 sweeps run over.
 """
 
-import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -23,7 +22,7 @@ import numpy as np
 from liberatrix.exactla import RatMatrix, charpoly, poly_gcd, rref
 from liberatrix.graphs import build_graph, nonedge_set
 from liberatrix.liberation import GraphLiberationVerdict, is_liberation_set
-from liberatrix.numla import numeric_rank
+from liberatrix.numla import numeric_rank, seeded_random
 from liberatrix.patterns import SAMPLE_MODES, sample_S
 from liberatrix.strongprops import normalize_kind
 
@@ -189,11 +188,9 @@ def graph_liberation_reference(g, beta, kind, trials, seed):
     failing sample returned as the counterexample with its mode."""
     kind = normalize_kind(kind)
     beta = nonedge_set(g, beta)
-    rng = random.Random(seed)
+    rng = seeded_random(seed)
     for t in range(trials):
         mode = SAMPLE_MODES[t % len(SAMPLE_MODES)]
-        if mode == "random-diagonal-collisions" and g.n < 2:
-            mode = "random-rational"
         a = sample_S(g, seed=rng.randrange(2**63), mode=mode)
         if not is_liberation_set(a, g, beta, kind).answer:
             return GraphLiberationVerdict(

@@ -103,6 +103,16 @@ def test_sylvester_ambiguous_gap_warns():
     assert s.ambiguous
 
 
+def test_ambiguity_warning_points_at_the_caller():
+    a, b = np.diag([0.0, 5e-8]), np.diag([0.0])
+    for call in (lambda: sylvester_space(a, b, tol=1e-8),
+                 lambda: directsum_liberation(a, b, [(1, 3)])):
+        with pytest.warns(UserWarning) as rec:
+            call()
+        gap = [w for w in rec if "clustering tolerance" in str(w.message)]
+        assert [w.filename for w in gap] == [__file__]
+
+
 def test_sylvester_sap_kernel_products():
     a = np.array([[1.0, 1.0], [1.0, 1.0]])
     b = np.zeros((1, 1))

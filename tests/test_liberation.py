@@ -217,6 +217,22 @@ def test_enumerate_k4k1_pairs():
             enumerate_minimal_liberation_sets(a, g, max_size=size)
 
 
+def test_enumeration_ranks_each_selection_once(monkeypatch):
+    # all of psi for the singletons, then all rows but f for each f: the
+    # six pairs share four selections, ranked by the one drop-one routine
+    real, ranked = strongprops._selected_rank, []
+
+    def counted(vm, sel_idx):
+        ranked.append(tuple(sel_idx))
+        return real(vm, sel_idx)
+    monkeypatch.setattr(strongprops, "_selected_rank", counted)
+    found = enumerate_minimal_liberation_sets(ones_block_plus(4),
+                                              catalog("K4uK1"), max_size=2)
+    assert len(found) == 6
+    assert len(ranked) == len(set(ranked)) == 5
+    assert not hasattr(liberation, "_selected_rank")
+
+
 def test_enumerate_singletons_when_property_holds():
     g = catalog("P4")
     a = sample_S(g, seed=11)
@@ -239,6 +255,28 @@ def test_graph_level_counterexample():
     assert v.verdict == "certified-counterexample" and not bool(v)
     a = v.counterexample
     assert a[0, 0] == a[1, 1]
+
+
+def test_graph_level_seed_policy(monkeypatch):
+    star = complement(catalog("K4uK1"))
+    beta = [(1, 2), (2, 3), (1, 3)]
+    # an int seed draws exactly what random.Random(int) draws
+    real, seen = liberation.sample_S, []
+
+    def recorded(g, seed, mode):
+        seen.append((seed, mode))
+        return real(g, seed=seed, mode=mode)
+    monkeypatch.setattr(liberation, "sample_S", recorded)
+    is_graph_liberation_set(star, beta, trials=9, seed=SEED)
+    rng = random.Random(SEED)
+    assert seen == [(rng.randrange(2**63), SAMPLE_MODES[t % len(SAMPLE_MODES)])
+                    for t in range(9)]
+    # a tuple seed is taken, reproducibly, by the library and the oracle
+    for g, b in ((star, beta), (catalog("C4"), [(1, 3)])):
+        v = is_graph_liberation_set(g, b, trials=6, seed=(1, 2))
+        assert v.seed == (1, 2)
+        assert v == is_graph_liberation_set(g, b, trials=6, seed=(1, 2))
+        assert v == graph_liberation_reference(g, b, "ssp", 6, (1, 2))
 
 
 def test_graph_level_empty_beta_is_refused():

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,6 +18,8 @@ from liberatrix.numla import (SymMatrix, is_generic, multiplicity_list,
 from liberatrix.patterns import (
     CLASS_TAGS,
     SAMPLE_MODES,
+    _any_rational,
+    _nonzero_rational,
     _pattern_flags,
     in_class,
     pair_position,
@@ -270,6 +273,21 @@ def test_sample_modes_properties():
         sample_S(g, seed=0, mode="nope")
     with pytest.raises(ValueError):
         sample_S(build_graph(1, []), seed=0, mode="random-diagonal-collisions")
+
+
+def test_sample_seed_policy():
+    # an int seed draws exactly what random.Random(int) draws: the edge
+    # entries in edge order, then the diagonal
+    g = catalog("C5")
+    rng = random.Random(SEED)
+    a = sample_S(g, seed=SEED)
+    assert [a[i - 1, j - 1] for i, j in g.edges] == [
+        _nonzero_rational(rng) for _ in g.edges]
+    assert [a[i, i] for i in range(g.n)] == [
+        _any_rational(rng) for _ in range(g.n)]
+    # a tuple seed, as liberate takes, is reproducible and keys its draws
+    t = sample_S(g, seed=(1, 2))
+    assert t == sample_S(g, seed=(1, 2)) and t != sample_S(g, seed=(1, 3))
 
 
 # sha256 prefixes of 200 seeded samples per mode, cycling over five graphs;

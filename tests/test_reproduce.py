@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from liberatrix import liberation
 from liberatrix import replays as rp
 from liberatrix.replays import ReproduceReport, reproduce
 
@@ -36,6 +37,42 @@ def test_g151_family_and_counterexample():
     rep = reproduce("g151", seed=0)
     assert rep
     assert rep.data["failing_deletions"]
+
+
+def _crafted_g151():
+    # the crafted member of test_liberation: it fails the drop-one check
+    return rp.direct_sum(
+        rp.RatMatrix.from_rows([[0, 1, 1, 1], [1, -1, 0, 0],
+                                [1, 0, 0, 0], [1, 0, 0, 0]]),
+        rp.RatMatrix.from_rows([[0, 1], [1, 1]]))
+
+
+def test_g151_certifies_only_the_crafted_matrix(monkeypatch):
+    # the fifty family draws are decided by the drop-one rank alone
+    real, certs = liberation.is_liberation_set, []
+
+    def counted(*args, **kwargs):
+        certs.append(real(*args, **kwargs))
+        return certs[-1]
+    monkeypatch.setattr(liberation, "is_liberation_set", counted)
+    monkeypatch.setattr(rp, "is_liberation_set", counted)
+    assert reproduce("g151", seed=0)
+    assert [c.answer for c in certs] == [False]
+
+
+def test_g151_failing_draw_stops_at_its_stage(monkeypatch):
+    real, draws = rp._g151_member, []
+
+    def member(*args):
+        draws.append(args)
+        return _crafted_g151() if len(draws) == 4 else real(*args)
+    monkeypatch.setattr(rp, "_g151_member", member)
+    rep = reproduce("g151", seed=0)
+    assert not rep and rep.failed_stage == "family draw 3 certified"
+    assert [st.name for st in rep.stages] == ["family draw 3 certified"]
+    assert rep.stages[0].detail == "criteria %s" % (
+        tuple((name, False) for name in liberation.CRITERIA),)
+    assert len(draws) == 4  # no draw after the failing one
 
 
 def test_c6c8_repair_pipeline():

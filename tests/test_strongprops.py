@@ -18,7 +18,9 @@ from liberatrix.graphs import (add_edges, build_graph, catalog, disjoint_union,
                                path_graph)
 from liberatrix.continuation import liberate
 from liberatrix.patterns import SAMPLE_MODES, in_class, pair_position, sample_S
+from liberatrix import strongprops
 from liberatrix.strongprops import (
+    _drop_one_verdicts,
     _selected_rank,
     has_strong_property,
     has_strong_property_wrt,
@@ -117,6 +119,24 @@ def test_selected_rank_matches_rank_of_submatrix(case, kind, data):
                                if vm.rows else st.just(set())))
         assert _selected_rank(vm, idx) == rank(vm.matrix.submatrix(row_idx=idx))
     assert vm.int_rows == _int_rows(vm.matrix)  # the cache was not altered
+
+
+def test_drop_one_ranks_each_selection_once_per_matrix(monkeypatch):
+    real, calls = strongprops._eliminate, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(strongprops, "_eliminate", counted)
+    g = catalog("K4uK1")
+    beta = ((1, 5), (2, 5), (3, 5))
+    vm = psi(sample_S(g, seed=3), g, "ssp")
+    first = list(_drop_one_verdicts(vm, beta))
+    assert [e for e, _ in first] == list(beta) and len(calls) == 3
+    # the second pass reads the kept verdicts; a fresh matrix ranks again
+    assert list(_drop_one_verdicts(vm, beta)) == first and len(calls) == 3
+    fresh = psi(vm.source, g, "ssp")
+    assert list(_drop_one_verdicts(fresh, beta)) == first and len(calls) == 6
 
 
 @settings(max_examples=80, deadline=None)
