@@ -224,6 +224,7 @@ def _cmd_libset(args):
     a = read_matrix(args.matrix)
     g = _load_graph(args.graph)
     if args.enumerate:
+        args.max_size = 3 if args.max_size is None else args.max_size
         found = enumerate_minimal_liberation_sets(a, g, args.kind,
                                                   max_size=args.max_size)
         sets = [[list(p) for p in s.pairs] for s in found]
@@ -415,13 +416,13 @@ def _build_parser():
     q = sub.add_parser("libset", parents=[common],
                        help="check or enumerate liberation sets")
     mode = q.add_mutually_exclusive_group()
-    mode.add_argument("--check", action="store_true", default=True)
-    mode.add_argument("--enumerate", action="store_true", default=False)
+    mode.add_argument("--check", action="store_true")
+    mode.add_argument("--enumerate", action="store_true")
     q.add_argument("--kind", choices=KINDS, default="ssp")
     q.add_argument("--graph", required=True)
     q.add_argument("--matrix", required=True)
     q.add_argument("--beta")
-    q.add_argument("--max-size", type=int, default=3)
+    q.add_argument("--max-size", type=int, help="enumerate only; default 3")
     q.set_defaults(func=_cmd_libset)
 
     q = sub.add_parser("directsum", parents=[common, tolerant],

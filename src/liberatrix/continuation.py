@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, add_edges, nonedge_set
-from .numla import (SymMatrix, _blocks_generic, _finite_square,
-                    _finite_values, multiplicity_list, random_orthogonal,
-                    seeded_random, sym_eigen)
+from .numla import (SymMatrix, _blocks_generic, _finite_values,
+                    multiplicity_list, random_orthogonal, seeded_random,
+                    sym_eigen)
 from .patterns import _require_order, in_class
 from .strongprops import (_drop_one_verdicts, has_strong_property,
                           normalize_kind, psi)
@@ -418,16 +418,18 @@ def complete_pattern_low_rank(a0, h: Graph, tol: float = 1e-8,
     """Fill the pattern of h starting from a0 without raising its rank.
 
     The output is V S V^T with V of width rank(a0) and S the signature of
-    a0's nonzero spectrum, so its rank cannot exceed the start. Newton on V,
-    with the closed-form Jacobian, drives the entries outside h's pattern to
-    1e-12 from a perturbed factor of a0; an attempt that does not converge
-    or leaves an edge entry below MIN_ENTRY re-draws the start.
+    a0's nonzero spectrum, so its rank cannot exceed the start. Both
+    tolerances scale with s = max(1, max|eig(a0)|): eigenvalues of a0 at
+    most tol * s count as zero, and Newton on V, with the closed-form
+    Jacobian, drives the entries outside h's pattern to 1e-12 * s from a
+    perturbed factor of a0. An attempt that does not converge or leaves an
+    edge entry below MIN_ENTRY re-draws the start.
     """
-    arr = _finite_square(a0)
-    n = arr.shape[0]
+    vals, q = sym_eigen(a0)
+    n = len(vals)
     _require_order(n, h)
-    vals, q = sym_eigen(arr)
-    keep = [i for i, v in enumerate(vals) if abs(v) > tol]
+    scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
+    keep = [i for i, v in enumerate(vals) if abs(v) > tol * scale]
     r = len(keep)
     signs = np.array([1.0 if vals[i] > 0 else -1.0 for i in keep])
     v0 = q[:, keep] * np.sqrt(np.abs(vals[keep]))
@@ -436,7 +438,7 @@ def complete_pattern_low_rank(a0, h: Graph, tol: float = 1e-8,
     for attempt in range(1, max_iter + 1):
         sd = 0.05 * (1 + attempt // 5)
         x0 = v0.reshape(-1) + [rng.gauss(0.0, sd) for _ in range(n * r)]
-        x, reason = _min_norm_newton(system, x0, 1e-12)
+        x, reason = _min_norm_newton(system, x0, 1e-12 * scale)
         if reason != "converged":
             continue
         v = x.reshape(n, r)

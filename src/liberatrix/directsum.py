@@ -6,7 +6,8 @@ intertwining space: for kind "ssp" the solutions of AY = YB, spanned by outer
 products of eigenvectors at common eigenvalues; for kind "sap" the solutions
 of AY = O = YB, spanned by kernel outer products. A bridge set is certified by
 evaluating that space at the bridge positions and checking the evaluation map
-has trivial kernel. Each public entry point checks a float block once.
+has trivial kernel. Each public entry point checks each block once, in
+numla, for finite entries and symmetry.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 
 from .exactla import RatMatrix
 from .graphs import EdgeSet, bridge_set
-from .numla import _finite_square, is_generic, multiplicity_list, numeric_rank
+from .numla import (_finite_symmetric, is_generic, multiplicity_list,
+                    numeric_rank)
 from .patterns import pattern_of
 from .strongprops import has_strong_property, normalize_kind
 
@@ -49,11 +51,11 @@ def sylvester_space(a, b, tol: float = 1e-8, kind: str = "ssp") -> SylvesterSpac
     blocks (U_A, U_B), block by block, i then j, and is built on first read.
     """
     kind = normalize_kind(kind)
-    return _sylvester(_finite_square(a), _finite_square(b), tol, kind)
+    return _sylvester(_finite_symmetric(a), _finite_symmetric(b), tol, kind)
 
 
 def _sylvester(a, b, tol, kind) -> SylvesterSpace:
-    """sylvester_space on checked square float arrays and a normalized
+    """sylvester_space on checked symmetric float arrays and a normalized
     kind; its warning points at the line calling the public entry point."""
     vals_a, q_a = np.linalg.eigh(a)
     vals_b, q_b = np.linalg.eigh(b)
@@ -108,20 +110,6 @@ def _products(p, q):
     """The outer products p[:, i] q[:, j]^T, i then j, stacked."""
     return (p.T[:, None, :, None] * q.T[None, :, None, :]).reshape(
         -1, p.shape[0], q.shape[0])
-
-
-def _check_blocks_strong(a, b, kind):
-    msgs = []
-    for name, blk in (("first", a), ("second", b)):
-        if isinstance(blk, RatMatrix):
-            if not has_strong_property(blk, pattern_of(blk), kind).answer:
-                raise ValueError("%s block lacks the strong property" % name)
-        else:
-            msgs.append(name)
-    if msgs:
-        warnings.warn(
-            "strong property of floating blocks (%s) is assumed, not checked"
-            % ", ".join(msgs), stacklevel=3)
 
 
 def _evaluation(space: SylvesterSpace, pairs, m) -> np.ndarray:
@@ -187,15 +175,20 @@ def directsum_liberation(a, b, beta, kind: str = "ssp",
     The verdict is computed for every bridge subset missing one pair. The
     validators report whether the instance matches the sufficient conditions
     (single shared eigenvalue, generic eigenspaces, recognized bridge layout);
-    validator failure does not decide the verdict.
+    validator failure does not decide the verdict. An exact block without
+    the strong property is refused; a float block's strong property is the
+    caller's to establish.
     """
     kind = normalize_kind(kind)
-    arr_a, arr_b = _finite_square(a), _finite_square(b)
+    arr_a, arr_b = _finite_symmetric(a), _finite_symmetric(b)
     m, n = arr_a.shape[0], arr_b.shape[0]
     beta = bridge_set(m, n, beta)
     if len(beta) == 0:
         raise ValueError("a liberation set must be nonempty")
-    _check_blocks_strong(a, b, kind)
+    for name, blk in (("first", a), ("second", b)):
+        if isinstance(blk, RatMatrix) and not has_strong_property(
+                blk, pattern_of(blk), kind).answer:
+            raise ValueError("%s block lacks the strong property" % name)
     space = _sylvester(arr_a, arr_b, tol, kind)
 
     ev = _evaluation(space, beta.pairs, m)

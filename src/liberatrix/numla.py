@@ -1,13 +1,15 @@
 """The package's float linear algebra: symmetric eigensystems, numeric
 rank, eigenvalue clustering and eigenspace genericity (is_generic).
 
-Float input is checked here by one finiteness test, so a NaN or infinite
-entry raises ValueError on every numeric path. Eigensystems come from
-LAPACK through numpy.linalg.eigh: eigenvalues ascending with an orthonormal
-eigenvector matrix Q whose columns match. Eigenvalue clustering into a
-multiplicity list follows one rule, chained gaps at a tolerance, which
-every caller in the package shares. Seeded numeric draws come from
-seeded_random, a stdlib random.Random.
+Float input is checked here: one finiteness test refuses a NaN or
+infinite entry on every numeric path, and one symmetry rule, |A - A^T| <=
+1e-9 max(1, max|A|), refuses an asymmetric matrix wherever a symmetric one
+is assumed. Eigensystems come from LAPACK through numpy.linalg.eigh:
+eigenvalues ascending with an orthonormal eigenvector matrix Q whose
+columns match. Eigenvalue clustering into a multiplicity list follows one
+rule, chained gaps at a tolerance, which every caller in the package
+shares. Seeded numeric draws come from seeded_random, a stdlib
+random.Random.
 """
 
 from __future__ import annotations
@@ -47,6 +49,17 @@ def _finite_square(a):
     return _finite(arr, "matrix")
 
 
+def _finite_symmetric(a, tol=1e-9):
+    """a as a square float array; ValueError if it is not square, has a NaN
+    or infinite entry, or some |a_ij - a_ji| exceeds tol * max(1, max|a|)."""
+    arr = _finite_square(a)
+    gap = float(np.abs(arr - arr.T).max()) if arr.size else 0.0
+    # the scale is at least 1, so it is read only once gap passes tol
+    if gap > tol and gap > tol * max(1.0, float(np.abs(arr).max())):
+        raise ValueError("input is not symmetric within tolerance")
+    return arr
+
+
 def _finite_values(values):
     """values as a flat list of floats; ValueError on a NaN or infinite
     value."""
@@ -59,10 +72,7 @@ class SymMatrix:
     """Symmetric float matrix; symmetry is enforced by storage."""
 
     def __init__(self, data, tol=1e-9):
-        arr = _finite_square(data)
-        scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
-        if arr.size and float(np.max(np.abs(arr - arr.T))) > tol * scale:
-            raise ValueError("input is not symmetric within tolerance")
+        arr = _finite_symmetric(data, tol)
         self._a = (arr + arr.T) / 2.0
         self._a.flags.writeable = False
         self._eig = None
@@ -91,8 +101,9 @@ class SymMatrix:
 
 
 def sym_eigen(a):
-    """Eigenvalues (ascending) and orthonormal Q for a symmetric matrix."""
-    return np.linalg.eigh(_finite_square(a))
+    """Eigenvalues (ascending) and orthonormal Q of a checked symmetric
+    matrix."""
+    return np.linalg.eigh(_finite_symmetric(a))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """Sweeps outside tier-1, one per CI step; each exits nonzero and names
 what failed.
 
-    PYTHONPATH=src:tests python tests/sweeps.py replay|cover|sampled
+    PYTHONPATH=src:tests python -W error::UserWarning tests/sweeps.py \
+        replay|cover|sampled
+
+Under -W error::UserWarning, as in CI, a warning is a failure.
 
 replay   every replay target at seeds 0-30; a failing seed is a defect in
          the library.
@@ -28,7 +31,7 @@ import numpy as np
 from liberatrix import (REGISTRY, cartesian_product, is_graph_liberation_set,
                         is_zf_cover, reproduce, sym_eigen, zero_forcing_number,
                         zf_liberation)
-from liberatrix.replays import _draw_values, _quiet, _realize_ssp
+from liberatrix.replays import _draw_values, _realize_ssp
 from oracles import connected_atlas, graph_liberation_reference
 
 
@@ -61,8 +64,8 @@ def cover():
                 covers += 1
                 cover = [((x - 1) // h.n + 1, (x - 1) % h.n + 1) for x in f]
                 try:
-                    ok &= bool(_quiet(zf_liberation, a, b, cover))
-                except (ValueError, RuntimeError):
+                    ok &= bool(zf_liberation(a, b, cover))
+                except (ValueError, RuntimeError, UserWarning):
                     ok = False
         if not ok:
             failed.append("G%d x G%d" % (i, j))

@@ -133,6 +133,20 @@ def test_directsum_certifies_and_refutes_g151_bridges(tmp_path, capsys):
         assert doc["verdicts"]["answer"] is answer
 
 
+def test_bare_catalog_name_reads_like_the_prefixed_one(tmp_path, capsys,
+                                                      monkeypatch):
+    # no file in the working directory can shadow the name
+    monkeypatch.chdir(tmp_path)
+    reports = []
+    for spec in ("catalog:P3xP4", "P3xP4"):
+        code, line, doc = run_json(["zf", "--number", "--graph", spec],
+                                   tmp_path, capsys)
+        assert doc["inputs"].pop("graph") == spec
+        reports.append((code, line, doc))
+    assert reports[0] == reports[1]
+    assert reports[0][1].startswith("Z = 3 ")
+
+
 def test_zf_closure_reports_forces(tmp_path, capsys):
     code, line, doc = run_json(["zf", "--closure", "--graph", "catalog:P5",
                                 "--filled", "1"], tmp_path, capsys)
@@ -259,6 +273,10 @@ BAD_INPUTS = [
      " --matrix {d}/k4k1.txt --beta 3-5,3-5", None, "duplicate pair"),
     ("zf-above-16-vertices", "zf --number --graph catalog:K17", None,
      "capped at 16 vertices"),
+    ("local-cover-without-pairs", "zf --local-cover --graph catalog:C4",
+     None, "needs --graph-h and --pairs"),
+    ("unknown-bare-name", "zf --number --graph NOPE", None,
+     "neither a graph file nor a catalog name"),
 ]
 
 
@@ -490,6 +508,17 @@ def test_reports_record_only_options_of_their_command(k4k1_matrix, tmp_path,
           "--trials", "2", "--json", str(rp)])
     assert set(json.loads(rp.read_text())["inputs"]) == {
         "beta", "graph", "kind", "seed", "trials"}
+    # libset's two modes: --max-size is read only when enumerating
+    main(["libset", "--enumerate", "--graph", "catalog:K4uK1",
+          "--matrix", k4k1_matrix, "--json", str(rp)])
+    assert json.loads(rp.read_text())["inputs"] == {
+        "enumerate": True, "graph": "catalog:K4uK1", "kind": "ssp",
+        "matrix": k4k1_matrix, "max_size": 3}
+    main(["libset", "--graph", "catalog:K4uK1", "--matrix", k4k1_matrix,
+          "--beta", "3-5,4-5", "--json", str(rp)])
+    assert json.loads(rp.read_text())["inputs"] == {
+        "beta": "3-5,4-5", "graph": "catalog:K4uK1", "kind": "ssp",
+        "matrix": k4k1_matrix}
 
 
 def test_version_is_the_package_version(capsys):

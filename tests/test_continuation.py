@@ -348,6 +348,22 @@ def test_complete_prism_low_rank():
     assert has_strong_property(res.matrix, h, "sap", tol=1e-8).answer
 
 
+@pytest.mark.parametrize("scale", [1e5, 1e7])
+def test_complete_prism_from_a_large_start(scale):
+    # the rank cut and the Newton target scale with the start, so a large
+    # start completes like the unit one
+    c4 = np.array([[0, 1, 0, 1],
+                   [1, 0, 1, 0],
+                   [0, 1, 0, 1],
+                   [1, 0, 1, 0]], dtype=float)
+    h = catalog("prism")
+    res = complete_pattern_low_rank(scale * block_diag(c4, np.ones((2, 2))),
+                                    h, seed=SEED)
+    assert (res.rank, res.inertia, res.attempts) == (3, (2, 1), 1)
+    assert res.off_pattern_residual <= 1e-12 * 2.0 * scale
+    assert in_class(res.matrix, h, "S")
+
+
 def test_complete_rejects_mismatched_order():
     with pytest.raises(ValueError):
         complete_pattern_low_rank(np.eye(3), catalog("prism"))

@@ -20,6 +20,7 @@ from liberatrix.liberation import is_liberation_set
 from liberatrix.numla import random_orthogonal, sym_eigen
 from liberatrix.patterns import pattern_of
 from liberatrix.strongprops import has_strong_property
+from liberatrix.zeroforcing import zf_liberation
 from oracles import is_generic_per_subset
 
 SEED = 20260816
@@ -230,9 +231,37 @@ def test_directsum_rejects_non_square_rational_block():
         directsum_liberation(wide, RatMatrix.from_rows([[1]]), [(1, 3)])
 
 
-def test_directsum_float_blocks_warn():
-    with pytest.warns(UserWarning, match="is assumed, not checked"):
-        directsum_liberation(np.diag([1.0, 2.0]), np.diag([3.0]), [(1, 3)])
+def test_float_blocks_run_without_warnings():
+    # a float block's strong property is the caller's to establish, so a
+    # well-separated float call has nothing to warn about
+    a = np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0],
+                  [0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = directsum_liberation(np.diag([1.0, 2.0]), np.diag([3.0]),
+                                    [(1, 3)])
+        rep = zf_liberation(a, np.ones((2, 2)),
+                            ((1, 1), (2, 1), (3, 2), (4, 2)), kind="sap")
+    assert cert.dimension == 0 and cert.answer
+    assert rep.combinatorial and rep.algebraic.answer
+
+
+def test_exact_block_without_the_property_is_refused():
+    # J4 + [4]: the 4 shared by the two components breaks SSP
+    lacking = RatMatrix.from_rows([[1] * 4 + [0] for _ in range(4)]
+                                  + [[0] * 4 + [4]])
+    one = RatMatrix.from_rows([[4]])
+    with pytest.raises(ValueError,
+                       match="^first block lacks the strong property$"):
+        directsum_liberation(lacking, one, [(1, 6)])
+    with pytest.raises(ValueError,
+                       match="^second block lacks the strong property$"):
+        directsum_liberation(one, lacking, [(1, 2)])
+
+
+def test_empty_bridge_list_is_refused():
+    with pytest.raises(ValueError, match="liberation set must be nonempty"):
+        directsum_liberation(np.diag([1.0, 2.0]), np.diag([1.0]), [])
 
 
 def test_bridge_edge_set_is_checked_like_a_pair_list():
@@ -302,9 +331,7 @@ def test_two_stars_grid_despite_nongeneric_kernels():
 def test_c6_c8_grid_liberation():
     shifted = c6_matrix() + (math.sqrt(3.0) - 2.0) * np.eye(6)
     beta = [(u, v) for u in (1, 2) for v in (7, 8, 9)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        cert = directsum_liberation(shifted, c8_matrix(), beta)
+    cert = directsum_liberation(shifted, c8_matrix(), beta)
     assert cert.answer
     assert cert.validator("generic-eigenspaces")[0]
     assert cert.validator("beta-shape")[0]

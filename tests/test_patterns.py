@@ -15,6 +15,7 @@ from liberatrix.exactla import RatMatrix, commutator
 from liberatrix.graphs import build_graph, catalog
 from liberatrix.numla import (SymMatrix, is_generic, multiplicity_list,
                               numeric_rank, sym_eigen)
+from liberatrix.zeroforcing import zf_liberation
 from liberatrix.patterns import (
     CLASS_TAGS,
     SAMPLE_MODES,
@@ -196,6 +197,26 @@ def test_pattern_of_non_finite_raises():
                      lambda: multiplicity_list(spectrum)):
             with pytest.raises(ValueError, match="non-finite"):
                 call()
+
+
+ASYMMETRIC = np.array([[0.0, 1.0], [3.0, 0.0]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda a: SymMatrix(a),
+    lambda a: sym_eigen(a),
+    lambda a: sylvester_space(a, np.eye(1)),
+    lambda a: directsum_liberation(a, np.eye(1), [(1, 3)]),
+    lambda a: zf_liberation(a, np.eye(1), [(1, 1)]),
+    lambda a: complete_pattern_low_rank(a, catalog("K2")),
+], ids=["SymMatrix", "sym_eigen", "sylvester_space", "directsum_liberation",
+        "zf_liberation", "complete_pattern_low_rank"])
+def test_float_entry_points_refuse_an_asymmetric_matrix(call):
+    # read by its lower triangle this is [[0, 3], [3, 0]], eigenvalues +-3;
+    # the matrix itself has eigenvalues +-sqrt(3)
+    with pytest.raises(ValueError,
+                       match="^input is not symmetric within tolerance$"):
+        call(ASYMMETRIC)
 
 
 def test_vec_orderings():

@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+import warnings
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +14,8 @@ import pytest
 from liberatrix import liberation
 from liberatrix import replays as rp
 from liberatrix.replays import ReproduceReport, reproduce
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_registry_names():
@@ -262,3 +270,28 @@ def test_replay_passes_at_other_seeds(name, seed):
     rep = reproduce(name, seed=seed)
     assert rep, "%s at seed %d failed at %s: %s" % (
         name, seed, rep.failed_stage, rep.stages[-1].detail)
+
+
+@pytest.mark.parametrize("name", rp.REGISTRY)
+def test_replay_raises_no_warning(name):
+    # a warning turned into an error would become an "unhandled" stage
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = reproduce(name, seed=0)
+    assert rep, "%s failed at %s: %s" % (name, rep.failed_stage,
+                                         rep.stages[-1].detail)
+
+
+def test_reproduce_loads_the_replays_on_first_use():
+    code = textwrap.dedent("""
+        import sys
+        import liberatrix
+        assert "liberatrix.replays" not in sys.modules
+        assert liberatrix.reproduce("k4k1").ok
+        assert "liberatrix.replays" in sys.modules
+    """)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,4 @@
 import random
-import warnings
 from itertools import combinations
 
 import pytest
@@ -282,9 +281,7 @@ def test_zf_liberation_sap_prism():
                              [0, 1, 0, 1],
                              [1, 0, 1, 0]])
     b = RatMatrix.from_rows([[1, 1], [1, 1]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = zf_liberation(a, b, PRISM_COVER, kind="sap")
+    report = zf_liberation(a, b, PRISM_COVER, kind="sap")
     assert report.combinatorial
     assert report.algebraic.answer
     assert report.agree
