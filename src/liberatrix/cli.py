@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,16 +34,6 @@ from .patterns import in_class
 from .strongprops import KINDS, has_strong_property, has_strong_property_wrt
 from .zeroforcing import (closure, is_local_zf_cover, is_zf_cover,
                           local_closure, zero_forcing_number, zf_liberation)
-
-
-@dataclasses.dataclass
-class RunReport:
-    command: str
-    inputs: dict
-    verdicts: dict
-    certificates: object = None
-    timings: dict = dataclasses.field(default_factory=dict)
-    version: str = __version__
 
 
 # ---------------------------------------------------------------------------
@@ -127,32 +116,25 @@ def _join_spectrum(argv):
     return out
 
 
-def _jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [[_jsonable(x) for x in row] for row in obj.tolist()] \
-            if obj.ndim == 2 else [_jsonable(x) for x in obj.tolist()]
+def _json_default(obj):
+    """The JSON form of what json does not encode itself: numpy values,
+    RatMatrix, Graph, EdgeSet, dataclasses and sets; anything else, such as
+    a Fraction, as its str."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     if isinstance(obj, RatMatrix):
         return {"rows": obj.rows, "cols": obj.cols,
                 "entries": [[str(obj[i, j]) for j in range(obj.cols)]
                             for i in range(obj.rows)]}
     if isinstance(obj, Graph):
-        return {"n": obj.n, "edges": [list(e) for e in obj.edges]}
+        return {"n": obj.n, "edges": obj.edges}
+    # before the dataclass case: an EdgeSet is a dataclass
     if isinstance(obj, EdgeSet):
-        return [list(p) for p in obj.pairs]
+        return obj.pairs
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [_jsonable(x) for x in items]
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (set, frozenset)):
+        return sorted(obj)
     return str(obj)
 
 
@@ -214,8 +196,7 @@ def _cmd_liberate(args):
                 "residual": res.residual,
                 "min_pattern_entry": res.min_pattern_entry,
                 "attempts": res.attempts, "eps": res.eps,
-                "spectrum": [float(v) for v in res.spectrum],
-                "multiplicities": list(ml.multiplicities)}
+                "spectrum": res.spectrum, "multiplicities": ml.multiplicities}
     certs = {"matrix": res.matrix, "graph": res.graph, "seed": res.seed}
     return (0 if res.strong_property_verified else 1), verdicts, certs
 
@@ -227,12 +208,11 @@ def _cmd_libset(args):
         args.max_size = 3 if args.max_size is None else args.max_size
         found = enumerate_minimal_liberation_sets(a, g, args.kind,
                                                   max_size=args.max_size)
-        sets = [[list(p) for p in s.pairs] for s in found]
         print("%d minimal liberation set(s) up to size %d"
-              % (len(sets), args.max_size))
-        for s in sets:
-            print("  " + ",".join("%d-%d" % (i, j) for i, j in s))
-        return 0, {"count": len(sets), "sets": sets}, None
+              % (len(found), args.max_size))
+        for s in found:
+            print("  " + ",".join("%d-%d" % p for p in s.pairs))
+        return 0, {"count": len(found), "sets": found}, None
     if not args.beta:
         raise ValueError("--check needs --beta")
     cert = is_liberation_set(a, g, _parse_pairs(args.beta), args.kind)
@@ -240,7 +220,7 @@ def _cmd_libset(args):
     for name, verdict in cert.criteria:
         print("  %-22s %s" % (name, verdict))
     verdicts = {"answer": cert.answer, "kind": cert.kind,
-                "criteria": {n: v for n, v in cert.criteria},
+                "criteria": dict(cert.criteria),
                 "alpha_rank": cert.alpha_rank, "alpha_size": cert.alpha_size}
     return (0 if cert.answer else 1), verdicts, cert
 
@@ -255,8 +235,7 @@ def _cmd_directsum(args):
     for name, ok, detail in cert.validators:
         print("  %-22s %-5s %s" % (name, ok, detail))
     verdicts = {"answer": cert.answer, "kind": cert.kind,
-                "dimension": cert.dimension,
-                "common": [[float(v), k, l] for v, k, l in cert.common],
+                "dimension": cert.dimension, "common": cert.common,
                 "ambiguous": cert.ambiguous}
     return (0 if cert.answer else 1), verdicts, cert
 
@@ -281,7 +260,7 @@ def _cmd_zf(args):
     if args.number:
         zn = zero_forcing_number(g)
         print("Z = %d  (witness %s)" % (zn.value, list(zn.witness)))
-        return 0, {"value": zn.value, "witness": list(zn.witness)}, None
+        return 0, {"value": zn.value, "witness": zn.witness}, None
     if args.closure or args.cover:
         if not args.filled:
             raise ValueError("--closure and --cover need --filled")
@@ -290,13 +269,12 @@ def _cmd_zf(args):
             state = closure(g, filled)
             print("closure: %d/%d filled, %d forces"
                   % (len(state), g.n, len(state.log)))
-            verdicts = {"filled": sorted(state.blue),
-                        "complete": state.complete,
+            verdicts = {"filled": state.blue, "complete": state.complete,
                         "forces": len(state.log)}
             return 0, verdicts, {"log": state.log}
         ok = is_zf_cover(g, filled)
         print("cover: %s" % ok)
-        return (0 if ok else 1), {"cover": ok, "filled": list(filled)}, None
+        return (0 if ok else 1), {"cover": ok, "filled": filled}, None
     # --local-cover
     if not args.graph_h or not args.pairs:
         raise ValueError("--local-cover needs --graph-h and --pairs")
@@ -306,7 +284,7 @@ def _cmd_zf(args):
     state = local_closure(g, h, pairs)
     print("local cover: %s (%d/%d filled under per-copy forcing)"
           % (ok, len(state), g.n * h.n))
-    verdicts = {"local_cover": ok, "pairs": [list(p) for p in pairs]}
+    verdicts = {"local_cover": ok, "pairs": pairs}
     return (0 if ok else 1), verdicts, {"log": state.log}
 
 
@@ -321,7 +299,7 @@ def _cmd_zf_liberate(args):
         print("  note: %s" % rep.note)
     verdicts = {"combinatorial": rep.combinatorial,
                 "algebraic": bool(rep.algebraic), "agree": rep.agree,
-                "kind": rep.kind, "beta": [list(p) for p in rep.beta]}
+                "kind": rep.kind, "beta": rep.beta}
     certs = {"algebraic": rep.algebraic, "force_log": rep.force_log.log,
              "note": rep.note}
     return (0 if bool(rep) else 1), verdicts, certs
@@ -344,9 +322,8 @@ def _cmd_realize(args):
     if args.out:
         write_matrix(arr, args.out)
         print("matrix written to %s" % args.out)
-    verdicts = {"deviation": dev, "pattern_ok": ok,
-                "spectrum": [float(v) for v in vals],
-                "multiplicities": list(ml.multiplicities)}
+    verdicts = {"deviation": dev, "pattern_ok": ok, "spectrum": vals,
+                "multiplicities": ml.multiplicities}
     return (0 if ok else 1), verdicts, {"matrix": arr}
 
 
@@ -363,9 +340,7 @@ def _cmd_reproduce(args):
             line += " -- %s" % st.detail
         print(line)
     verdicts = {"ok": rep.ok, "claim": rep.claim,
-                "failed_stage": rep.failed_stage,
-                "stages": [{"name": s.name, "ok": s.ok, "detail": s.detail}
-                           for s in rep.stages]}
+                "failed_stage": rep.failed_stage, "stages": rep.stages}
     return (0 if rep.ok else 1), verdicts, {"data": rep.data,
                                             "seed": rep.seed}
 
@@ -389,6 +364,9 @@ def _build_parser():
     tolerant = argparse.ArgumentParser(add_help=False)
     tolerant.add_argument("--tol", type=_tolerance, default=1e-8,
                           help="numeric tolerance")
+    # verify alone requires --kind; it keeps its own option
+    kinded = argparse.ArgumentParser(add_help=False)
+    kinded.add_argument("--kind", choices=KINDS, default="ssp")
 
     p = argparse.ArgumentParser(
         prog="liberatrix",
@@ -413,29 +391,26 @@ def _build_parser():
     q.add_argument("--out", help="write the liberated matrix here")
     q.set_defaults(func=_cmd_liberate)
 
-    q = sub.add_parser("libset", parents=[common],
+    q = sub.add_parser("libset", parents=[common, kinded],
                        help="check or enumerate liberation sets")
     mode = q.add_mutually_exclusive_group()
     mode.add_argument("--check", action="store_true")
     mode.add_argument("--enumerate", action="store_true")
-    q.add_argument("--kind", choices=KINDS, default="ssp")
     q.add_argument("--graph", required=True)
     q.add_argument("--matrix", required=True)
     q.add_argument("--beta")
     q.add_argument("--max-size", type=int, help="enumerate only; default 3")
     q.set_defaults(func=_cmd_libset)
 
-    q = sub.add_parser("directsum", parents=[common, tolerant],
+    q = sub.add_parser("directsum", parents=[common, tolerant, kinded],
                        help="bridge-set certificate for a block pair")
-    q.add_argument("--kind", choices=KINDS, default="ssp")
     q.add_argument("--matrix-a", required=True)
     q.add_argument("--matrix-b", required=True)
     q.add_argument("--beta", required=True)
     q.set_defaults(func=_cmd_directsum)
 
-    q = sub.add_parser("graph-libset", parents=[common, seeded],
+    q = sub.add_parser("graph-libset", parents=[common, seeded, kinded],
                        help="randomized pattern-level liberation check")
-    q.add_argument("--kind", choices=KINDS, default="ssp")
     q.add_argument("--graph", required=True)
     q.add_argument("--beta", required=True)
     q.add_argument("--trials", type=int, default=60,
@@ -456,9 +431,8 @@ def _build_parser():
     q.add_argument("--pairs", help='product pairs "1-1,2-1" for covers')
     q.set_defaults(func=_cmd_zf)
 
-    q = sub.add_parser("zf-liberate", parents=[common, tolerant],
+    q = sub.add_parser("zf-liberate", parents=[common, tolerant, kinded],
                        help="bridge a block pair through a forcing cover")
-    q.add_argument("--kind", choices=KINDS, default="ssp")
     q.add_argument("--matrix-a", required=True)
     q.add_argument("--matrix-b", required=True)
     q.add_argument("--pairs", required=True)
@@ -493,30 +467,25 @@ def _collect_inputs(args):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_join_spectrum(argv))
-    if "seed" in vars(args) and args.seed is None:
-        try:
-            args.seed = _default_seed()
-        except ValueError as ex:
-            print("error: %s" % ex, file=sys.stderr)
-            return 2
     t0 = time.perf_counter()
     try:
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = _default_seed()
         code, verdicts, certs = args.func(args)
+        timings = ({"total_s": round(time.perf_counter() - t0, 6)}
+                   if args.timed else {})
+        if args.json_path:
+            report = {"command": args.command,
+                      "inputs": _collect_inputs(args), "verdicts": verdicts,
+                      "certificates": certs, "timings": timings,
+                      "version": __version__}
+            payload = json.dumps(report, sort_keys=True, indent=2,
+                                 default=_json_default)
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
     except (ValueError, KeyError, OSError, RuntimeError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2
-    report = RunReport(command=args.command, inputs=_collect_inputs(args),
-                       verdicts=verdicts, certificates=certs)
-    if args.timed:
-        report.timings = {"total_s": round(time.perf_counter() - t0, 6)}
-    if args.json_path:
-        payload = json.dumps(_jsonable(report), sort_keys=True, indent=2)
-        try:
-            with open(args.json_path, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-        except OSError as ex:
-            print("error: %s" % ex, file=sys.stderr)
-            return 2
     return code
 
 

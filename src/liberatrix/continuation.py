@@ -85,17 +85,21 @@ def _build_from_slots(n, slots, x):
     return a
 
 
-def _cluster_pairs(mults):
-    """Index pairs a <= b inside each cluster of a sorted spectrum whose
-    clusters have the given sizes: one Newton equation each."""
+def _read_target(target):
+    """How the Newton solver reads a sorted target spectrum: its scale
+    max(1, max|target|), and the index pairs a <= b inside each cluster at
+    1e-8 * scale, one Newton equation each. eigh's error near 1e-15 * scale
+    keeps true repeats in one cluster."""
+    tgt = np.asarray(target, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(tgt))))
     rows, cols, pos = [], [], 0
-    for m in mults:
+    for m in multiplicity_list(tgt, 1e-8 * scale).multiplicities:
         for a in range(pos, pos + m):
             for b in range(a, pos + m):
                 rows.append(a)
                 cols.append(b)
         pos += m
-    return np.array(rows, dtype=int), np.array(cols, dtype=int)
+    return scale, (np.array(rows, dtype=int), np.array(cols, dtype=int))
 
 
 def _jacobian(q, pairs, slots):
@@ -120,12 +124,12 @@ def _newton(n, slots, free, target, x, tol):
     eigenvector rotation absorbs every entry between clusters. The step
     system is onto exactly when A(x) has the strong spectral property
     relative to the free slots, and there the convergence is quadratic.
+    tol is relative to the target's scale, as _read_target reads it.
     Returns (x, reason) with reason "converged", "not converged" or
     "non-finite step".
     """
     tgt = np.asarray(target, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(tgt))))
-    pairs = _cluster_pairs(multiplicity_list(tgt, 1e-6 * scale).multiplicities)
+    scale, pairs = _read_target(tgt)
     on_diag = pairs[0] == pairs[1]
     free = np.asarray(free, dtype=int)
     free_idx = slots[free]
@@ -137,7 +141,7 @@ def _newton(n, slots, free, target, x, tol):
         res = np.where(on_diag, vals[pairs[0]] - tgt[pairs[0]], 0.0)
         return res, _jacobian(q, pairs, free_idx)
 
-    y, reason = _min_norm_newton(system, full[free], tol)
+    y, reason = _min_norm_newton(system, full[free], tol * scale)
     full[free] = y
     return full, reason
 
@@ -192,7 +196,6 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
     slots = _pattern_slots(h)
     beta_slot_idx = [g.n + h.edges.index(e) for e in beta.pairs]
     target_vals = np.linalg.eigvalsh(arr)
-    vscale = max(1.0, float(np.max(np.abs(target_vals))))
     base = arr[slots[:, 0], slots[:, 1]]
     rng = seeded_random(seed)
     last_err = None
@@ -206,7 +209,7 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
         # hold one new pair at +-eps so the step system stays onto
         frozen = beta_slot_idx[(attempt - 1) % len(beta_slot_idx)]
         free = [k for k in range(len(slots)) if k != frozen]
-        x, reason = _newton(g.n, slots, free, target_vals, x0, tol * vscale)
+        x, reason = _newton(g.n, slots, free, target_vals, x0, tol)
         if reason != "converged":
             last_err = reason
             continue
@@ -306,11 +309,11 @@ def realize_spectrum(target, shape: str, seed=0, tol: float = 1e-9) -> SymMatrix
         out = _complete_generic(values, seed)
     else:
         raise ValueError("unknown shape %r; choose from %s" % (shape, (SHAPES,)))
-    got, _ = sym_eigen(out)
-    err = float(np.max(np.abs(got - np.array(values))))
+    out = SymMatrix(out)
+    err = float(np.max(np.abs(out.eigenvalues() - np.array(values))))
     if err > tol * max(1.0, float(np.max(np.abs(values)))):
         raise RuntimeError("realized spectrum off by %.2e" % err)
-    return SymMatrix(out)
+    return out
 
 
 def _complete_generic(values, seed):
@@ -347,7 +350,6 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
         raise ValueError("spectrum size %d does not fit %d vertices"
                          % (len(values), g.n))
     target_vals = np.array(values)
-    vscale = max(1.0, float(np.max(np.abs(target_vals))))
     slots = _pattern_slots(g)
     spread = max(1.0, float(values[-1] - values[0]))
 
@@ -361,7 +363,7 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
         held = set()
         free = range(len(slots))
         for _round in range(10):
-            x, reason = _newton(g.n, slots, free, target_vals, x, tol * vscale)
+            x, reason = _newton(g.n, slots, free, target_vals, x, tol)
             ok = reason == "converged"
             if not ok:
                 break

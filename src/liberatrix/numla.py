@@ -31,15 +31,6 @@ def _finite(arr, what):
     return arr
 
 
-def _finite_matrix(a):
-    """a as a 2-d float array; ValueError if it is not 2-d or has a NaN or
-    infinite entry."""
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    return _finite(arr, "matrix")
-
-
 def _finite_square(a):
     """a as a square float array; ValueError if it is not square or has a
     NaN or infinite entry."""
@@ -49,13 +40,13 @@ def _finite_square(a):
     return _finite(arr, "matrix")
 
 
-def _finite_symmetric(a, tol=1e-9):
+def _finite_symmetric(a):
     """a as a square float array; ValueError if it is not square, has a NaN
-    or infinite entry, or some |a_ij - a_ji| exceeds tol * max(1, max|a|)."""
+    or infinite entry, or some |a_ij - a_ji| exceeds 1e-9 * max(1, max|a|)."""
     arr = _finite_square(a)
     gap = float(np.abs(arr - arr.T).max()) if arr.size else 0.0
-    # the scale is at least 1, so it is read only once gap passes tol
-    if gap > tol and gap > tol * max(1.0, float(np.abs(arr).max())):
+    # the scale is at least 1, so it is read only once gap passes 1e-9
+    if gap > 1e-9 and gap > 1e-9 * max(1.0, float(np.abs(arr).max())):
         raise ValueError("input is not symmetric within tolerance")
     return arr
 
@@ -69,10 +60,11 @@ def _finite_values(values):
 
 
 class SymMatrix:
-    """Symmetric float matrix; symmetry is enforced by storage."""
+    """Symmetric float matrix, checked by the one symmetry rule and stored
+    as (A + A^T)/2."""
 
-    def __init__(self, data, tol=1e-9):
-        arr = _finite_symmetric(data, tol)
+    def __init__(self, data):
+        arr = _finite_symmetric(data)
         self._a = (arr + arr.T) / 2.0
         self._a.flags.writeable = False
         self._eig = None
@@ -89,8 +81,9 @@ class SymMatrix:
         return np.array(self._a, dtype=dtype, copy=copy)
 
     def eigensystem(self):
+        # the storage was checked at construction and is symmetric by it
         if self._eig is None:
-            self._eig = sym_eigen(self._a)
+            self._eig = np.linalg.eigh(self._a)
         return self._eig
 
     def eigenvalues(self):
@@ -154,8 +147,11 @@ def multiplicity_list(values, tol=1e-8) -> MultiplicityList:
 
 def numeric_rank(m, tol=1e-8) -> int:
     """Count of singular values above tol * the largest one (LAPACK SVD).
-    Monotone nonincreasing in tol."""
-    a = _finite_matrix(m)
+    Monotone nonincreasing in tol. ValueError unless m is 2-d and finite."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-d array")
+    _finite(a, "matrix")
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
@@ -181,9 +177,10 @@ def is_generic(w, tol: float = 1e-8) -> bool:
         return all(
             rank(w.submatrix(row_idx=list(sel))) == d
             for sel in combinations(range(n), d))
-    arr = _finite_matrix(w)
+    arr = np.asarray(w, dtype=float)
+    r = numeric_rank(arr, tol)  # checks arr is 2-d and finite
     n, d = arr.shape
-    if numeric_rank(arr, tol) != d:
+    if r != d:
         raise ValueError("basis matrix is rank-deficient")
     if d == 0:
         return True

@@ -44,7 +44,7 @@ from .continuation import (complete_pattern_low_rank, liberate,
 from .directsum import directsum_liberation, sylvester_space
 from .exactla import RatMatrix, charpoly, direct_sum
 from .graphs import (add_edges, build_graph, cartesian_product, catalog,
-                     catalog_entry, cycle_graph, disjoint_union, nonedge_set,
+                     catalog_entry, cycle_graph, nonedge_set,
                      path_graph, product_index, star_graph)
 from .liberation import (_first_failing_sample,
                          enumerate_minimal_liberation_sets,
@@ -339,8 +339,8 @@ def _glue(a, b, seed, bridges=None, cover=None, place=None):
         ok = cert.combinatorial and bool(cert)
     if not ok:
         return _Glue(a, b, cert)
-    base = disjoint_union(pattern_of(a), pattern_of(b))
-    lib = liberate(_block_diag(a, b), base, cert.beta, seed=seed)
+    ab = _block_diag(a, b)
+    lib = liberate(ab, pattern_of(ab), cert.beta, seed=seed)
     if place is None:
         return _Glue(a, b, cert, lib, lib.matrix)
     idx = np.asarray(place) - 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from liberatrix import __version__, zeroforcing
-from liberatrix.cli import (_build_parser, _join_spectrum, _jsonable,
+from liberatrix.cli import (_build_parser, _join_spectrum, _json_default,
                             _parse_pairs, main)
 from liberatrix.exactla import RatMatrix, read_matrix, write_matrix
 from liberatrix.graphs import add_edges, catalog, format_graph_text
@@ -202,6 +202,10 @@ BAD_INPUT_FILES = {
     "k4k1.txt": "5 5\n" + "1 1 1 1 0\n" * 4 + "0 0 0 0 4\n",
     "short-graph.txt": "4 2\n1 2\n",
     "token-graph.txt": "3 2\n1 2\n2 x\n",
+    "short-row.txt": "2 2\n1 0\n0\n",
+    "blank.txt": "",
+    "one-token-graph.txt": "3\n",
+    "rect.txt": "2 3\n1 0 0\n0 1 0\n",
 }
 
 # (id, argv with {d} for the file directory, LIBERATRIX_SEED or None,
@@ -277,6 +281,20 @@ BAD_INPUTS = [
      None, "needs --graph-h and --pairs"),
     ("unknown-bare-name", "zf --number --graph NOPE", None,
      "neither a graph file nor a catalog name"),
+    ("beta-without-pairs", "liberate --graph catalog:K4uK1"
+     " --matrix {d}/k4k1.txt --beta ,", None, "empty pair list"),
+    ("filled-without-vertices", "zf --cover --graph catalog:C5 --filled ,",
+     None, "empty vertex list"),
+    ("spectrum-without-values", "realize --shape path --spectrum ,", None,
+     "empty spectrum"),
+    ("matrix-file-short-row", "verify --kind ssp --graph catalog:P2"
+     " --matrix {d}/short-row.txt", None, "expected 2 entries per row"),
+    ("matrix-file-blank", "verify --kind ssp --graph catalog:P2"
+     " --matrix {d}/blank.txt", None, "empty matrix text"),
+    ("graph-file-one-token", "zf --number --graph {d}/one-token-graph.txt",
+     None, "graph text needs a leading 'n m' line"),
+    ("verify-non-square-matrix", "verify --kind ssp --graph catalog:P2"
+     " --matrix {d}/rect.txt", None, "expected a square matrix"),
 ]
 
 
@@ -432,14 +450,15 @@ def test_seed_env_default(k4k1_matrix, tmp_path, monkeypatch):
     assert main(["zf", "--number", "--graph", "catalog:P3"]) == 0
 
 
-def test_jsonable_covers_the_payload_types():
+def test_json_default_covers_the_payload_types():
     from fractions import Fraction
 
     m = RatMatrix.zeros(1, 2)
     m[0, 1] = Fraction(1, 3)
-    doc = _jsonable({"f": Fraction(-2, 7), "m": m,
-                     "a": np.array([[1.5, 0.0]]), "g": catalog("P2"),
-                     "t": (1, "x"), "s": {3, 1}})
+    doc = json.loads(json.dumps(
+        {"f": Fraction(-2, 7), "m": m, "a": np.array([[1.5, 0.0]]),
+         "g": catalog("P2"), "t": (1, "x"), "s": {3, 1}},
+        default=_json_default))
     assert doc["f"] == "-2/7"
     assert doc["m"]["entries"] == [["0", "1/3"]]
     assert doc["a"] == [[1.5, 0.0]]

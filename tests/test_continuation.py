@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from liberatrix import continuation
 from liberatrix.continuation import (
     MIN_ENTRY,
-    _cluster_pairs,
     _hole_system,
     _jacobian,
     _pattern_slots,
+    _read_target,
     charpoly_coeffs,
     complete_pattern_low_rank,
     liberate,
@@ -28,7 +28,7 @@ from liberatrix.directsum import is_generic
 from liberatrix.exactla import RatMatrix, charpoly, direct_sum
 from liberatrix.graphs import (Graph, add_edges, build_graph, catalog,
                                cycle_graph, path_graph)
-from liberatrix.numla import multiplicity_list, sym_eigen
+from liberatrix.numla import sym_eigen
 from liberatrix.liberation import is_liberation_set
 from liberatrix.patterns import SAMPLE_MODES, in_class, pattern_of, sample_S
 from liberatrix.replays import _subseed
@@ -411,11 +411,10 @@ def test_complete_infeasible_pattern_raises():
 
 
 def newton_step_is_onto(a, h):
-    """Full row rank of the Newton step system at a over the slots of h."""
+    """Full row rank of the Newton step system at a over the slots of h,
+    with the target read as the solver reads it."""
     vals, q = sym_eigen(a.to_float())
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    pairs = _cluster_pairs(multiplicity_list(vals, 1e-6 * scale).multiplicities)
-    jac = _jacobian(q, pairs, _pattern_slots(h))
+    jac = _jacobian(q, _read_target(vals)[1], _pattern_slots(h))
     tol = 1e-8 * np.linalg.norm(jac, 2)
     return np.linalg.matrix_rank(jac, tol=tol) == jac.shape[0]
 
@@ -461,6 +460,15 @@ def ones_block_sums(draw):
 @given(st.one_of(block_sums(), ones_block_sums()))
 @example((ones_block_plus(4), catalog("K4uK1")))
 @example((ones_block_plus(4), add_edges(catalog("K4uK1"), [(3, 5), (4, 5)])))
+# eigenvalues 3.8749973 and 3.875, 2.7e-6 apart: distinct, and once read as
+# one cluster at 1e-6 * scale
+@example((direct_sum(
+    RatMatrix.from_rows([[Fraction(-1, 7), 0, 0], [0, Fraction(-89, 5), 0],
+                         [0, 0, Fraction(31, 8)]]),
+    RatMatrix.from_rows([[Fraction(31, 8), Fraction(-1, 7), 0],
+                         [Fraction(-1, 7), Fraction(4, 5), Fraction(-89, 5)],
+                         [0, Fraction(-89, 5), Fraction(23, 6)]])),
+    build_graph(6, [(4, 5), (5, 6)])))
 def test_newton_step_onto_iff_strong_property(case):
     a, h = case
     assert newton_step_is_onto(a, h) == has_strong_property(a, h, "ssp").answer

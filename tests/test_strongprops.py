@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -241,6 +242,15 @@ def test_forged_witness_rejected_under_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
+
+def test_library_has_no_assert_statement():
+    # python -O strips asserts, so every check in the library is a raise
+    paths = sorted((SRC / "liberatrix").glob("*.py"))
+    assert "cli.py" in {path.name for path in paths}
+    found = [(path.name, node.lineno) for path in paths
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 def test_psi_validation():
     a = RatMatrix.from_rows([[0, 1], [1, 0]])
