@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -117,9 +118,12 @@ def _join_spectrum(argv):
 
 
 def _json_default(obj):
-    """The JSON form of what json does not encode itself: numpy values,
-    RatMatrix, Graph, EdgeSet, dataclasses and sets; anything else, such as
-    a Fraction, as its str."""
+    """The JSON form of what json does not encode itself: a Fraction as its
+    str (tested first: witnesses and matrices are mostly Fractions), numpy
+    values, RatMatrix, Graph, EdgeSet, dataclasses and sets; anything else
+    as its str."""
+    if isinstance(obj, Fraction):
+        return str(obj)
     if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     if isinstance(obj, RatMatrix):

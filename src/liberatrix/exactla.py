@@ -23,8 +23,16 @@ echelon form is the same elimination run on the integer columns, the
 transposed problem; its pivot and zero-row structure is read off the
 integer rows, and only the entries it returns become Fractions. Its lower
 right block needs only the rows past the top pivots reduced against each
-other, so the liberation criteria reduce from there. Pivoting always takes
-the first nonzero entry in column order, so echelon forms are reproducible.
+other, so the liberation criteria reduce from there. Each pivot column
+takes the row whose entry there is smallest in absolute value, the first
+such row (the scan stops at +-1), so the multipliers of the combinations
+stay small and echelon forms are reproducible. The reduced row echelon
+form is unique, so rref, kernels and the column echelon form and its block
+do not depend on the rule.
+
+Whether one row lies in the span of rows already eliminated is one
+content-reduced pass of that row against their pivot rows (_reduce_row),
+not a second elimination of them all.
 
 Column-space membership is one forward elimination of the rows of [M | X]:
 X's columns lie in Col(M) when every row left without a pivot in M's
@@ -279,10 +287,12 @@ def _eliminate(a, cols, reduce_from=None):
     a is a list of integer rows (lists or tuples); pivots are taken in their
     first cols entries, and rows may run on past them (an augmented part,
     combined along). a is reordered and its rows are replaced, never changed
-    in place, so rows shared with a caller's cache stay intact. At pivot
-    entry pv, each row with entry f != 0 in the pivot column becomes the
-    primitive part of (pv/g) row - (f/g) pivot_row, g = gcd(pv, f); rows
-    with f = 0 are not touched. Rows below the pivot are cleared; with
+    in place, so rows shared with a caller's cache stay intact. The pivot
+    of column c is the entry of smallest absolute value among the rows not
+    yet pivots, in the first row that has it; the scan stops at +-1. At
+    pivot entry pv, each row with entry f != 0 in the pivot column becomes
+    the primitive part of (pv/g) row - (f/g) pivot_row, g = gcd(pv, f);
+    rows with f = 0 are not touched. Rows below the pivot are cleared; with
     reduce_from set, so are the rows above it from index reduce_from on: 0
     gives full Gauss-Jordan, a larger index leaves the rows before it
     unreduced above later pivots. Rows past the last pivot end up zero in
@@ -300,7 +310,8 @@ def _eliminate(a, cols, reduce_from=None):
     multiple of it. Bareiss entries are minors of the input rows, so every
     entry here divides a minor and is at most the Hadamard bound of the
     input rows. The reduced row echelon form is unique, so it does not
-    depend on how the rows were scaled on the way. A row from reduce_from on
+    depend on how the rows were scaled on the way or on which row each
+    pivot came from. A row from reduce_from on
     is only ever combined with pivot rows, which are the same whatever
     reduce_from is, so those rows are the same lines as under full
     reduction.
@@ -309,12 +320,16 @@ def _eliminate(a, cols, reduce_from=None):
     pivots = []
     r = 0
     for c in range(cols):
+        best = 0
         for i in range(r, rows):
-            if a[i][c]:
-                break
-        else:
+            x = abs(a[i][c])
+            if x and (x < best or not best):
+                k, best = i, x
+                if x == 1:
+                    break
+        if not best:
             continue
-        a[r], a[i] = a[i], a[r]
+        a[r], a[k] = a[k], a[r]
         ar = a[r]
         pv = ar[c]
         c1 = c + 1
@@ -343,6 +358,34 @@ def _eliminate(a, cols, reduce_from=None):
     return a, pivots
 
 
+def _reduce_row(ech, pivots, row):
+    """The integer row reduced against ech, the pivot rows of a forward
+    _eliminate with pivot columns pivots: zero exactly when row lies in
+    their span.
+
+    One pass in pivot order: at pivot column c, a row with entry f != 0
+    there becomes the primitive part of (pv/g) row - (f/g) ech_row, as in
+    _eliminate, so its entries stay within the Hadamard bound of ech and
+    row. The pass stops early, with a nonzero row, when the row is nonzero
+    before c: the earlier pivot columns are cleared, and no pivot row from
+    here on reaches that column, so the row is outside the span.
+    """
+    for er, c in zip(ech, pivots):
+        if any(row[:c]):
+            return row
+        f = row[c]
+        if not f:
+            continue
+        pv = er[c]
+        g = gcd(pv, f)
+        p, q = pv // g, f // g
+        c1 = c + 1
+        tail = [p * x - q * y for x, y in zip(row[c1:], er[c1:])]
+        g = gcd(*tail)
+        row = [0] * c1 + ([x // g for x in tail] if g > 1 else tail)
+    return row
+
+
 def _reduced_rows(a, pivots):
     """The nonzero rows of the reduced row echelon form as Fractions, from
     the output of _eliminate(..., reduce_from=0): each pivot row over its
@@ -352,7 +395,7 @@ def _reduced_rows(a, pivots):
 
 
 def rref(m: RatMatrix) -> RrefResult:
-    """Reduced row echelon form; pivot = first nonzero entry in column order."""
+    """Reduced row echelon form, its pivot columns and its rank."""
     a, pivots = _eliminate(_int_rows(m), m.cols, 0)
     out = _reduced_rows(a, pivots)
     out += [[_ZERO] * m.cols for _ in range(m.rows - len(pivots))]

@@ -10,7 +10,8 @@ agree:
   row-rank      Psi[alpha + {e}] has full row rank for each e in beta,
                 alpha = nonedges outside beta; Psi[alpha] is eliminated
                 once, its pivot count is alpha_rank, and each row e is
-                eliminated against that echelon form
+                reduced against its pivot rows in one content-reduced
+                single-row pass (exactla._reduce_row)
   witness       A has the property w.r.t. G + beta and some x in Col(Psi)
                 is supported exactly on beta; x is B (1, t, t^2, ...) for
                 the first integer t > 0 that leaves no entry zero, found by
@@ -41,7 +42,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .exactla import (RatMatrix, _column_echelon, _eliminate,
-                      _in_column_span, _int_vector)
+                      _in_column_span, _int_vector, _reduce_row)
 from .graphs import EdgeSet, Graph, nonedge_set
 from .numla import seeded_random
 from .patterns import SAMPLE_MODES, CertificateError, sample_S
@@ -145,10 +146,8 @@ def is_liberation_set(a, g: Graph, beta, kind: str = "ssp") -> LiberationCertifi
     int_rows, cols = vm.int_rows, vm.ncols
     alpha_ech, pivots = _eliminate([int_rows[i] for i in alpha_idx], cols)
     alpha_rank = len(pivots)
-    alpha_ech = alpha_ech[:alpha_rank]
     c2 = alpha_rank == len(alpha_idx) and all(
-        len(_eliminate(alpha_ech + [int_rows[i]], cols)[1]) == alpha_rank + 1
-        for i in beta_idx)
+        any(_reduce_row(alpha_ech, pivots, int_rows[i])) for i in beta_idx)
 
     ech = _column_echelon(vm.int_cols, len(rows), beta_idx, len(alpha_idx))
     c4 = ech.top_independent and not ech.bottom_zero_rows

@@ -41,23 +41,7 @@ def _pattern_flags(a, g: Graph, tol: float = 1e-8):
     triangle masks.
     """
     if isinstance(a, RatMatrix):
-        n = a.rows
-        if a.cols != n:
-            raise ValueError("expected a square matrix")
-        _require_order(n, g)
-        rows = a.data
-        inside = alive = True
-        for i, ri in enumerate(rows):
-            nbrs = g.neighbors(i + 1)
-            for j in range(i + 1, n):
-                x = ri[j]
-                if x != rows[j][i]:
-                    raise ValueError("matrix is not symmetric")
-                if x:
-                    inside = inside and j + 1 in nbrs
-                elif j + 1 in nbrs:
-                    alive = False
-        return inside, alive, not any(rows[i][i] for i in range(n))
+        return _exact_flags(a, a.data, g)
     arr = _finite_square(a)
     _require_order(arr.shape[0], g)
     if (np.abs(arr - arr.T) > tol).any():
@@ -66,6 +50,28 @@ def _pattern_flags(a, g: Graph, tol: float = 1e-8):
     edge, nonedge = g.upper_masks
     return (not hit[nonedge].any(), bool(hit[edge].all()),
             not hit.diagonal().any())
+
+
+def _exact_flags(a: RatMatrix, rows, g: Graph):
+    """_pattern_flags of exact a, read off rows: a's own Fractions, or the
+    integer rows of D a for any D > 0, which have the same zeros and the
+    same symmetry and are cheaper to compare."""
+    n = a.rows
+    if a.cols != n:
+        raise ValueError("expected a square matrix")
+    _require_order(n, g)
+    inside = alive = True
+    for i, ri in enumerate(rows):
+        nbrs = g.neighbors(i + 1)
+        for j in range(i + 1, n):
+            x = ri[j]
+            if x != rows[j][i]:
+                raise ValueError("matrix is not symmetric")
+            if x:
+                inside = inside and j + 1 in nbrs
+            elif j + 1 in nbrs:
+                alive = False
+    return inside, alive, not any(rows[i][i] for i in range(n))
 
 
 def _require_order(n, g: Graph):

@@ -19,7 +19,8 @@ A: exact rows reference A's Fractions and their negatives, and float rows
 are one numpy gather. The integer rows and columns of exact rank and
 echelon work come from one such gather of D A (D the lcm of A's
 denominators), each row or column divided by the gcd of its entries.
-psi checks the pattern at once, and each form is built when first read:
+psi scales exact A to those integers once and checks the pattern on them
+at once, and each form is built when first read:
 exact rank, liberation and obstruction work reads only the integers, so
 the Fraction rows are built only for a caller that reads
 VerificationMatrix.matrix. An obstruction comes off the kernel of the
@@ -47,7 +48,8 @@ from .exactla import (
 )
 from .graphs import Graph, complement
 from .numla import numeric_rank
-from .patterns import CertificateError, _pattern_flags, in_class, pair_position
+from .patterns import (CertificateError, _exact_flags, _pattern_flags,
+                       in_class, pair_position)
 
 KINDS = ("ssp", "sap")
 _ZERO = Fraction(0)
@@ -90,11 +92,18 @@ class VerificationMatrix:
         return self.rows.index(tuple(sorted(pair)))
 
     @cached_property
+    def _ints(self):
+        """D A as integer rows, D the lcm of A's denominators: the one
+        scaling of exact A, read by psi's pattern check and by
+        _int_matrix."""
+        return _scaled_to_integers(self.source)[1]
+
+    @cached_property
     def _int_matrix(self):
         """D A's verification matrix as a 2-D numpy array of Python
-        integers, D the lcm of A's denominators: one gather from the slot
-        layout, shared by int_rows and int_cols."""
-        ints = _scaled_to_integers(self.source)[1]
+        integers: one gather from the slot layout, shared by int_rows and
+        int_cols."""
+        ints = self._ints
         return _gather([v for row in ints for v in row], 0, len(ints),
                        self.kind, self.rows)
 
@@ -198,14 +207,20 @@ def psi(a, g: Graph, kind: str, tol: float = 1e-8) -> VerificationMatrix:
 
     The kind and a's pattern are checked here; each row is read off rows
     and columns i and j of a in closed form when the matrix is first read.
+    Exact a is scaled to integers once: the pattern check reads those
+    integers, and so does the gather of the integer rows and columns.
     """
     kind = normalize_kind(kind)
-    inside, alive, _ = _pattern_flags(a, g, tol)
+    vm = VerificationMatrix(kind, g.nonedges(), a, g)
+    if vm.exact:
+        inside, alive, _ = _exact_flags(a, vm._ints, g)
+    else:
+        inside, alive, _ = _pattern_flags(a, g, tol)
     if not inside:
         raise ValueError("matrix support must lie inside the graph's edges")
     if not alive:
         warnings.warn("matrix has vanishing entries on some edges", stacklevel=2)
-    return VerificationMatrix(kind, g.nonedges(), a, g)
+    return vm
 
 
 @dataclass(frozen=True)

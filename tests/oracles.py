@@ -99,9 +99,11 @@ def eliminate_dense(a, cols, reduce_from=None):
     pivots = []
     for c in range(cols):
         r = len(pivots)
-        pivot_row = next((i for i in range(r, rows) if a[i][c]), None)
-        if pivot_row is None:
+        # the smallest nonzero |entry| in the column, in its first row
+        live = [i for i in range(r, rows) if a[i][c]]
+        if not live:
             continue
+        pivot_row = min(live, key=lambda i: abs(a[i][c]))
         a[r], a[pivot_row] = a[pivot_row], a[r]
         ar = a[r]
         pv = ar[c]

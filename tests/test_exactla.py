@@ -12,6 +12,8 @@ from liberatrix.exactla import (
     _column_echelon,
     _eliminate,
     _int_rows,
+    _kernel_vectors,
+    _reduce_row,
     charpoly,
     col_space_contains,
     column_echelon,
@@ -502,3 +504,84 @@ def test_kernel_bases_match_fraction_rref_oracle(case):
     m, _ = case
     assert kernel_basis(m) == kernel_basis_rref(m)
     assert left_kernel_basis(m) == left_kernel_basis_rref(m)
+
+
+def _int_block(ech, nrows):
+    """The block B of an integer column echelon as Fractions: entry (i, j)
+    is vectors[k + j][k + i] over that vector's pivot entry."""
+    k = ech.k
+    tail = ech.vectors[k:len(ech.pivots)]
+    return [[Fraction(v[k + i], v[c]) for v, c in zip(tail, ech.pivots[k:])]
+            for i in range(nrows - k)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(echelon_cases(), st.data())
+def test_outputs_do_not_depend_on_row_order(case, data):
+    # the pivot of a column is its smallest entry in the first row that has
+    # it, so shuffling the rows changes which rows become pivots; every
+    # output is a reduced form, which is unique, so none of them changes
+    m, bottom = case
+    row_perm = data.draw(st.permutations(range(m.rows)))
+    col_perm = data.draw(st.permutations(range(m.cols)))
+    shuffled = m.submatrix(row_idx=row_perm)
+    assert rref(shuffled) == rref(m)
+    assert kernel_basis(shuffled) == kernel_basis(m)
+    assert rank(shuffled) == rank(m)
+    assert _kernel_vectors(_int_rows(shuffled), m.cols) \
+        == _kernel_vectors(_int_rows(m), m.cols)
+    # _column_echelon eliminates the columns of m: shuffle those
+    cols = _int_rows(m.transpose())
+    k = m.rows - len(bottom)
+    for reduce_from in (0, k):
+        want = _column_echelon(cols, m.rows, bottom, reduce_from)
+        got = _column_echelon([cols[j] for j in col_perm], m.rows, bottom,
+                              reduce_from)
+        assert (got.pivots, got.top_independent, got.bottom_zero_rows) \
+            == (want.pivots, want.top_independent, want.bottom_zero_rows)
+        if want.top_independent:
+            assert _int_block(got, m.rows) == _int_block(want, m.rows)
+
+
+@st.composite
+def reduction_cases(draw):
+    """(rows, cols, row, how): integer rows with entries up to 1e6 and a row
+    that is zero, inside their span or drawn freely."""
+    cols = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.integers(-9, 9),
+                      st.integers(-10**6, 10**6))
+    rows = [draw(st.lists(entry, min_size=cols, max_size=cols))
+            for _ in range(draw(st.integers(0, 6)))]
+    how = draw(st.sampled_from(("zero", "span", "free")))
+    if how == "zero":
+        row = [0] * cols
+    elif how == "span":
+        c = draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                          max_size=len(rows)))
+        row = [sum(k * r[j] for k, r in zip(c, rows)) for j in range(cols)]
+    else:
+        row = draw(st.lists(entry, min_size=cols, max_size=cols))
+    return rows, cols, row, how
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduction_cases())
+def test_reduce_row_agrees_with_a_second_elimination(case):
+    # the one-row pass against an echelon form is nonzero exactly when a
+    # second elimination of the echelon rows with the row appended gains a
+    # pivot, and its entries stay within the Hadamard bound of those rows
+    rows, cols, row, how = case
+    ech, pivots = _eliminate([r[:] for r in rows], cols)
+    ech = ech[:len(pivots)]
+    before = row[:]
+    got = _reduce_row(ech, pivots, row)
+    grows = len(_eliminate(ech + [row], cols)[1]) == len(pivots) + 1
+    assert bool(any(got)) == grows
+    if how != "free":
+        assert not grows
+    bound_sq = 1
+    for r in ech + [row]:
+        if any(r):
+            bound_sq *= sum(v * v for v in r)
+    assert all(x * x <= bound_sq for x in got)
+    assert row == before

@@ -4,8 +4,10 @@ import random
 import subprocess
 import sys
 import textwrap
+import warnings
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +264,59 @@ def test_psi_validation():
         psi(RatMatrix.zeros(2, 2), build_graph(2, [(1, 2)]), "ssp")
     with pytest.raises(ValueError):
         psi(a, build_graph(2, [(1, 2)]), "strong")
+
+
+@st.composite
+def patterned_draws(draw):
+    """(g, a): a rational matrix over a random graph on 1-6 vertices, with
+    entries of mixed denominators that are often zero on edges, sometimes
+    nonzero off them and sometimes asymmetric in one pair."""
+    n = draw(st.integers(1, 6))
+    pairs = list(combinations(range(1, n + 1), 2))
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    g = build_graph(n, [e for e, keep in zip(pairs, mask) if keep])
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-20, 20),
+                                st.integers(1, 12)))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(entry)
+    for i, j in pairs:
+        # edge entries mostly nonzero, nonedge entries mostly zero
+        on_edge = (i, j) in g.edges
+        x = draw(entry) if draw(st.booleans()) == on_edge else Fraction(0)
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = x
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.sampled_from(pairs))
+        rows[i - 1][j - 1] += draw(st.sampled_from((Fraction(1, 7), 3)))
+    return g, RatMatrix(n, n, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterned_draws(), st.sampled_from(("ssp", "sap")))
+def test_psi_pattern_check_matches_in_class(case, kind):
+    # psi reads the pattern off the integers D a; it refuses, warns and
+    # accepts exactly where in_class, on a's Fractions, says it should
+    g, a = case
+    try:
+        support_ok, alive = in_class(a, g, "S_cl"), in_class(a, g, "S")
+    except ValueError as ex:
+        assert "not symmetric" in str(ex)
+        with pytest.raises(ValueError, match="not symmetric"):
+            psi(a, g, kind)
+        return
+    if not support_ok:
+        with pytest.raises(ValueError, match="support must lie inside"):
+            psi(a, g, kind)
+        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        vm = psi(a, g, kind)
+    assert [str(w.message) for w in caught] == (
+        [] if alive else ["matrix has vanishing entries on some edges"])
+    den = lcm(*[x.denominator for row in a.data for x in row])
+    assert vm._ints == [[int(x * den) for x in row] for row in a.data]
 
 
 def test_ones_block_threshold():
