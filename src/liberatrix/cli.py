@@ -186,8 +186,9 @@ def _cmd_liberate(args):
     g = _load_graph(args.graph)
     beta = _parse_pairs(args.beta)
     res = liberate(a, g, beta, tol=args.tol, seed=args.seed)
-    # coefficient residual ~1e-16 still splits a double root by ~1e-8,
-    # so cluster for display with the coarser tolerance
+    # the grown matrix's eigenvalues lie within --tol * scale of a's, so a
+    # double root may split by more than multiplicity_list's default 1e-8;
+    # cluster for display with the coarser tolerance
     ml = multiplicity_list(res.spectrum, tol=1e-6)
     print("liberated onto %d pairs: residual=%.2e min_entry=%.2e "
           "multiplicities=%s verified=%s"

@@ -22,6 +22,12 @@ complete_pattern_low_rank() rounds out a rank-deficient matrix to a full
 pattern without raising the rank, by the same minimum-norm Newton loop on
 the factor V of V S V^T with its closed-form Jacobian.
 
+The Newton loop returns its final residual, the max |r| it measured at the
+returned point for its stopping test, and the solvers report that value
+rather than re-solve for one: liberate's residual is the largest deviation
+of the grown matrix's eigenvalues from the target, over the target's scale,
+and complete_pattern_low_rank's is the largest entry left off the pattern.
+
 Float input is checked by numla, the package's float layer: a matrix or
 target spectrum with a NaN or infinite entry raises ValueError before any
 solve. The Newton solver holds the free coordinates of a pattern as one
@@ -39,7 +45,7 @@ from .graphs import Graph, add_edges, nonedge_set
 from .numla import (SymMatrix, _blocks_generic, _finite_values,
                     multiplicity_list, random_orthogonal, seeded_random,
                     sym_eigen)
-from .patterns import _require_order, in_class
+from .patterns import _require_order
 from .strongprops import (_drop_one_verdicts, has_strong_property,
                           normalize_kind, psi)
 
@@ -47,27 +53,24 @@ EPS_SCHEDULE = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 MIN_ENTRY = 1e-6
 
 
-def charpoly_coeffs(a) -> np.ndarray:
-    """Non-leading characteristic polynomial coefficients, degree descending."""
-    return np.poly(np.linalg.eigvalsh(np.asarray(a, dtype=float)))[1:]
-
-
 def _min_norm_newton(system, x, tol):
     """Newton with minimum-norm steps, x -= lstsq(J, r) for (r, J) = system(x).
 
-    Returns (x, reason) with reason "converged" once max |r| <= tol, "not
-    converged" after 40 steps, or "non-finite step".
+    Returns (x, reason, r) with reason "converged" once max |r| <= tol, "not
+    converged" after 40 steps, or "non-finite step", and r the max |r| at
+    the returned x (inf after a non-finite step).
     """
     x = np.array(x, dtype=float)
     for _ in range(40):
         res, jac = system(x)
-        if float(np.max(np.abs(res), initial=0.0)) <= tol:
-            return x, "converged"
+        r = float(np.max(np.abs(res), initial=0.0))
+        if r <= tol:
+            return x, "converged", r
         x -= np.linalg.lstsq(jac, res, rcond=None)[0]
         if not np.all(np.isfinite(x)):
-            return x, "non-finite step"
-    ok = float(np.max(np.abs(system(x)[0]), initial=0.0)) <= tol
-    return x, "converged" if ok else "not converged"
+            return x, "non-finite step", math.inf
+    r = float(np.max(np.abs(system(x)[0]), initial=0.0))
+    return x, "converged" if r <= tol else "not converged", r
 
 
 def _pattern_slots(g: Graph) -> np.ndarray:
@@ -125,8 +128,9 @@ def _newton(n, slots, free, target, x, tol):
     system is onto exactly when A(x) has the strong spectral property
     relative to the free slots, and there the convergence is quadratic.
     tol is relative to the target's scale, as _read_target reads it.
-    Returns (x, reason) with reason "converged", "not converged" or
-    "non-finite step".
+    Returns (x, reason, r) with reason "converged", "not converged" or
+    "non-finite step", and r the largest deviation of A(x)'s eigenvalues
+    from the sorted target over that scale, so at most tol on convergence.
     """
     tgt = np.asarray(target, dtype=float)
     scale, pairs = _read_target(tgt)
@@ -141,16 +145,16 @@ def _newton(n, slots, free, target, x, tol):
         res = np.where(on_diag, vals[pairs[0]] - tgt[pairs[0]], 0.0)
         return res, _jacobian(q, pairs, free_idx)
 
-    y, reason = _min_norm_newton(system, full[free], tol * scale)
+    y, reason, r = _min_norm_newton(system, full[free], tol * scale)
     full[free] = y
-    return full, reason
+    return full, reason, r / scale
 
 
 @dataclass(frozen=True)
 class LiberateResult:
     matrix: np.ndarray
     graph: Graph
-    residual: float       # max charpoly-coefficient mismatch over scale
+    residual: float       # max eigenvalue deviation over scale, <= tol
     attempts: int
     eps: float
     seed: object
@@ -180,7 +184,8 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
     the strong-property re-check; the next attempt re-seeds. Failure of
     every attempt is a solver outcome, reported as an error naming the last
     reason; it never contradicts a valid certificate. The result's residual
-    is the largest characteristic-polynomial coefficient mismatch over scale.
+    is the Newton loop's own: the largest deviation of the grown matrix's
+    eigenvalues from a's, over max(1, max|eig(a)|), so at most tol.
     """
     kind = normalize_kind(kind)
     if kind != "ssp":
@@ -209,7 +214,7 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
         # hold one new pair at +-eps so the step system stays onto
         frozen = beta_slot_idx[(attempt - 1) % len(beta_slot_idx)]
         free = [k for k in range(len(slots)) if k != frozen]
-        x, reason = _newton(g.n, slots, free, target_vals, x0, tol)
+        x, reason, res = _newton(g.n, slots, free, target_vals, x0, tol)
         if reason != "converged":
             last_err = reason
             continue
@@ -222,9 +227,6 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
         if not has_strong_property(a_new, h, kind, tol=1e-8).answer:
             last_err = "output failed the strong-property re-check"
             continue
-        target = np.poly(target_vals)[1:]  # charpoly_coeffs(arr)
-        scale = max(1.0, float(np.max(np.abs(target))))
-        res = float(np.max(np.abs(charpoly_coeffs(a_new) - target))) / scale
         return LiberateResult(a_new, h, res, attempt, eps, seed, smallest, True)
     raise RuntimeError(
         "continuation did not produce a valid matrix in %d attempts (%s)"
@@ -342,8 +344,13 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
     its seed value, as liberate holds a new pair: with every entry free the
     minimum-norm steps walk the re-seeded entries back to zero. Each held
     entry stays held in the later rounds, so the held set grows by one
-    entry per round; up to ten rounds run per attempt. Feasibility is the
-    caller's burden; infeasible targets surface as non-convergence.
+    entry per round; up to ten rounds run per attempt. The matrix returned
+    is in S(g) by construction, with no closing re-check: built from the
+    slots, it is exactly zero off the pattern, and the last round found no
+    edge entry below MIN_ENTRY. Its eigenvalues are within tol times
+    max(1, max|spectrum|) of the target, the Newton loop's stopping test.
+    Feasibility is the caller's burden; infeasible targets surface as
+    non-convergence.
     """
     values = sorted(_finite_values(spectrum))
     if len(values) != g.n:
@@ -363,7 +370,7 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
         held = set()
         free = range(len(slots))
         for _round in range(10):
-            x, reason = _newton(g.n, slots, free, target_vals, x, tol)
+            x, reason, _ = _newton(g.n, slots, free, target_vals, x, tol)
             ok = reason == "converged"
             if not ok:
                 break
@@ -376,11 +383,8 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
             # pair; the entries held in earlier rounds stay held
             held.add(dead[0])
             free = [k for k in range(len(slots)) if k not in held]
-        if not ok or dead:
-            continue
-        a = _build_from_slots(g.n, slots, x)
-        if in_class(a, g, "S", tol=MIN_ENTRY / 2):
-            return a
+        if ok and not dead:
+            return _build_from_slots(g.n, slots, x)
     raise RuntimeError("no matrix in the pattern reached the target spectrum")
 
 
@@ -425,7 +429,9 @@ def complete_pattern_low_rank(a0, h: Graph, tol: float = 1e-8,
     most tol * s count as zero, and Newton on V, with the closed-form
     Jacobian, drives the entries outside h's pattern to 1e-12 * s from a
     perturbed factor of a0. An attempt that does not converge or leaves an
-    edge entry below MIN_ENTRY re-draws the start.
+    edge entry below MIN_ENTRY re-draws the start. The result's
+    off_pattern_residual is the Newton loop's final residual: the largest
+    |entry| of the output outside h's pattern, at most 1e-12 * s.
     """
     vals, q = sym_eigen(a0)
     n = len(vals)
@@ -440,7 +446,7 @@ def complete_pattern_low_rank(a0, h: Graph, tol: float = 1e-8,
     for attempt in range(1, max_iter + 1):
         sd = 0.05 * (1 + attempt // 5)
         x0 = v0.reshape(-1) + [rng.gauss(0.0, sd) for _ in range(n * r)]
-        x, reason = _min_norm_newton(system, x0, 1e-12 * scale)
+        x, reason, off = _min_norm_newton(system, x0, 1e-12 * scale)
         if reason != "converged":
             continue
         v = x.reshape(n, r)
@@ -448,7 +454,6 @@ def complete_pattern_low_rank(a0, h: Graph, tol: float = 1e-8,
         edge_min = min(abs(a[i - 1, j - 1]) for (i, j) in h.edges) if h.edges else 1.0
         if edge_min < MIN_ENTRY:
             continue
-        off = float(np.max(np.abs(system(x)[0]), initial=0.0))
         pos = int(np.sum(signs > 0))
         return LowRankResult(a, h, r, (pos, r - pos), off, attempt)
     raise RuntimeError("no completion with the required pattern in %d attempts"

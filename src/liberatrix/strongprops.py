@@ -250,14 +250,14 @@ def _int_product(p, q):
     return [[sum(x * y for x, y in zip(row, col)) for col in qt] for row in p]
 
 
-def _verify_certificate(a, kind, x, pairs_graph: Graph):
-    """The reassembled X must be a genuine obstruction. The product is
-    checked in integers: with D and L the lcms of the denominators of A
-    and X, (D A)(L X), less (L X)(D A) for "ssp", is D L times A X (or
+def _verify_certificate(ai, kind, x, pairs_graph: Graph):
+    """The reassembled X must be a genuine obstruction to A, given as ai,
+    the integer rows of D A for some D > 0 (psi's one scaling of A). The
+    product is checked in integers: with L the lcm of the denominators of
+    X, (D A)(L X), less (L X)(D A) for "ssp", is D L times A X (or
     [A, X]), so it vanishes exactly when that does."""
     if not in_class(x, complement(pairs_graph), "S_cl0"):
         raise CertificateError("obstruction is not supported on the nonedges")
-    ai = _scaled_to_integers(a)[1]
     xi = _scaled_to_integers(x)[1]
     ax = _int_product(ai, xi)
     if kind == "ssp":
@@ -296,7 +296,7 @@ def _verdict_wrt(vm: VerificationMatrix, h: Graph,
     cert = []
     for v in _kernel_vectors(cols, m):
         x = _reassemble(v, sel_pairs, vm.graph.n)
-        _verify_certificate(vm.source, vm.kind, x, h)
+        _verify_certificate(vm._ints, vm.kind, x, h)
         cert.append(x)
     return StrongPropertyResult(False, vm.kind, r, m - r, sel_pairs, tuple(cert))
 
@@ -349,8 +349,9 @@ def wrt_kernel_check(a: RatMatrix, g: Graph, h: Graph, kind: str) -> bool:
         return True
     m = _pair_rows(a, pairs, kind).transpose()  # positions x pairs
     ker = kernel_basis(m)
+    ai = _scaled_to_integers(a)[1]
     for t in range(ker.cols):
         x = _reassemble(ker.col(t), pairs, g.n)
-        _verify_certificate(a, kind, x, h)
+        _verify_certificate(ai, kind, x, h)
     return ker.cols == 0
 

@@ -3,7 +3,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -16,16 +16,16 @@ from liberatrix.continuation import (
     MIN_ENTRY,
     _hole_system,
     _jacobian,
+    _min_norm_newton,
     _pattern_slots,
     _read_target,
-    charpoly_coeffs,
     complete_pattern_low_rank,
     liberate,
     realize_in_pattern,
     realize_spectrum,
 )
 from liberatrix.directsum import is_generic
-from liberatrix.exactla import RatMatrix, charpoly, direct_sum
+from liberatrix.exactla import RatMatrix, direct_sum
 from liberatrix.graphs import (Graph, add_edges, build_graph, catalog,
                                cycle_graph, path_graph)
 from liberatrix.numla import sym_eigen
@@ -63,16 +63,6 @@ def block_diag(*blocks):
         out[pos:pos + k, pos:pos + k] = b
         pos += k
     return out
-
-
-def test_charpoly_coeffs_match_exact():
-    a = ones_block_plus(4)
-    got = charpoly_coeffs(a)
-    # exactla charpoly is ascending with leading coefficient last
-    exact = [float(c) for c in charpoly(a)]
-    exact_desc = exact[::-1]
-    assert exact_desc[0] == 1.0
-    assert np.allclose(got, exact_desc[1:], atol=1e-9)
 
 
 def test_realize_path():
@@ -163,19 +153,45 @@ def test_liberate_zero_diagonal_is_not_a_collapsed_entry():
     assert np.allclose(sym_eigen(res.matrix)[0], [-1, -1, -1, 3, 3], atol=1e-7)
 
 
-def test_liberate_residual_is_the_charpoly_mismatch():
-    # the residual reuses the target eigenvalues; it must equal, bit for
-    # bit, the mismatch recomputed from both matrices' charpoly_coeffs
+def test_liberate_residual_is_the_eigenvalue_deviation():
+    # the residual is the Newton loop's last measurement; it must equal, bit
+    # for bit, the largest deviation of the output's eigenvalues from a's
+    # over scale, recomputed here, and stay within tol
     cases = [(ones_block_plus(4), catalog("K4uK1"), [(3, 5), (4, 5)]),
              (block_diag(bordered_star(1.0, 1.0), np.ones((2, 2))),
               catalog("G151-base"), [(3, 5), (4, 5), (2, 6), (4, 6)])]
     for a, g, beta in cases:
-        for seed in (0, 1, 2):
-            res = liberate(a, g, beta, seed=seed)
-            target = charpoly_coeffs(a)
-            scale = max(1.0, float(np.max(np.abs(target))))
-            want = float(np.max(np.abs(charpoly_coeffs(res.matrix) - target)))
-            assert res.residual == want / scale
+        target = np.linalg.eigvalsh(np.asarray(a, dtype=float))
+        scale = max(1.0, float(np.max(np.abs(target))))
+        for seed, tol in product((0, 1, 2), (1e-10, 1e-6)):
+            res = liberate(a, g, beta, tol=tol, seed=seed)
+            got = np.linalg.eigh(res.matrix)[0]
+            want = float(np.max(np.abs(got - target))) / scale
+            assert res.residual == want <= tol
+
+
+def test_min_norm_newton_returns_the_residual_at_its_x():
+    def system_of(residual, jacobian):
+        return lambda x: (np.array(residual(x)), np.array(jacobian(x)))
+
+    # x^2 = 2 from x = 1: converges, and r is |x^2 - 2| at the returned x
+    root2 = system_of(lambda x: [x[0] ** 2 - 2.0], lambda x: [[2.0 * x[0]]])
+    x, reason, r = _min_norm_newton(root2, [1.0], 1e-12)
+    assert reason == "converged"
+    assert r == abs(x[0] ** 2 - 2.0) <= 1e-12
+    # x = 1 and x = -1 at once: the least-squares step lands on x = 0, up
+    # to rounding, so after 40 steps r is max |r(x)|, about 1
+    split = system_of(lambda x: [x[0] - 1.0, x[0] + 1.0],
+                      lambda x: [[1.0], [1.0]])
+    x, reason, r = _min_norm_newton(split, [3.0], 1e-12)
+    assert reason == "not converged"
+    assert r == float(np.max(np.abs(split(x)[0])))
+    assert r == pytest.approx(1.0)
+    # a step of 1e300 / 1e-300 overflows to infinity
+    blowup = system_of(lambda x: [1e300], lambda x: [[1e-300]])
+    x, reason, r = _min_norm_newton(blowup, [0.0], 1e-12)
+    assert reason == "non-finite step"
+    assert r == np.inf and not np.all(np.isfinite(x))
 
 
 def test_liberate_rejects_bad_set():
@@ -279,6 +295,20 @@ def assert_realizes(a, g, target, tol=1e-10):
     assert np.max(np.abs(np.linalg.eigvalsh(a) - target)) <= tol * scale
 
 
+FORK = build_graph(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
+
+
+@pytest.mark.parametrize("g", [FORK, cycle_graph(5), cycle_graph(6)],
+                         ids=["fork", "C5", "C6"])
+def test_realize_in_pattern_output_is_in_the_pattern(g):
+    # realize_in_pattern returns without re-checking its pattern: the
+    # membership check of assert_realizes must hold on every output
+    probe = sample_S(g, seed=SEED, mode="random-rational").to_float()
+    target = sym_eigen(probe)[0]
+    for seed in range(10):
+        assert_realizes(realize_in_pattern(g, target, seed=seed), g, target)
+
+
 @pytest.mark.parametrize("case", sorted(COLLAPSING))
 def test_realize_in_pattern_holds_a_reseeded_entry(case, monkeypatch):
     g, target, free_resolve_solves = COLLAPSING[case]
@@ -362,6 +392,18 @@ def test_complete_prism_from_a_large_start(scale):
     assert (res.rank, res.inertia, res.attempts) == (3, (2, 1), 1)
     assert res.off_pattern_residual <= 1e-12 * 2.0 * scale
     assert in_class(res.matrix, h, "S")
+
+
+def test_low_rank_residual_is_the_largest_off_pattern_entry():
+    # the loop's last residual, bit for bit the largest |entry| of the
+    # output on h's nonedges
+    c4 = np.roll(np.eye(4), 1, axis=1)
+    h = catalog("prism")
+    for seed in range(5):
+        res = complete_pattern_low_rank(
+            block_diag(c4 + c4.T, np.ones((2, 2))), h, seed=seed)
+        want = max(abs(res.matrix[i - 1, j - 1]) for i, j in h.nonedges())
+        assert res.off_pattern_residual == want
 
 
 def test_complete_rejects_mismatched_order():

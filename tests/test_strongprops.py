@@ -193,13 +193,14 @@ def test_forged_obstruction_rejected_under_optimize():
         from liberatrix.exactla import RatMatrix
         from liberatrix.graphs import path_graph
         from liberatrix.patterns import CertificateError, sample_S
+        from liberatrix.exactla import _scaled_to_integers
         from liberatrix.strongprops import _verify_certificate
         g = path_graph(3)
         a = sample_S(g, seed=1)
         # X on the nonedge {1, 3}; [a, x] has a21 at (2, 3)
         x = RatMatrix.from_rows([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
         try:
-            _verify_certificate(a, "ssp", x, g)
+            _verify_certificate(_scaled_to_integers(a)[1], "ssp", x, g)
         except CertificateError:
             sys.exit(0 if sys.flags.optimize else 3)
         sys.exit(1)
