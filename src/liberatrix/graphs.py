@@ -9,10 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
-
-import numpy as np
 
 
 def _norm_pair(pair):
@@ -61,18 +58,6 @@ class Graph:
         """Nonedge pairs (i, j), i < j, lexicographic."""
         present = set(self._edges)
         return tuple(p for p in combinations(self.vertices, 2) if p not in present)
-
-    @cached_property
-    def upper_masks(self):
-        """(edges, nonedges): read-only boolean n x n masks on the strict
-        upper triangle, True at the 0-based slot (i-1, j-1) of each edge,
-        resp. nonedge, (i, j). Built on first use and kept with the graph."""
-        edge = np.zeros((self._n, self._n), dtype=bool)
-        for i, j in self._edges:
-            edge[i - 1, j - 1] = True
-        nonedge = np.triu(~edge, 1)
-        edge.flags.writeable = nonedge.flags.writeable = False
-        return edge, nonedge
 
     def has_edge(self, i, j):
         i, j = _norm_pair((i, j))

@@ -4,7 +4,8 @@ rank, eigenvalue clustering and eigenspace genericity (is_generic).
 Float input is checked here: one finiteness test refuses a NaN or
 infinite entry on every numeric path, and one symmetry rule, |A - A^T| <=
 1e-9 max(1, max|A|), refuses an asymmetric matrix wherever a symmetric one
-is assumed. Eigensystems come from LAPACK through numpy.linalg.eigh:
+is assumed, the pattern reader of in_class, pattern_of and psi included.
+Eigensystems come from LAPACK through numpy.linalg.eigh:
 eigenvalues ascending with an orthonormal eigenvector matrix Q whose
 columns match. Eigenvalue clustering into a multiplicity list follows one
 rule, chained gaps at a tolerance, which every caller in the package
@@ -31,19 +32,15 @@ def _finite(arr, what):
     return arr
 
 
-def _finite_square(a):
-    """a as a square float array; ValueError if it is not square or has a
-    NaN or infinite entry."""
+def _finite_symmetric(a):
+    """a as a square float array; ValueError if it is not square, has a NaN
+    or infinite entry, or some |a_ij - a_ji| exceeds 1e-9 * max(1, max|a|).
+    The one symmetry rule: patterns' support reader (in_class, pattern_of,
+    psi) checks float input here too."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("expected a square matrix")
-    return _finite(arr, "matrix")
-
-
-def _finite_symmetric(a):
-    """a as a square float array; ValueError if it is not square, has a NaN
-    or infinite entry, or some |a_ij - a_ji| exceeds 1e-9 * max(1, max|a|)."""
-    arr = _finite_square(a)
+    _finite(arr, "matrix")
     gap = float(np.abs(arr - arr.T).max()) if arr.size else 0.0
     # the scale is at least 1, so it is read only once gap passes 1e-9
     if gap > 1e-9 and gap > 1e-9 * max(1.0, float(np.abs(arr).max())):

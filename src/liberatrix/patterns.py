@@ -6,6 +6,12 @@ Three membership classes for a symmetric A and graph G on the same vertex set:
   "S_cl"   off-diagonal support contained in the edge set (entries may vanish)
   "S_cl0"  as "S_cl" with zero diagonal
 
+A matrix's support is read in one checked pass (_support) by in_class,
+pattern_of and strongprops.psi. Exact input must be exactly symmetric;
+float input goes through numla's one finiteness and symmetry rule, |A -
+A^T| <= 1e-9 max(1, max|A|), and tol is only the float zero threshold: an
+entry is nonzero above tol in absolute value.
+
 Every flattening follows the lexicographic order on index pairs. Vertex
 arguments are 1-based, matching Graph.
 """
@@ -19,59 +25,59 @@ import numpy as np
 
 from .exactla import RatMatrix
 from .graphs import Graph, build_graph
-from .numla import _finite_square, seeded_random
+from .numla import _finite_symmetric, seeded_random
 
 CLASS_TAGS = ("S", "S_cl", "S_cl0")
 
 
 class CertificateError(RuntimeError):
-    """A computed certificate or sample failed its own re-check."""
+    """A computed certificate failed its own re-check."""
 
 
-def _pattern_flags(a, g: Graph, tol: float = 1e-8):
-    """One pass of symmetric a over g: (inside, alive, zero_diag).
+def _support(a, tol: float, rows=None):
+    """(n, pairs, diag) of symmetric a: its order, the sorted 1-based pairs
+    i < j whose entry is nonzero, and whether any diagonal entry is nonzero.
+
+    Exact a must be exactly symmetric, and an entry is nonzero when != 0;
+    it is read off rows: a's own Fractions by default, or the integer rows
+    of D a for any D > 0, which have the same zeros and the same symmetry
+    and are cheaper to compare. Float a must pass numla's one finiteness
+    and symmetry check, and an entry is nonzero above tol in absolute
+    value; a pair counts when either mirror entry does. Raises ValueError
+    for a non-square matrix, a NaN or infinite entry or an asymmetric
+    matrix.
+    """
+    exact = isinstance(a, RatMatrix)
+    if not exact:
+        rows = (np.abs(_finite_symmetric(a)) > tol).tolist()
+    elif a.rows != a.cols:
+        raise ValueError("expected a square matrix")
+    elif rows is None:
+        rows = a.data
+    n = len(rows)
+    pairs = []
+    for i, ri in enumerate(rows):
+        for j in range(i + 1, n):
+            x, y = ri[j], rows[j][i]
+            if x or y:
+                if exact and x != y:
+                    raise ValueError("matrix is not symmetric")
+                pairs.append((i + 1, j + 1))
+    return n, pairs, any(rows[i][i] for i in range(n))
+
+
+def _pattern_flags(a, g: Graph, tol: float = 1e-8, rows=None):
+    """(inside, alive, zero_diag) of symmetric a over g, from _support.
 
     inside: every nonzero entry off the diagonal sits on an edge; alive:
     every edge entry is nonzero; zero_diag: every diagonal entry is zero.
-    Exact entries are nonzero when != 0 and must be exactly symmetric; float
-    entries are nonzero above tol in absolute value and may differ from
-    their mirror by up to tol. Raises ValueError for a non-square matrix, an
-    order other than g's, a non-finite float entry or an asymmetric matrix.
-    Float input is checked with whole-array operations and g's upper
-    triangle masks.
+    rows is passed on to _support. Raises ValueError as _support does, and
+    for an order other than g's.
     """
-    if isinstance(a, RatMatrix):
-        return _exact_flags(a, a.data, g)
-    arr = _finite_square(a)
-    _require_order(arr.shape[0], g)
-    if (np.abs(arr - arr.T) > tol).any():
-        raise ValueError("matrix is not symmetric")
-    hit = np.abs(arr) > tol
-    edge, nonedge = g.upper_masks
-    return (not hit[nonedge].any(), bool(hit[edge].all()),
-            not hit.diagonal().any())
-
-
-def _exact_flags(a: RatMatrix, rows, g: Graph):
-    """_pattern_flags of exact a, read off rows: a's own Fractions, or the
-    integer rows of D a for any D > 0, which have the same zeros and the
-    same symmetry and are cheaper to compare."""
-    n = a.rows
-    if a.cols != n:
-        raise ValueError("expected a square matrix")
+    n, pairs, diag = _support(a, tol, rows)
     _require_order(n, g)
-    inside = alive = True
-    for i, ri in enumerate(rows):
-        nbrs = g.neighbors(i + 1)
-        for j in range(i + 1, n):
-            x = ri[j]
-            if x != rows[j][i]:
-                raise ValueError("matrix is not symmetric")
-            if x:
-                inside = inside and j + 1 in nbrs
-            elif j + 1 in nbrs:
-                alive = False
-    return inside, alive, not any(rows[i][i] for i in range(n))
+    support, edges = set(pairs), set(g.edges)
+    return support <= edges, edges <= support, not diag
 
 
 def _require_order(n, g: Graph):
@@ -80,7 +86,12 @@ def _require_order(n, g: Graph):
 
 
 def in_class(a, g: Graph, cls: str, tol: float = 1e-8) -> bool:
-    """Membership of symmetric a in the named pattern class over g."""
+    """Membership of symmetric a in the named pattern class over g.
+
+    Float entries are zero at or below tol in absolute value; float input
+    must be finite and symmetric by numla's rule, exact input exactly
+    symmetric, or ValueError is raised.
+    """
     if cls not in CLASS_TAGS:
         raise ValueError("unknown class %r" % (cls,))
     inside, alive, zero_diag = _pattern_flags(a, g, tol)
@@ -93,20 +104,11 @@ def in_class(a, g: Graph, cls: str, tol: float = 1e-8) -> bool:
 
 def pattern_of(a, tol: float = 1e-8) -> Graph:
     """Graph on the off-diagonal support of a symmetric matrix: pair {i, j}
-    is an edge when either of its entries is nonzero (exact) or above tol in
-    absolute value (float). Float input with a NaN or infinite entry raises
-    ValueError, as in in_class."""
-    if isinstance(a, RatMatrix):
-        if a.rows != a.cols:
-            raise ValueError("expected a square matrix")
-        n, rows = a.rows, a.data
-        edges = [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n)
-                 if rows[i][j] or rows[j][i]]
-        return build_graph(n, edges)
-    hit = np.abs(_finite_square(a)) > tol
-    upper = np.triu(hit | hit.T, 1)
-    return build_graph(len(upper), [(int(i) + 1, int(j) + 1)
-                                    for i, j in zip(*np.nonzero(upper))])
+    is an edge when its entry is nonzero (exact) or above tol in absolute
+    value (float). Input is checked as in in_class: a non-square, non-finite
+    or asymmetric matrix raises ValueError."""
+    n, pairs, _ = _support(a, tol)
+    return build_graph(n, pairs)
 
 
 def pair_position(n: int, i: int, j: int) -> int:
@@ -157,6 +159,4 @@ def sample_S(g: Graph, seed, mode: str = "random-rational") -> RatMatrix:
             raise ValueError("diagonal collisions need at least two vertices")
         i, j = rng.sample(range(n), 2)
         m[j, j] = m[i, i]
-    if not in_class(m, g, "S"):
-        raise CertificateError("sample is not in S(g)")
     return m

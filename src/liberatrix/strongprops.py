@@ -48,8 +48,7 @@ from .exactla import (
 )
 from .graphs import Graph, complement
 from .numla import numeric_rank
-from .patterns import (CertificateError, _exact_flags, _pattern_flags,
-                       in_class, pair_position)
+from .patterns import CertificateError, _pattern_flags, in_class, pair_position
 
 KINDS = ("ssp", "sap")
 _ZERO = Fraction(0)
@@ -205,17 +204,17 @@ def _pair_rows(a, pairs, kind):
 def psi(a, g: Graph, kind: str, tol: float = 1e-8) -> VerificationMatrix:
     """Verification matrix of a over g; exact for rational input.
 
-    The kind and a's pattern are checked here; each row is read off rows
-    and columns i and j of a in closed form when the matrix is first read.
+    The kind and a's pattern are checked here, by patterns' one support
+    reader: tol is the float zero threshold, and symmetry is numla's rule
+    for float a, exact for rational a. Each row is read off rows and
+    columns i and j of a in closed form when the matrix is first read.
     Exact a is scaled to integers once: the pattern check reads those
     integers, and so does the gather of the integer rows and columns.
     """
     kind = normalize_kind(kind)
     vm = VerificationMatrix(kind, g.nonedges(), a, g)
-    if vm.exact:
-        inside, alive, _ = _exact_flags(a, vm._ints, g)
-    else:
-        inside, alive, _ = _pattern_flags(a, g, tol)
+    inside, alive, _ = _pattern_flags(a, g, tol,
+                                      vm._ints if vm.exact else None)
     if not inside:
         raise ValueError("matrix support must lie inside the graph's edges")
     if not alive:

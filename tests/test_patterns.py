@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liberatrix.continuation import (complete_pattern_low_rank,
@@ -14,7 +14,8 @@ from liberatrix.directsum import directsum_liberation, sylvester_space
 from liberatrix.exactla import RatMatrix, commutator
 from liberatrix.graphs import build_graph, catalog
 from liberatrix.numla import (SymMatrix, is_generic, multiplicity_list,
-                              numeric_rank, sym_eigen)
+                              numeric_rank, random_orthogonal, sym_eigen)
+from liberatrix.strongprops import has_strong_property, psi
 from liberatrix.zeroforcing import zf_liberation
 from liberatrix.patterns import (
     CLASS_TAGS,
@@ -82,25 +83,34 @@ def test_in_class_errors():
         in_class(lopsided, build_graph(2, [(1, 2)]), "S")
     g = build_graph(3, [(1, 2), (2, 3)])
     floats = np.array([[1.0, 2.0, 0.0], [2.0, 0.0, 1.0], [0.0, 1.0 + 1e-6, 5.0]])
-    with pytest.raises(ValueError, match="not symmetric"):
-        in_class(floats, g, "S_cl", tol=1e-8)
-    # an asymmetry below tol is float noise, not a different matrix
-    assert in_class(floats, g, "S", tol=1e-5)
+    # symmetry is numla's rule, 1e-9 max(1, max|A|), whatever the zero tol
+    for tol in (1e-8, 1e-5):
+        with pytest.raises(ValueError, match="not symmetric"):
+            in_class(floats, g, "S_cl", tol=tol)
+    floats[2, 1] = 1.0 + 1e-10
+    assert in_class(floats, g, "S", tol=1e-8)
 
 
 def _flags_oracle(a, g, tol):
-    """Entry-by-entry reference for _pattern_flags."""
+    """Entry-by-entry reference for _pattern_flags: exact entries must equal
+    their mirror, float ones lie within numla's 1e-9 max(1, max|A|); a pair
+    is nonzero when either of its entries is."""
     exact = isinstance(a, RatMatrix)
     n = g.n
+    bound = 1e-9 * max([1.0] + [abs(a[i, j]) for i in range(n)
+                                for j in range(n)])
+    for i, j in combinations(range(n), 2):
+        x, y = a[i, j], a[j, i]
+        if (x != y) if exact else abs(x - y) > bound:
+            raise ValueError("matrix is not symmetric")
 
     def hit(x):
         return x != 0 if exact else abs(x) > tol
-    for i, j in combinations(range(n), 2):
-        x, y = a[i, j], a[j, i]
-        if (x != y) if exact else abs(x - y) > tol:
-            raise ValueError("matrix is not symmetric")
-    inside = all(not hit(a[i - 1, j - 1]) for i, j in g.nonedges())
-    alive = all(hit(a[i - 1, j - 1]) for i, j in g.edges)
+
+    def pair_hit(i, j):
+        return hit(a[i - 1, j - 1]) or hit(a[j - 1, i - 1])
+    inside = all(not pair_hit(i, j) for i, j in g.nonedges())
+    alive = all(pair_hit(i, j) for i, j in g.edges)
     return inside, alive, not any(hit(a[i, i]) for i in range(n))
 
 
@@ -131,23 +141,30 @@ def symmetric_draws(draw):
     for i in range(n):
         for j in range(i, n):
             a[i, j] = a[j, i] = draw(st.sampled_from(LEVELS))
-    if draw(st.booleans()):  # make some pair asymmetric, beyond tol or not
+    if draw(st.booleans()):  # make some pair asymmetric, within numla's
+        # symmetry rule (float noise) or beyond it, and below tol or not
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        a[i, j] += draw(st.sampled_from((TOL / 2, 3 * TOL)))
+        a[i, j] += draw(st.sampled_from((1e-12, TOL / 2, 3 * TOL)))
     return g, a
+
+
+# an entry at tol whose mirror is above it by float noise: the pair counts
+MIRROR_AT_TOL = (build_graph(2, [(1, 2)]),
+                 np.array([[0.0, TOL], [TOL + 1e-12, 0.0]]))
 
 
 @settings(max_examples=150, deadline=None)
 @given(symmetric_draws(), st.booleans())
+@example(MIRROR_AT_TOL, False)
 def test_pattern_flags_match_loop_oracle(case, exact):
     g, a = case
     if exact:
         a = RatMatrix.from_rows(a.tolist())
-    # pattern_of reads both mirror entries, so asymmetric draws count too
-    assert pattern_of(a, TOL) == _pattern_oracle(a, g.n, TOL)
     try:
         want = _flags_oracle(a, g, TOL)
     except ValueError:
+        with pytest.raises(ValueError, match="not symmetric"):
+            pattern_of(a, TOL)
         with pytest.raises(ValueError, match="not symmetric"):
             _pattern_flags(a, g, TOL)
         for cls in CLASS_TAGS:
@@ -155,6 +172,7 @@ def test_pattern_flags_match_loop_oracle(case, exact):
                 in_class(a, g, cls, TOL)
         return
     assert _pattern_flags(a, g, TOL) == want
+    assert pattern_of(a, TOL) == _pattern_oracle(a, g.n, TOL)
     inside, alive, zero_diag = want
     assert in_class(a, g, "S", TOL) == (inside and alive)
     assert in_class(a, g, "S_cl", TOL) == inside
@@ -209,14 +227,41 @@ ASYMMETRIC = np.array([[0.0, 1.0], [3.0, 0.0]])
     lambda a: directsum_liberation(a, np.eye(1), [(1, 3)]),
     lambda a: zf_liberation(a, np.eye(1), [(1, 1)]),
     lambda a: complete_pattern_low_rank(a, catalog("K2")),
+    lambda a: in_class(a, catalog("K2"), "S"),
+    lambda a: pattern_of(a),
+    lambda a: psi(a, catalog("K2"), "ssp"),
+    lambda a: has_strong_property(a, catalog("K2"), "ssp"),
 ], ids=["SymMatrix", "sym_eigen", "sylvester_space", "directsum_liberation",
-        "zf_liberation", "complete_pattern_low_rank"])
+        "zf_liberation", "complete_pattern_low_rank", "in_class", "pattern_of",
+        "psi", "has_strong_property"])
 def test_float_entry_points_refuse_an_asymmetric_matrix(call):
     # read by its lower triangle this is [[0, 3], [3, 0]], eigenvalues +-3;
     # the matrix itself has eigenvalues +-sqrt(3)
     with pytest.raises(ValueError,
                        match="^input is not symmetric within tolerance$"):
         call(ASYMMETRIC)
+
+
+def test_pattern_readers_share_numlas_symmetry_rule():
+    # q diag(1e8 (-1, 0.5, 2, 3)) q^T is asymmetric only by rounding, far
+    # below 1e-9 of its scale: every reader takes it, as sym_eigen does
+    k4 = catalog("K4")
+    for k in range(20):
+        q = random_orthogonal(4, k)
+        a = q @ np.diag(1e8 * np.array([-1.0, 0.5, 2.0, 3.0])) @ q.T
+        sym_eigen(a)
+        assert in_class(a, k4, "S") and pattern_of(a) == k4
+        assert psi(a, k4, "ssp").rows == ()
+        assert has_strong_property(a, k4, "ssp").answer
+    # an asymmetry of 5e-9 at scale 1 is past the rule: every reader refuses
+    a = np.array([[0.0, 1.0], [1.0 + 5e-9, 0.0]])
+    k2 = catalog("K2")
+    for call in (lambda: sym_eigen(a), lambda: SymMatrix(a),
+                 lambda: in_class(a, k2, "S"), lambda: pattern_of(a),
+                 lambda: psi(a, k2, "ssp"),
+                 lambda: has_strong_property(a, k2, "ssp")):
+        with pytest.raises(ValueError, match="not symmetric"):
+            call()
 
 
 def test_vec_orderings():
@@ -284,7 +329,7 @@ def test_sample_modes_properties():
 
     g151 = catalog("G151")
     for trial in range(100):
-        mode = ("random-rational", "random-diagonal-collisions")[trial % 2]
+        mode = SAMPLE_MODES[trial % len(SAMPLE_MODES)]
         m = sample_S(g151, seed=SEED + trial, mode=mode)
         assert in_class(m, g151, "S")
 
