@@ -58,16 +58,9 @@ _ZERO = Fraction(0)
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        # exact binary value of the float; text parsing should prefer strings
-        return Fraction(x)
-    raise TypeError("cannot build an exact entry from %r" % (x,))
+    """Exact entry: Fraction takes any numbers.Rational (numpy integers
+    too), a str, and a float as its exact binary value."""
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class RatMatrix:

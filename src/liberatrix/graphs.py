@@ -1,14 +1,19 @@
 """Simple undirected graphs on vertex set {1, ..., n}, plus the named catalog.
 
-Graphs are immutable after construction. Edges are stored as sorted pairs
-(i, j) with i < j, in lexicographic order. All public operations return new
-Graph values.
+Graphs are immutable after construction. A pair is a tuple (i, j) with
+i < j. A Graph keeps its pairs in the three forms callers read, each built
+once in __init__: the edges in lexicographic order, the frozenset of edges
+(for membership: has_edge, the pattern classes, supergraph and nonedge
+checks), and the nonedges in lexicographic order (the rows of psi).
+Neighbors and degrees are read off the edge tuple. All public operations
+return new Graph values, and a named catalog graph is built once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 
@@ -37,10 +42,9 @@ class Graph:
             seen.add(e)
         self._n = n
         self._edges = tuple(sorted(seen))
-        self._adj = {v: set() for v in range(1, n + 1)}
-        for i, j in self._edges:
-            self._adj[i].add(j)
-            self._adj[j].add(i)
+        self._edge_set = frozenset(seen)
+        self._nonedges = tuple(p for p in combinations(range(1, n + 1), 2)
+                               if p not in seen)
 
     @property
     def n(self):
@@ -56,18 +60,18 @@ class Graph:
 
     def nonedges(self):
         """Nonedge pairs (i, j), i < j, lexicographic."""
-        present = set(self._edges)
-        return tuple(p for p in combinations(self.vertices, 2) if p not in present)
+        return self._nonedges
 
     def has_edge(self, i, j):
-        i, j = _norm_pair((i, j))
-        return j in self._adj.get(i, ())
+        return _norm_pair((i, j)) in self._edge_set
 
     def neighbors(self, v):
-        return frozenset(self._adj[v])
+        if v not in range(1, self._n + 1):
+            raise KeyError(v)
+        return frozenset(j if i == v else i for i, j in self._edges if v in (i, j))
 
     def degree(self, v):
-        return len(self._adj[v])
+        return len(self.neighbors(v))
 
     def degree_sequence(self):
         return tuple(sorted(self.degree(v) for v in self.vertices))
@@ -93,9 +97,8 @@ def complement(g: Graph) -> Graph:
 def add_edges(g: Graph, pairs) -> Graph:
     """Supergraph of g with the given nonedge pairs added."""
     pairs = edge_pairs(pairs)
-    existing = set(g.edges)
     for e in pairs:
-        if e in existing:
+        if e in g._edge_set:
             raise ValueError("pair %s is already an edge" % (e,))
     return Graph(g.n, g.edges + tuple(pairs))
 
@@ -165,9 +168,9 @@ def edge_pairs(pairs):
 
 def nonedge_set(g: Graph, pairs) -> EdgeSet:
     pairs = edge_pairs(pairs)
-    bad = set(pairs) & set(g.edges)
+    bad = [e for e in pairs if e in g._edge_set]
     if bad:
-        raise ValueError("pairs %s are edges of the graph" % sorted(bad))
+        raise ValueError("pairs %s are edges of the graph" % bad)
     for i, j in pairs:
         if i < 1 or j > g.n:
             raise ValueError("pair (%d,%d) out of range" % (i, j))
@@ -235,7 +238,7 @@ class CatalogEntry:
     base: Graph
     beta: tuple
 
-    @property
+    @cached_property
     def graph(self) -> Graph:
         return add_edges(self.base, self.beta) if self.beta else self.base
 

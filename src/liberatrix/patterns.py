@@ -76,8 +76,8 @@ def _pattern_flags(a, g: Graph, tol: float = 1e-8, rows=None):
     """
     n, pairs, diag = _support(a, tol, rows)
     _require_order(n, g)
-    support, edges = set(pairs), set(g.edges)
-    return support <= edges, edges <= support, not diag
+    hits = len(g._edge_set.intersection(pairs))
+    return hits == len(pairs), hits == len(g.edges), not diag
 
 
 def _require_order(n, g: Graph):

@@ -283,8 +283,7 @@ def _verdict_wrt(vm: VerificationMatrix, h: Graph,
     """Strong property relative to a supergraph h of vm.graph, from the rows
     of vm indexed by nonedges of h; h = vm.graph gives the plain property.
     Exact failures carry reassembled, re-verified obstructions."""
-    keep = set(h.nonedges())
-    sel_idx = [k for k, e in enumerate(vm.rows) if e in keep]
+    sel_idx = [k for k, e in enumerate(vm.rows) if e not in h._edge_set]
     sel_pairs = tuple(vm.rows[k] for k in sel_idx)
     r, m = _selected_rank(vm, sel_idx, tol), len(sel_idx)
     if r == m or not vm.exact:
@@ -324,9 +323,9 @@ def has_strong_property(a, g: Graph, kind: str, tol: float = 1e-8) -> StrongProp
 def _require_spanning_subgraph(g: Graph, h: Graph):
     if g.n != h.n:
         raise ValueError("graphs must share one vertex set")
-    extra = set(g.edges) - set(h.edges)
-    if extra:
-        raise ValueError("not a supergraph: missing edges %s" % sorted(extra))
+    missing = [e for e in g.edges if e not in h._edge_set]
+    if missing:
+        raise ValueError("not a supergraph: missing edges %s" % missing)
 
 
 def has_strong_property_wrt(a, g: Graph, h: Graph, kind: str,

@@ -212,6 +212,28 @@ def test_commutator_and_symmetry_helpers():
     assert a.is_symmetric() and not c.is_symmetric()
 
 
+def test_entries_from_numpy_scalars_and_refusals():
+    # numpy integers are numbers.Rational, so they convert like ints; a
+    # float array converts to the exact binary values of its entries
+    m = RatMatrix.from_rows(np.array([[1, 2], [2, 1]]))
+    assert m == RatMatrix.from_rows([[1, 2], [2, 1]])
+    assert all(type(x) is Fraction for row in m.data for x in row)
+    m[0, 0] = np.int64(3)
+    assert m[0, 0] == 3 and type(m[0, 0]) is Fraction
+    f = RatMatrix.from_rows(np.array([[0.1, -2.5]]))
+    assert f.data == [[Fraction(0.1), Fraction(-5, 2)]]
+    assert RatMatrix.from_rows([["7/3", True]]).data == [[Fraction(7, 3), 1]]
+    for bad, err in ((object(), TypeError), (None, TypeError),
+                     (1 + 0j, TypeError), (float("nan"), ValueError),
+                     (np.nan, ValueError), (float("inf"), OverflowError),
+                     (-np.inf, OverflowError)):
+        with pytest.raises(err):
+            RatMatrix.from_rows([[bad]])
+        with pytest.raises(err):
+            m[1, 1] = bad
+    assert m[1, 1] == 1
+
+
 def test_matrix_text_round_trip():
     m = RatMatrix.from_rows([[Fraction(1, 2), 3], [Fraction(-7, 3), 0]])
     text = format_matrix_text(m)

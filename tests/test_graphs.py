@@ -1,11 +1,16 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from liberatrix import RatMatrix, has_strong_property_wrt
 from liberatrix.graphs import (
     Graph,
     add_edges,
     bridge_set,
+    build_graph,
     cartesian_product,
     catalog,
     catalog_entry,
@@ -203,3 +208,123 @@ def test_cartesian_product_matches_networkx():
         prod = cartesian_product(g, h)
         assert prod.n == ref.number_of_nodes() == g.n * h.n
         assert set(prod.edges) == want
+
+
+# A drawn graph comes with its order and edge set worked out independently,
+# so every form a Graph keeps is checked against a value it did not compute.
+
+def _pairs(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+CATALOG_NAMES = ("G100", "G129", "G145", "G151", "G175", "G187", "prism",
+                 "G151-base", "K4uK1", "P3xP4", "K2,3", "2K1", "C5")
+
+
+@st.composite
+def built_graphs(draw):
+    n = draw(st.integers(1, 6))
+    edges = draw(st.lists(st.sampled_from(_pairs(n)), unique=True)
+                 if n > 1 else st.just([]))
+    given_pairs = [(j, i) if draw(st.booleans()) else (i, j) for i, j in edges]
+    return build_graph(n, given_pairs), n, frozenset(edges)
+
+
+@st.composite
+def catalog_graphs(draw):
+    # the catalog's own edges are pinned by the catalog tests; here they
+    # seed the oracle for the forms derived from them
+    g = catalog(draw(st.sampled_from(CATALOG_NAMES)))
+    return g, g.n, frozenset(g.edges)
+
+
+@st.composite
+def grown(draw, parts):
+    op = draw(st.sampled_from(("add", "complement", "union", "product")))
+    g, n, e = draw(parts)
+    if op == "add":
+        free = [p for p in _pairs(n) if p not in e]
+        new = draw(st.lists(st.sampled_from(free), unique=True)
+                   if free else st.just([]))
+        return add_edges(g, new), n, e | frozenset(new)
+    if op == "complement":
+        return complement(g), n, frozenset(_pairs(n)) - e
+    h, m, f = draw(parts)
+    if op == "union":
+        return (disjoint_union(g, h), n + m,
+                e | {(i + n, j + n) for i, j in f})
+    if n * m > 16:
+        return g, n, e
+    flat = {}
+    for u in range(1, n + 1):
+        for v in range(1, m + 1):
+            flat[u, v] = (u - 1) * m + v
+    want = set()
+    for (u, v), x in flat.items():
+        for (w, y), z in flat.items():
+            if x < z and ((u == w and tuple(sorted((v, y))) in f)
+                          or (v == y and tuple(sorted((u, w))) in e)):
+                want.add((x, z))
+    return cartesian_product(g, h), n * m, frozenset(want)
+
+
+graph_draws = st.recursive(built_graphs() | catalog_graphs(), grown,
+                           max_leaves=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_draws, st.randoms(use_true_random=False))
+def test_graph_forms_match_independent_oracle(drawn, rng):
+    g, n, e = drawn
+    assert g.n == n
+    assert g.edges == tuple(sorted(e))
+    assert g.nonedges() == tuple(p for p in _pairs(n) if p not in e)
+    assert g.nonedges() is g.nonedges()
+    for i in range(-1, n + 3):
+        for j in range(-1, n + 3):
+            if i == j:
+                with pytest.raises(ValueError, match="loops are not allowed"):
+                    g.has_edge(i, j)
+            else:
+                assert g.has_edge(i, j) == ((min(i, j), max(i, j)) in e)
+    for v in range(1, n + 1):
+        nbrs = frozenset(u for u in range(1, n + 1)
+                         if (min(u, v), max(u, v)) in e)
+        assert g.neighbors(v) == nbrs
+        assert g.degree(v) == len(nbrs)
+    for v in (0, n + 1, -1, "1"):
+        with pytest.raises(KeyError):
+            g.neighbors(v)
+    assert g.degree_sequence() == tuple(sorted(g.degree(v)
+                                               for v in range(1, n + 1)))
+    shuffled = [(j, i) for i, j in e]
+    rng.shuffle(shuffled)
+    same = Graph(n, shuffled)
+    assert same == g and hash(same) == hash(g)
+    assert Graph(n + 1, e) != g
+    if n > 1:
+        p = rng.choice(_pairs(n))
+        other = Graph(n, e ^ {p})
+        assert other != g and other.edges != g.edges
+
+
+def test_named_catalog_graphs_are_built_once():
+    for name in ("G151", "G145", "prism", "G175"):
+        assert catalog(name) is catalog(name)
+        assert catalog_entry(name).graph is catalog(name)
+
+
+def test_pair_refusal_messages():
+    g = path_graph(4)
+    with pytest.raises(ValueError, match=re.escape(
+            "pair (2, 3) is already an edge")):
+        add_edges(g, [(1, 3), (3, 2)])
+    with pytest.raises(ValueError, match=re.escape(
+            "pairs [(1, 2), (3, 4)] are edges of the graph")):
+        nonedge_set(g, [(4, 3), (1, 3), (2, 1)])
+    a = RatMatrix.from_rows([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1],
+                             [0, 0, 1, 0]])
+    h = Graph(4, [(1, 2), (1, 3)])
+    with pytest.raises(ValueError, match=re.escape(
+            "not a supergraph: missing edges [(2, 3), (3, 4)]")):
+        has_strong_property_wrt(a, g, h, "ssp")
