@@ -22,16 +22,25 @@ complete_pattern_low_rank() rounds out a rank-deficient matrix to a full
 pattern without raising the rank, by the same minimum-norm Newton loop on
 the factor V of V S V^T with its closed-form Jacobian.
 
-The Newton loop returns its final residual, the max |r| it measured at the
-returned point for its stopping test, and the solvers report that value
-rather than re-solve for one: liberate's residual is the largest deviation
-of the grown matrix's eigenvalues from the target, over the target's scale,
-and complete_pattern_low_rank's is the largest entry left off the pattern.
+All three solvers share one Newton loop with minimum-norm steps. Their
+step systems are short and wide, m equations in k >= m unknowns, and onto
+where the solver is well posed, so a step is J^T solve(J J^T, r): one m x m
+solve. lstsq's least-squares step, an SVD, runs only when that solve fails
+(more equations than unknowns, J J^T singular or too ill-conditioned for
+the step to solve J dx = r to 1e-6 of max |r|). The loop builds the
+Jacobian only for a step it takes and returns its step count. It returns
+its final residual too, the max |r| it measured at the returned point for
+its stopping test, and the solvers report that value rather than re-solve
+for one: liberate's residual is the largest deviation of the grown
+matrix's eigenvalues from the target, over the target's scale, and
+complete_pattern_low_rank's is the largest entry left off the pattern.
 
 Float input is checked by numla, the package's float layer: a matrix or
 target spectrum with a NaN or infinite entry raises ValueError before any
-solve. The Newton solver holds the free coordinates of a pattern as one
-(k, 2) array of 0-based (row, column) slots, the diagonal then the edges.
+solve. Each solver raises ValueError for a tol that is not finite and
+positive or a max_iter below 1. The Newton solver holds the free
+coordinates of a pattern as one (k, 2) array of 0-based (row, column)
+slots, the diagonal then the edges.
 """
 
 from __future__ import annotations
@@ -54,23 +63,59 @@ MIN_ENTRY = 1e-6
 
 
 def _min_norm_newton(system, x, tol):
-    """Newton with minimum-norm steps, x -= lstsq(J, r) for (r, J) = system(x).
+    """Newton with minimum-norm steps: x -= dx with J dx = r, for
+    (r, jacobian) = system(x) and J = jacobian().
 
-    Returns (x, reason, r) with reason "converged" once max |r| <= tol, "not
-    converged" after 40 steps, or "non-finite step", and r the max |r| at
-    the returned x (inf after a non-finite step).
+    The Jacobian is built only when a step is taken, so never at the
+    converged point. Each step is _min_norm_step's. Returns (x, reason, r,
+    steps) with reason "converged" once max |r| <= tol, "not converged"
+    after 40 steps, or "non-finite step", r the max |r| at the returned x
+    (inf after a non-finite step), and steps the number of steps taken.
     """
     x = np.array(x, dtype=float)
-    for _ in range(40):
-        res, jac = system(x)
+    for step in range(40):
+        res, jacobian = system(x)
         r = float(np.max(np.abs(res), initial=0.0))
         if r <= tol:
-            return x, "converged", r
-        x -= np.linalg.lstsq(jac, res, rcond=None)[0]
+            return x, "converged", r, step
+        x -= _min_norm_step(jacobian(), res, r)
         if not np.all(np.isfinite(x)):
-            return x, "non-finite step", math.inf
+            return x, "non-finite step", math.inf, step + 1
     r = float(np.max(np.abs(system(x)[0]), initial=0.0))
-    return x, "converged" if r <= tol else "not converged", r
+    return x, "converged" if r <= tol else "not converged", r, 40
+
+
+def _min_norm_step(jac, res, r):
+    """The minimum-norm dx with J dx = res, for r = max |res| > 0.
+
+    When J has no more rows than columns, dx = J^T solve(J J^T, res), one
+    small solve, kept when max |J dx - res| <= 1e-6 * r. Otherwise (more
+    rows than columns, J J^T singular or too ill-conditioned for that
+    test, J not onto) it is lstsq's least-squares step, the pseudoinverse
+    of J applied to res. A J J^T that is singular only to rounding can
+    give an infinite solve, as for J = [1e-160, 0], so the candidate step
+    is formed with numpy's floating-point warnings off: the test rejects
+    it, and no warning is raised for a step not taken.
+    """
+    m, k = jac.shape
+    if m <= k:
+        with np.errstate(all="ignore"):
+            try:
+                dx = jac.T @ np.linalg.solve(jac @ jac.T, res)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                if np.max(np.abs(jac @ dx - res)) <= 1e-6 * r:
+                    return dx
+    return np.linalg.lstsq(jac, res, rcond=None)[0]
+
+
+def _check_solver_args(tol, max_iter):
+    """The solvers' shared refusal: tol finite and positive, max_iter >= 1."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive, got %r" % (tol,))
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1, got %r" % (max_iter,))
 
 
 def _pattern_slots(g: Graph) -> np.ndarray:
@@ -128,9 +173,10 @@ def _newton(n, slots, free, target, x, tol):
     system is onto exactly when A(x) has the strong spectral property
     relative to the free slots, and there the convergence is quadratic.
     tol is relative to the target's scale, as _read_target reads it.
-    Returns (x, reason, r) with reason "converged", "not converged" or
-    "non-finite step", and r the largest deviation of A(x)'s eigenvalues
-    from the sorted target over that scale, so at most tol on convergence.
+    Returns (x, reason, r, steps) with reason "converged", "not converged"
+    or "non-finite step", r the largest deviation of A(x)'s eigenvalues
+    from the sorted target over that scale, so at most tol on convergence,
+    and steps the Newton loop's step count.
     """
     tgt = np.asarray(target, dtype=float)
     scale, pairs = _read_target(tgt)
@@ -143,11 +189,11 @@ def _newton(n, slots, free, target, x, tol):
         full[free] = y
         vals, q = np.linalg.eigh(_build_from_slots(n, slots, full))
         res = np.where(on_diag, vals[pairs[0]] - tgt[pairs[0]], 0.0)
-        return res, _jacobian(q, pairs, free_idx)
+        return res, lambda: _jacobian(q, pairs, free_idx)
 
-    y, reason, r = _min_norm_newton(system, full[free], tol * scale)
+    y, reason, r, steps = _min_norm_newton(system, full[free], tol * scale)
     full[free] = y
-    return full, reason, r / scale
+    return full, reason, r / scale, steps
 
 
 @dataclass(frozen=True)
@@ -187,6 +233,7 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
     is the Newton loop's own: the largest deviation of the grown matrix's
     eigenvalues from a's, over max(1, max|eig(a)|), so at most tol.
     """
+    _check_solver_args(tol, max_iter)
     kind = normalize_kind(kind)
     if kind != "ssp":
         raise ValueError("spectrum-preserving growth is defined for kind 'ssp'")
@@ -214,7 +261,7 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
         # hold one new pair at +-eps so the step system stays onto
         frozen = beta_slot_idx[(attempt - 1) % len(beta_slot_idx)]
         free = [k for k in range(len(slots)) if k != frozen]
-        x, reason, res = _newton(g.n, slots, free, target_vals, x0, tol)
+        x, reason, res, _ = _newton(g.n, slots, free, target_vals, x0, tol)
         if reason != "converged":
             last_err = reason
             continue
@@ -352,6 +399,7 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
     Feasibility is the caller's burden; infeasible targets surface as
     non-convergence.
     """
+    _check_solver_args(tol, max_iter)
     values = sorted(_finite_values(spectrum))
     if len(values) != g.n:
         raise ValueError("spectrum size %d does not fit %d vertices"
@@ -370,7 +418,7 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
         held = set()
         free = range(len(slots))
         for _round in range(10):
-            x, reason, _ = _newton(g.n, slots, free, target_vals, x, tol)
+            x, reason, _, _ = _newton(g.n, slots, free, target_vals, x, tol)
             ok = reason == "converged"
             if not ok:
                 break
@@ -402,10 +450,13 @@ def _hole_system(n, signs, holes):
 
     def system(x):
         v = x.reshape(n, r)
-        jac = np.zeros((len(holes), n, r))
-        jac[rows, hi] = v[hj] * signs
-        jac[rows, hj] = v[hi] * signs
-        return ((v * signs) @ v.T)[hi, hj], jac.reshape(len(holes), n * r)
+
+        def jacobian():
+            jac = np.zeros((len(holes), n, r))
+            jac[rows, hi] = v[hj] * signs
+            jac[rows, hj] = v[hi] * signs
+            return jac.reshape(len(holes), n * r)
+        return ((v * signs) @ v.T)[hi, hj], jacobian
     return system
 
 
@@ -433,6 +484,7 @@ def complete_pattern_low_rank(a0, h: Graph, tol: float = 1e-8,
     off_pattern_residual is the Newton loop's final residual: the largest
     |entry| of the output outside h's pattern, at most 1e-12 * s.
     """
+    _check_solver_args(tol, max_iter)
     vals, q = sym_eigen(a0)
     n = len(vals)
     _require_order(n, h)
@@ -446,7 +498,7 @@ def complete_pattern_low_rank(a0, h: Graph, tol: float = 1e-8,
     for attempt in range(1, max_iter + 1):
         sd = 0.05 * (1 + attempt // 5)
         x0 = v0.reshape(-1) + [rng.gauss(0.0, sd) for _ in range(n * r)]
-        x, reason, off = _min_norm_newton(system, x0, 1e-12 * scale)
+        x, reason, off, _ = _min_norm_newton(system, x0, 1e-12 * scale)
         if reason != "converged":
             continue
         v = x.reshape(n, r)

@@ -6,20 +6,32 @@ once in __init__: the edges in lexicographic order, the frozenset of edges
 (for membership: has_edge, the pattern classes, supergraph and nonedge
 checks), and the nonedges in lexicographic order (the rows of psi).
 Neighbors and degrees are read off the edge tuple. All public operations
-return new Graph values, and a named catalog graph is built once.
+return new Graph values, and a named catalog graph is built once. Vertex
+labels and the vertex count are read with operator.index, so Python and
+numpy integers pass and a float or a string raises ValueError.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 
+def _integer(v, what):
+    """v as an int, for a Python or numpy integer; ValueError for anything
+    else, such as a float or a string."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (what, v)) from None
+
+
 def _norm_pair(pair):
     i, j = pair
-    i, j = int(i), int(j)
+    i, j = _integer(i, "a vertex label"), _integer(j, "a vertex label")
     if i == j:
         raise ValueError("loops are not allowed: (%d,%d)" % (i, j))
     return (i, j) if i < j else (j, i)
@@ -29,7 +41,7 @@ class Graph:
     """Immutable simple graph with 1-based vertex labels."""
 
     def __init__(self, n, edges=()):
-        n = int(n)
+        n = _integer(n, "the vertex count")
         if n < 1:
             raise ValueError("vertex count must be a positive integer")
         seen = set()

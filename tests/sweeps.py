@@ -1,10 +1,12 @@
 """Sweeps outside tier-1, one per CI step; each exits nonzero and names
 what failed.
 
-    PYTHONPATH=src:tests python -W error::UserWarning tests/sweeps.py \
-        replay|cover|sampled
+    PYTHONPATH=src:tests python -W error::UserWarning \
+        -W error::RuntimeWarning tests/sweeps.py replay|cover|sampled
 
-Under -W error::UserWarning, as in CI, a warning is a failure.
+Under -W error::UserWarning -W error::RuntimeWarning, as in CI, a warning
+is a failure: a UserWarning, or numpy's overflow, invalid-value or divide
+warning in a solver.
 
 replay   every replay target at seeds 0-30; a failing seed is a defect in
          the library.

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -17,6 +18,7 @@ from liberatrix.continuation import (
     _hole_system,
     _jacobian,
     _min_norm_newton,
+    _min_norm_step,
     _pattern_slots,
     _read_target,
     complete_pattern_low_rank,
@@ -170,28 +172,158 @@ def test_liberate_residual_is_the_eigenvalue_deviation():
             assert res.residual == want <= tol
 
 
-def test_min_norm_newton_returns_the_residual_at_its_x():
-    def system_of(residual, jacobian):
-        return lambda x: (np.array(residual(x)), np.array(jacobian(x)))
+def system_of(residual, jacobian):
+    """A Newton system: the residual, and its Jacobian built on demand."""
+    return lambda x: (np.array(residual(x)), lambda: np.array(jacobian(x)))
 
-    # x^2 = 2 from x = 1: converges, and r is |x^2 - 2| at the returned x
-    root2 = system_of(lambda x: [x[0] ** 2 - 2.0], lambda x: [[2.0 * x[0]]])
-    x, reason, r = _min_norm_newton(root2, [1.0], 1e-12)
+
+# x^2 = 2, which Newton solves from x = 1
+ROOT2 = system_of(lambda x: [x[0] ** 2 - 2.0], lambda x: [[2.0 * x[0]]])
+# x = 1 and x = -1 at once: more equations than unknowns
+SPLIT = system_of(lambda x: [x[0] - 1.0, x[0] + 1.0], lambda x: [[1.0], [1.0]])
+# x0 + x1/3 = 1 and 3 x0 + x1 = 0 at once: a square Jacobian of rank one,
+# whose J J^T rounds to an invertible matrix, so the solve succeeds and
+# only the residual test sees that its step is wrong
+RANK_ONE = system_of(lambda x: [x[0] + x[1] / 3.0 - 1.0, 3.0 * x[0] + x[1]],
+                     lambda x: [[1.0, 1.0 / 3.0], [3.0, 1.0]])
+
+
+def lstsq_newton(system, x, tol):
+    """The Newton loop with every step lstsq's: the reference wherever the
+    J J^T step is rejected."""
+    x = np.array(x, dtype=float)
+    for _ in range(40):
+        res, jacobian = system(x)
+        r = float(np.max(np.abs(res), initial=0.0))
+        if r <= tol:
+            return x, "converged", r
+        x -= np.linalg.lstsq(jacobian(), res, rcond=None)[0]
+        if not np.all(np.isfinite(x)):
+            return x, "non-finite step", np.inf
+    r = float(np.max(np.abs(system(x)[0]), initial=0.0))
+    return x, "converged" if r <= tol else "not converged", r
+
+
+def count_lstsq(monkeypatch):
+    calls = [0]
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    return calls
+
+
+def test_min_norm_newton_returns_the_residual_at_its_x():
+    # converges, and r is |x^2 - 2| at the returned x
+    x, reason, r, steps = _min_norm_newton(ROOT2, [1.0], 1e-12)
     assert reason == "converged"
     assert r == abs(x[0] ** 2 - 2.0) <= 1e-12
-    # x = 1 and x = -1 at once: the least-squares step lands on x = 0, up
-    # to rounding, so after 40 steps r is max |r(x)|, about 1
-    split = system_of(lambda x: [x[0] - 1.0, x[0] + 1.0],
-                      lambda x: [[1.0], [1.0]])
-    x, reason, r = _min_norm_newton(split, [3.0], 1e-12)
-    assert reason == "not converged"
-    assert r == float(np.max(np.abs(split(x)[0])))
+    assert 0 < steps < 40
+    # the least-squares step of SPLIT lands on x = 0, up to rounding, so
+    # after 40 steps r is max |r(x)|, about 1
+    x, reason, r, steps = _min_norm_newton(SPLIT, [3.0], 1e-12)
+    assert (reason, steps) == ("not converged", 40)
+    assert r == float(np.max(np.abs(SPLIT(x)[0])))
     assert r == pytest.approx(1.0)
     # a step of 1e300 / 1e-300 overflows to infinity
     blowup = system_of(lambda x: [1e300], lambda x: [[1e-300]])
-    x, reason, r = _min_norm_newton(blowup, [0.0], 1e-12)
-    assert reason == "non-finite step"
+    x, reason, r, steps = _min_norm_newton(blowup, [0.0], 1e-12)
+    assert (reason, steps) == ("non-finite step", 1)
     assert r == np.inf and not np.all(np.isfinite(x))
+
+
+def test_min_norm_step_matches_lstsq_on_onto_systems():
+    # a random onto J, m <= k, at a random scale with singular values
+    # within a factor 100 of each other: J J^T is invertible, and its step
+    # is the minimum-norm one that lstsq gives
+    rng = np.random.default_rng(SEED)
+    for m, k in [(1, 1), (1, 5), (3, 3), (6, 18), (9, 12), (20, 40)] * 20:
+        u = np.linalg.qr(rng.normal(size=(m, m)))[0]
+        v = np.linalg.qr(rng.normal(size=(k, m)))[0]
+        sv = rng.uniform(0.1, 10.0, size=m) * 10.0 ** rng.uniform(-3, 3)
+        jac = (u * sv) @ v.T
+        res = rng.normal(size=m)
+        got = _min_norm_step(jac, res, float(np.max(np.abs(res))))
+        want = np.linalg.lstsq(jac, res, rcond=None)[0]
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("jac", [[[1e-160, 0.0]], [[1e-160, 0.0], [0.0, 1.0]],
+                                 [[1e-300]], [[1.0, 1.0 / 3.0], [3.0, 1.0]]])
+def test_min_norm_step_falls_back_without_warnings(jac):
+    # J J^T is singular, or singular only to rounding: [1e-160, 0] gives
+    # 1e-320 and an infinite solve. The step is lstsq's, and the rejected
+    # candidate raises no overflow or invalid-value warning
+    jac = np.array(jac)
+    res = np.ones(len(jac))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _min_norm_step(jac, res, 1.0)
+    assert np.array_equal(got, np.linalg.lstsq(jac, res, rcond=None)[0])
+
+
+@pytest.mark.parametrize("system, x0", [(SPLIT, [3.0]), (RANK_ONE, [0.3, -2.0])],
+                         ids=["split", "rank-one"])
+def test_newton_takes_the_lstsq_step_where_the_solve_fails(system, x0,
+                                                          monkeypatch):
+    want = lstsq_newton(system, x0, 1e-12)
+    calls = count_lstsq(monkeypatch)
+    x, reason, r, steps = _min_norm_newton(system, x0, 1e-12)
+    assert (reason, steps) == ("not converged", 40) == (want[1], calls[0])
+    assert np.array_equal(x, want[0]) and r == want[2]
+
+
+def test_newton_builds_one_jacobian_per_step():
+    built = [0]
+
+    def counting(x):
+        res, jacobian = ROOT2(x)
+
+        def counted():
+            built[0] += 1
+            return jacobian()
+        return res, counted
+
+    # from sqrt(2) the loop has converged at the start: no step, no Jacobian
+    for x0, least in (([2.0 ** 0.5], 0), ([1.0], 1), ([30.0], 5)):
+        built[0] = 0
+        x, reason, r, steps = _min_norm_newton(counting, x0, 1e-12)
+        assert reason == "converged"
+        assert built[0] == steps >= least
+        assert (steps == 0) == (least == 0)
+
+
+def test_liberate_builds_one_jacobian_per_newton_step(monkeypatch):
+    built, steps = [0], [0]
+    jacobian, newton = continuation._jacobian, continuation._newton
+
+    def counting_jacobian(*args):
+        built[0] += 1
+        return jacobian(*args)
+
+    def counting_newton(*args):
+        out = newton(*args)
+        steps[0] += out[3]
+        return out
+
+    monkeypatch.setattr(continuation, "_jacobian", counting_jacobian)
+    monkeypatch.setattr(continuation, "_newton", counting_newton)
+    liberate(ones_block_plus(4), catalog("K4uK1"), [(3, 5), (4, 5)])
+    assert built[0] == steps[0] > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_k4k1_liberate_never_calls_lstsq(seed, monkeypatch):
+    # every step system of this growth is onto and well conditioned, so
+    # each step is one J J^T solve
+    calls = count_lstsq(monkeypatch)
+    res = liberate(ones_block_plus(4), catalog("K4uK1"), [(3, 5), (4, 5)],
+                   seed=seed)
+    assert res.residual <= 1e-10
+    assert calls[0] == 0
 
 
 def test_liberate_rejects_bad_set():
@@ -203,6 +335,46 @@ def test_liberate_rejects_bad_set():
         liberate(a, g, [])
     with pytest.raises(ValueError):
         liberate(a, g, [(3, 5), (4, 5)], kind="sap")
+
+
+# one call per solver on input it can solve, so only the parameter is wrong
+SOLVER_CALLS = {
+    "liberate": lambda **kw: liberate(ones_block_plus(4), catalog("K4uK1"),
+                                      [(3, 5), (4, 5)], **kw),
+    "realize_in_pattern": lambda **kw: realize_in_pattern(
+        path_graph(3), [-1.0, 0.0, 1.0], **kw),
+    "complete_pattern_low_rank": lambda **kw: complete_pattern_low_rank(
+        block_diag(np.roll(np.eye(4), 1, 0) + np.roll(np.eye(4), -1, 0),
+                   np.ones((2, 2))), catalog("prism"), seed=SEED, **kw),
+}
+
+
+def test_low_rank_refuses_a_zero_tol():
+    # at tol = 0 every rounding-level eigenvalue of the rank-2 start would
+    # count as nonzero, and the completion would come out at rank 5
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        complete_pattern_low_rank(block_diag(np.ones((4, 4)), np.ones((2, 2))),
+                                  catalog("prism"), tol=0.0)
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVER_CALLS))
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
+def test_solvers_refuse_a_bad_tol(solver, tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        SOLVER_CALLS[solver](tol=tol)
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVER_CALLS))
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_solvers_refuse_a_bad_max_iter(solver, max_iter):
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        SOLVER_CALLS[solver](max_iter=max_iter)
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVER_CALLS))
+def test_solvers_run_at_one_attempt(solver):
+    # max_iter = 1 is the smallest allowed; each call here succeeds at once
+    SOLVER_CALLS[solver](max_iter=1)
 
 
 @st.composite
@@ -419,7 +591,8 @@ def test_low_rank_jacobian_matches_central_differences():
                                 if (i, j) != (0, n - 1) and rng.random() < 0.5]
         system = _hole_system(n, signs, holes)
         x = rng.normal(size=n * r)
-        res, jac = system(x)
+        res, jacobian = system(x)
+        jac = jacobian()
         v = x.reshape(n, r)
         assert np.allclose(res, [v[i] @ (signs * v[j]) for i, j in holes])
         h = 1e-5

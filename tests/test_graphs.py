@@ -1,6 +1,7 @@
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -328,3 +329,28 @@ def test_pair_refusal_messages():
     with pytest.raises(ValueError, match=re.escape(
             "not a supergraph: missing edges [(2, 3), (3, 4)]")):
         has_strong_property_wrt(a, g, h, "ssp")
+
+
+def test_labels_are_checked_not_truncated():
+    g = catalog("P3")
+    # a float or a string is refused: truncated or parsed, (1.7, 3) would
+    # be the edge (1, 3), has_edge("2", 1) and has_edge(2.9, 1) would read
+    # the edge (1, 2), and n = 2.9 would build a graph on two vertices
+    for call in (lambda: build_graph(3, [(1.7, 3)]),
+                 lambda: build_graph(3, [(1, 3.0)]),
+                 lambda: g.has_edge("2", 1),
+                 lambda: g.has_edge(2.9, 1),
+                 lambda: g.has_edge(1, np.float64(2.0)),
+                 lambda: add_edges(g, [(1, "3")]),
+                 lambda: nonedge_set(g, [(1.0, 3)]),
+                 lambda: edge_pairs([(1, 2.5)])):
+        with pytest.raises(ValueError, match="a vertex label must be an integer"):
+            call()
+    for n in (2.9, 3.0, "3", None):
+        with pytest.raises(ValueError, match="the vertex count must be an integer"):
+            build_graph(n)
+    # Python and numpy integers of any width still pass
+    assert g.has_edge(np.int64(2), np.int32(1)) and g.has_edge(True, 2)
+    h = build_graph(np.int64(3), [(np.int8(1), np.uint16(3))])
+    assert (h.n, h.edges) == (3, ((1, 3),))
+    assert type(h.n) is int and all(type(v) is int for v in h.edges[0])
