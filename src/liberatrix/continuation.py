@@ -15,9 +15,8 @@ by construction, not merely small.
 
 realize_spectrum() builds matrices with a prescribed spectrum for a few
 stock shapes; realize_in_pattern() does the same for an arbitrary pattern
-with the same Newton solver from random isospectral starts, holding one more
-re-seeded entry fixed each time a limit collapses, as liberate holds a new
-pair, and keeping every held entry held;
+with the same Newton solver from random starts inside S(G), drawing again
+when a limit lands in a subpattern or is on its way there;
 complete_pattern_low_rank() rounds out a rank-deficient matrix to a full
 pattern without raising the rank, by the same minimum-norm Newton loop on
 the factor V of V S V^T with its closed-form Jacobian.
@@ -60,6 +59,7 @@ from .strongprops import (_drop_one_verdicts, has_strong_property,
 
 EPS_SCHEDULE = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 MIN_ENTRY = 1e-6
+COLLAPSE_STEP = 0.1
 
 
 def _min_norm_newton(system, x, tol):
@@ -162,35 +162,37 @@ def _jacobian(q, pairs, slots):
     return jac.T
 
 
-def _newton(n, slots, free, target, x, tol):
-    """Newton on the isospectral manifold over the slots indexed by free.
-
-    Each step factors A(x) = Q diag(lam) Q^T, with lam matched to the sorted
-    target in order. Over the pairs a <= b inside each target cluster it
-    takes the minimum-norm dx with (Q^T E(dx) Q)_ab = target_a - lam_a for
-    a = b and 0 for a < b, where E(dx) holds dx on the free slots; the
-    eigenvector rotation absorbs every entry between clusters. The step
-    system is onto exactly when A(x) has the strong spectral property
-    relative to the free slots, and there the convergence is quadratic.
-    tol is relative to the target's scale, as _read_target reads it.
-    Returns (x, reason, r, steps) with reason "converged", "not converged"
-    or "non-finite step", r the largest deviation of A(x)'s eigenvalues
-    from the sorted target over that scale, so at most tol on convergence,
-    and steps the Newton loop's step count.
-    """
+def _isospectral_system(n, slots, free, target, full):
+    """(system, scale): the Newton system that moves the slots indexed by
+    free toward the sorted target, and the target's scale (_read_target's).
+    system(y) writes y into full's free slots and factors A = Q diag(lam)
+    Q^T, lam matched to the target in order. Over the pairs a <= b inside
+    each target cluster its residual is lam_a - target_a for a = b and 0
+    for a < b, and jacobian() gives d (Q^T A Q)_ab / d y; the eigenvector
+    rotation absorbs every entry between clusters. The system is onto
+    exactly when A has the strong spectral property relative to the free
+    slots, and there Newton converges quadratically."""
     tgt = np.asarray(target, dtype=float)
     scale, pairs = _read_target(tgt)
     on_diag = pairs[0] == pairs[1]
     free = np.asarray(free, dtype=int)
     free_idx = slots[free]
-    full = np.array(x, dtype=float)
 
     def system(y):
         full[free] = y
         vals, q = np.linalg.eigh(_build_from_slots(n, slots, full))
         res = np.where(on_diag, vals[pairs[0]] - tgt[pairs[0]], 0.0)
         return res, lambda: _jacobian(q, pairs, free_idx)
+    return system, scale
 
+
+def _newton(n, slots, free, target, x, tol):
+    """Newton from x on _isospectral_system, tol relative to the target's
+    scale. Returns (x, reason, r, steps): _min_norm_newton's reason and
+    step count, and r the largest deviation of A(x)'s eigenvalues from
+    the sorted target over that scale, so at most tol on convergence."""
+    full = np.array(x, dtype=float)
+    system, scale = _isospectral_system(n, slots, free, target, full)
     y, reason, r, steps = _min_norm_newton(system, full[free], tol * scale)
     full[free] = y
     return full, reason, r / scale, steps
@@ -383,57 +385,54 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
                        max_iter: int = 60) -> np.ndarray:
     """Matrix in S(g) with the given spectrum, by Newton from random starts.
 
-    Each attempt conjugates the target by a seeded random orthogonal matrix,
-    keeps the entries on the pattern and runs the Newton solver over all of
-    them. The limit can land in a proper subpattern (an edge entry driven
-    to zero). Then every collapsed edge entry is re-seeded at +-0.1 times
-    the spectral spread and the solve rerun with the first of them held at
-    its seed value, as liberate holds a new pair: with every entry free the
-    minimum-norm steps walk the re-seeded entries back to zero. Each held
-    entry stays held in the later rounds, so the held set grows by one
-    entry per round; up to ten rounds run per attempt. The matrix returned
-    is in S(g) by construction, with no closing re-check: built from the
-    slots, it is exactly zero off the pattern, and the last round found no
-    edge entry below MIN_ENTRY. Its eigenvalues are within tol times
-    max(1, max|spectrum|) of the target, the Newton loop's stopping test.
-    Feasibility is the caller's burden; infeasible targets surface as
-    non-convergence.
+    Each of up to max_iter draws starts inside S(g): the diagonal uniform
+    on [min, max] of the spectrum, each edge entry +-U(0.3, 1) times
+    max(1, max - min) / 2. The Newton solver runs over every entry. A draw
+    fails when the solve does not converge or takes a non-finite step, when
+    an edge entry ends below MIN_ENTRY, or when the limit is collapsing:
+    near a subpattern the eigenvalue error is quadratic in the vanishing
+    entry, so the solve can meet tol there, and one more minimum-norm step
+    moves that entry by about half its size. A limit where that step moves
+    an edge entry by COLLAPSE_STEP of its size or more is refused, so an
+    infeasible target surfaces as limits in a subpattern or collapsing
+    toward one, not as non-convergence. When every draw fails, the
+    RuntimeError names the draw count and the last draw's reason. Built
+    from the slots, the output is exactly zero off the pattern and in S(g)
+    with no re-check; its eigenvalues are within tol * max(1,
+    max|spectrum|) of the target.
     """
     _check_solver_args(tol, max_iter)
     values = sorted(_finite_values(spectrum))
     if len(values) != g.n:
         raise ValueError("spectrum size %d does not fit %d vertices"
                          % (len(values), g.n))
-    target_vals = np.array(values)
     slots = _pattern_slots(g)
-    spread = max(1.0, float(values[-1] - values[0]))
-
+    system, scale = _isospectral_system(g.n, slots, range(len(slots)), values,
+                                        np.zeros(len(slots)))
+    half_spread = max(1.0, values[-1] - values[0]) / 2
     rng = seeded_random(seed)
+    last_err = None
     for _ in range(max_iter):
-        q = random_orthogonal(g.n, rng.getrandbits(62))
-        b = (q * target_vals) @ q.T
-        x = b[slots[:, 0], slots[:, 1]]
-        ok = False
-        dead = []
-        held = set()
-        free = range(len(slots))
-        for _round in range(10):
-            x, reason, _, _ = _newton(g.n, slots, free, target_vals, x, tol)
-            ok = reason == "converged"
-            if not ok:
-                break
-            dead = [k for k in range(g.n, len(slots)) if abs(x[k]) < MIN_ENTRY]
-            if not dead:
-                break
-            for k in dead:
-                x[k] = 0.1 * spread * (1 if rng.random() < 0.5 else -1)
-            # hold one more re-seeded entry off zero, as liberate holds a new
-            # pair; the entries held in earlier rounds stay held
-            held.add(dead[0])
-            free = [k for k in range(len(slots)) if k not in held]
-        if ok and not dead:
-            return _build_from_slots(g.n, slots, x)
-    raise RuntimeError("no matrix in the pattern reached the target spectrum")
+        x0 = [rng.uniform(values[0], values[-1]) for _ in range(g.n)] + [
+            (1 if rng.random() < 0.5 else -1) * rng.uniform(0.3, 1.0)
+            * half_spread for _ in g.edges]
+        x, reason, r, _ = _min_norm_newton(system, x0, tol * scale)
+        if reason != "converged":
+            last_err = reason
+            continue
+        edges = np.abs(x[g.n:])
+        if np.any(edges < MIN_ENTRY):
+            last_err = "an edge entry collapsed below %g" % MIN_ENTRY
+            continue
+        res, jacobian = system(x)
+        dx = _min_norm_step(jacobian(), res, r)
+        if np.any(np.abs(dx[g.n:]) >= COLLAPSE_STEP * edges):
+            last_err = "collapsing limit"
+            continue
+        return _build_from_slots(g.n, slots, x)
+    raise RuntimeError(
+        "no matrix in the pattern reached the target spectrum in %d draws "
+        "(%s)" % (max_iter, last_err))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 what failed.
 
     PYTHONPATH=src:tests python -W error::UserWarning \
-        -W error::RuntimeWarning tests/sweeps.py replay|cover|sampled
+        -W error::RuntimeWarning tests/sweeps.py replay|cover|sampled|refuse
 
 Under -W error::UserWarning -W error::RuntimeWarning, as in CI, a warning
 is a failure: a UserWarning, or numpy's overflow, invalid-value or divide
@@ -20,6 +20,12 @@ sampled  the sampled pattern-level verdict against the reference that
          vertices, every nonedge set of size 1-2 and both kinds, 12 trials
          at the atlas index as seed, verdict, trials, counterexample and
          mode must be equal.
+refuse   realize_in_pattern refuses what no matrix realizes. Over every
+         connected atlas graph on 3-5 vertices and every ordered
+         multiplicity list whose largest multiplicity exceeds Z(G), with
+         values from _draw_values and the pair's index as seed, it must
+         raise RuntimeError; the largest Newton step count per call is
+         printed.
 """
 
 from __future__ import annotations
@@ -30,9 +36,10 @@ from itertools import combinations
 
 import numpy as np
 
-from liberatrix import (REGISTRY, cartesian_product, is_graph_liberation_set,
-                        is_zf_cover, reproduce, sym_eigen, zero_forcing_number,
-                        zf_liberation)
+from liberatrix import (REGISTRY, cartesian_product, continuation,
+                        is_graph_liberation_set, is_zf_cover,
+                        realize_in_pattern, reproduce, sym_eigen,
+                        zero_forcing_number, zf_liberation)
 from liberatrix.replays import _draw_values, _realize_ssp
 from oracles import connected_atlas, graph_liberation_reference
 
@@ -94,7 +101,49 @@ def sampled():
           % (len(atlas), len(queries), yes, len(queries) - yes))
 
 
-SWEEPS = {"replay": replay, "cover": cover, "sampled": sampled}
+def _ordered_lists(n):
+    """Every ordered multiplicity list summing to n."""
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _ordered_lists(n - first):
+            yield (first,) + rest
+
+
+def refuse():
+    atlas = connected_atlas(3, 5)
+    pairs = [(i, mults) for i, g in atlas.items()
+             for mults in _ordered_lists(g.n)
+             if max(mults) > zero_forcing_number(g).value]
+    steps = [0]
+    newton = continuation._min_norm_newton
+
+    def counting(*args):
+        out = newton(*args)
+        steps[0] += out[3]
+        return out
+
+    continuation._min_norm_newton = counting
+    realized, most = [], 0
+    for idx, (i, mults) in enumerate(pairs):
+        values = _draw_values(random.Random(idx), len(mults))
+        spectrum = [v for v, m in zip(values, mults) for _ in range(m)]
+        steps[0] = 0
+        try:
+            realize_in_pattern(atlas[i], spectrum, seed=idx)
+        except RuntimeError:
+            pass
+        else:
+            realized.append("G%d %s" % (i, list(mults)))
+        most = max(most, steps[0])
+    if realized:
+        sys.exit("realized past Z(G): %s" % "; ".join(realized))
+    print("%d graphs, %d lists past Z(G): all refused, at most %d Newton "
+          "steps per call" % (len(atlas), len(pairs), most))
+
+
+SWEEPS = {"replay": replay, "cover": cover, "sampled": sampled,
+          "refuse": refuse}
 
 if __name__ == "__main__":
     if len(sys.argv) != 2 or sys.argv[1] not in SWEEPS:

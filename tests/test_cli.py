@@ -426,6 +426,14 @@ def test_realize_negative_first_value(tmp_path, capsys):
                  "path"]) == 0
 
 
+def test_realize_refuses_an_impossible_list(capsys):
+    # no matrix in S(K1,3) has a triple eigenvalue (Z = 2); the refusal
+    # names the draws and the last draw's reason
+    assert main(["realize", "--graph", "K1,3", "--spectrum", "0,1,1,1",
+                 "--seed", "0"]) == 2
+    assert "in 60 draws (" in capsys.readouterr().err
+
+
 def test_reproduce_command(tmp_path, capsys):
     rp = tmp_path / "r.json"
     code = main(["reproduce", "k4k1", "--seed", "2", "--json", str(rp)])
