@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from liberatrix import continuation
 from liberatrix.continuation import (
+    COLLAPSE_STEP,
     MIN_ENTRY,
     _hole_system,
+    _isospectral_system,
     _jacobian,
     _min_norm_newton,
     _min_norm_step,
@@ -492,6 +494,58 @@ def count_newton(monkeypatch):
 
     monkeypatch.setattr(continuation, "_min_norm_newton", counting)
     return solves
+
+
+# Half the Newton solves over seeds 0-19 that a re-solve from the collapsed
+# limit took with every entry free (767, 157 and 108): a fresh draw, every
+# entry re-seeded inside S(G), must do at least that well.
+RESEED_SOLVES = {
+    "C6 (-r3)^2 0^2 (r3)^2": 383,
+    "C5 1,2,2": 78,
+    "C5 2,2,1": 54,
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLLAPSING))
+def test_realize_in_pattern_holds_a_reseeded_entry(case, monkeypatch):
+    # some draw collapses on each spectrum, and the re-seeded draws after it
+    # hold every edge entry off zero in the output
+    g, target = COLLAPSING[case]
+    solves = count_newton(monkeypatch)
+    for seed in range(20):
+        assert_realizes(realize_in_pattern(g, target, seed=seed), g, target)
+    assert 20 < len(solves) <= RESEED_SOLVES[case]
+
+
+# The Newton solves over seeds 0-19 that re-solves holding each collapsed
+# entry off zero took (130 on C6 at one held entry per re-solve, 46 and 48
+# on C5): the most realize_in_pattern may take.
+HELD_SET_SOLVES = {
+    "C6 (-r3)^2 0^2 (r3)^2": 130,
+    "C5 1,2,2": 46,
+    "C5 2,2,1": 48,
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLLAPSING))
+def test_realize_in_pattern_keeps_held_entries_held(case, monkeypatch):
+    # an accepted limit holds its edge entries: one more minimum-norm step
+    # there moves none by COLLAPSE_STEP of its size
+    g, target = COLLAPSING[case]
+    solves = count_newton(monkeypatch)
+    slots = _pattern_slots(g)
+    for seed in range(20):
+        a = realize_in_pattern(g, target, seed=seed)
+        assert_realizes(a, g, target)
+        x = a[slots[:, 0], slots[:, 1]]
+        system, _ = _isospectral_system(g.n, slots, range(len(slots)),
+                                        sorted(target), np.zeros(len(slots)))
+        res, jacobian = system(x)
+        r = float(np.max(np.abs(res)))
+        if r > 0:
+            dx = _min_norm_step(jacobian(), res, r)
+            assert np.all(np.abs(dx[g.n:]) < COLLAPSE_STEP * np.abs(x[g.n:]))
+    assert len(solves) <= HELD_SET_SOLVES[case]
 
 
 # The most Newton steps realize_in_pattern may take over seeds 0-99 on each
