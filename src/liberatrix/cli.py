@@ -212,7 +212,8 @@ def _cmd_libset(args):
     a = read_matrix(args.matrix)
     g = _load_graph(args.graph)
     if args.enumerate:
-        args.max_size = 3 if args.max_size is None else args.max_size
+        if args.max_size is None:
+            args.max_size = min(3, len(g.nonedges()))
         found = enumerate_minimal_liberation_sets(a, g, args.kind,
                                                   max_size=args.max_size)
         print("%d minimal liberation set(s) up to size %d"
@@ -406,7 +407,9 @@ def _build_parser():
     q.add_argument("--graph", required=True)
     q.add_argument("--matrix", required=True)
     q.add_argument("--beta")
-    q.add_argument("--max-size", type=int, help="enumerate only; default 3")
+    q.add_argument("--max-size", type=int,
+                   help="enumerate only; default 3, or the nonedge count "
+                   "if smaller")
     q.set_defaults(func=_cmd_libset)
 
     q = sub.add_parser("directsum", parents=[common, tolerant, kinded],

@@ -27,12 +27,18 @@ where the solver is well posed, so a step is J^T solve(J J^T, r): one m x m
 solve. lstsq's least-squares step, an SVD, runs only when that solve fails
 (more equations than unknowns, J J^T singular or too ill-conditioned for
 the step to solve J dx = r to 1e-6 of max |r|). The loop builds the
-Jacobian only for a step it takes and returns its step count. It returns
-its final residual too, the max |r| it measured at the returned point for
-its stopping test, and the solvers report that value rather than re-solve
-for one: liberate's residual is the largest deviation of the grown
-matrix's eigenvalues from the target, over the target's scale, and
+Jacobian only for a step it takes, and returns its step count and its
+final residual, the max |r| of its stopping test, which the solvers report
+rather than re-solve for one: liberate's is the largest deviation of the
+grown matrix's eigenvalues from the target, over the target's scale, and
 complete_pattern_low_rank's is the largest entry left off the pattern.
+
+They share one attempt contract too: up to max_iter attempts (draws, in
+realize_in_pattern), one solve from a new start each. An attempt fails for
+one reason: the loop's "not converged" or "non-finite step"; COLLAPSED, an
+edge entry below MIN_ENTRY by the one rule _collapsed; "collapsing limit"
+(realize only); "output failed the strong-property re-check" (liberate
+only). The RuntimeError names the attempt count and the last reason.
 
 Float input is checked by numla, the package's float layer: a matrix or
 target spectrum with a NaN or infinite entry raises ValueError before any
@@ -60,6 +66,7 @@ from .strongprops import (_drop_one_verdicts, has_strong_property,
 EPS_SCHEDULE = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 MIN_ENTRY = 1e-6
 COLLAPSE_STEP = 0.1
+COLLAPSED = "an edge entry collapsed below %g" % MIN_ENTRY
 
 
 def _min_norm_newton(system, x, tol):
@@ -108,6 +115,11 @@ def _min_norm_step(jac, res, r):
                 if np.max(np.abs(jac @ dx - res)) <= 1e-6 * r:
                     return dx
     return np.linalg.lstsq(jac, res, rcond=None)[0]
+
+
+def _collapsed(edges) -> bool:
+    """Every solver's collapse rule: an edge entry below MIN_ENTRY in size."""
+    return bool(np.abs(edges).min(initial=np.inf) < MIN_ENTRY)
 
 
 def _check_solver_args(tol, max_iter):
@@ -186,18 +198,6 @@ def _isospectral_system(n, slots, free, target, full):
     return system, scale
 
 
-def _newton(n, slots, free, target, x, tol):
-    """Newton from x on _isospectral_system, tol relative to the target's
-    scale. Returns (x, reason, r, steps): _min_norm_newton's reason and
-    step count, and r the largest deviation of A(x)'s eigenvalues from
-    the sorted target over that scale, so at most tol on convergence."""
-    full = np.array(x, dtype=float)
-    system, scale = _isospectral_system(n, slots, free, target, full)
-    y, reason, r, steps = _min_norm_newton(system, full[free], tol * scale)
-    full[free] = y
-    return full, reason, r / scale, steps
-
-
 @dataclass(frozen=True)
 class LiberateResult:
     matrix: np.ndarray
@@ -227,13 +227,12 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
     Attempt k holds the k-th new pair (cycling through beta) at its seed
     value and runs the Newton solver over every other entry of g + beta; by
     the drop-one criterion the precheck makes that step system onto at a.
-    An attempt fails when Newton does not converge or takes a non-finite
-    step, when an edge entry ends below MIN_ENTRY, or when the output fails
-    the strong-property re-check; the next attempt re-seeds. Failure of
-    every attempt is a solver outcome, reported as an error naming the last
-    reason; it never contradicts a valid certificate. The result's residual
-    is the Newton loop's own: the largest deviation of the grown matrix's
-    eigenvalues from a's, over max(1, max|eig(a)|), so at most tol.
+    An attempt fails by the module's attempt contract, the output's
+    strong-property re-check included, and the next attempt re-seeds;
+    failure of every attempt is a solver outcome and never contradicts a
+    valid certificate. The result's residual is the Newton loop's own: the
+    largest deviation of the grown matrix's eigenvalues from a's, over
+    max(1, max|eig(a)|), so at most tol.
     """
     _check_solver_args(tol, max_iter)
     kind = normalize_kind(kind)
@@ -255,28 +254,29 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
     last_err = None
     for attempt in range(1, max_iter + 1):
         eps = EPS_SCHEDULE[(attempt - 1) % len(EPS_SCHEDULE)]
-        x0 = base.copy()
+        x = base.copy()
         for k in beta_slot_idx:
-            x0[k] = eps * (1 if rng.random() < 0.5 else -1)
+            x[k] = eps * (1 if rng.random() < 0.5 else -1)
         if attempt > len(EPS_SCHEDULE):
-            x0 += [rng.gauss(0.0, eps / 10.0) for _ in x0]
+            x += [rng.gauss(0.0, eps / 10.0) for _ in x]
         # hold one new pair at +-eps so the step system stays onto
         frozen = beta_slot_idx[(attempt - 1) % len(beta_slot_idx)]
         free = [k for k in range(len(slots)) if k != frozen]
-        x, reason, res, _ = _newton(g.n, slots, free, target_vals, x0, tol)
+        system, scale = _isospectral_system(g.n, slots, free, target_vals, x)
+        y, reason, res, _ = _min_norm_newton(system, x[free], tol * scale)
+        x[free] = y
+        # edge slots only: the diagonal is free and may pass through zero
+        if reason == "converged" and _collapsed(x[g.n:]):
+            reason = COLLAPSED
         if reason != "converged":
             last_err = reason
             continue
         a_new = _build_from_slots(g.n, slots, x)
-        # edge slots only: the diagonal is free and may pass through zero
-        smallest = min(abs(x[k]) for k in range(g.n, len(slots)))
-        if smallest < MIN_ENTRY:
-            last_err = "a pattern entry collapsed below %g" % MIN_ENTRY
-            continue
         if not has_strong_property(a_new, h, kind, tol=1e-8).answer:
             last_err = "output failed the strong-property re-check"
             continue
-        return LiberateResult(a_new, h, res, attempt, eps, seed, smallest, True)
+        return LiberateResult(a_new, h, res / scale, attempt, eps, seed,
+                              np.abs(x[g.n:]).min(), True)
     raise RuntimeError(
         "continuation did not produce a valid matrix in %d attempts (%s)"
         % (max_iter, last_err))
@@ -374,9 +374,8 @@ def _complete_generic(values, seed):
     for k in range(60):
         q = random_orthogonal(n, (seed, k))
         a = q @ d @ q.T
-        off_ok = all(abs(a[i, j]) > MIN_ENTRY
-                     for i in range(n) for j in range(i + 1, n))
-        if off_ok and all(_blocks_generic(q, ml.multiplicities)):
+        off = a[np.triu_indices(n, 1)]
+        if not _collapsed(off) and all(_blocks_generic(q, ml.multiplicities)):
             return a
     raise RuntimeError("no generic completion found in 60 draws")
 
@@ -388,15 +387,13 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
     Each of up to max_iter draws starts inside S(g): the diagonal uniform
     on [min, max] of the spectrum, each edge entry +-U(0.3, 1) times
     max(1, max - min) / 2. The Newton solver runs over every entry. A draw
-    fails when the solve does not converge or takes a non-finite step, when
-    an edge entry ends below MIN_ENTRY, or when the limit is collapsing:
-    near a subpattern the eigenvalue error is quadratic in the vanishing
-    entry, so the solve can meet tol there, and one more minimum-norm step
-    moves that entry by about half its size. A limit where that step moves
-    an edge entry by COLLAPSE_STEP of its size or more is refused, so an
-    infeasible target surfaces as limits in a subpattern or collapsing
-    toward one, not as non-convergence. When every draw fails, the
-    RuntimeError names the draw count and the last draw's reason. Built
+    fails by the module's attempt contract, or when the limit is
+    collapsing: near a subpattern the eigenvalue error is quadratic in the
+    vanishing entry, so the solve can meet tol there, and one more
+    minimum-norm step moves that entry by about half its size. A limit
+    where that step moves an edge entry by COLLAPSE_STEP of its size or
+    more is refused, so an infeasible target surfaces as limits in a
+    subpattern or collapsing toward one, not as non-convergence. Built
     from the slots, the output is exactly zero off the pattern and in S(g)
     with no re-check; its eigenvalues are within tol * max(1,
     max|spectrum|) of the target.
@@ -417,16 +414,14 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
             (1 if rng.random() < 0.5 else -1) * rng.uniform(0.3, 1.0)
             * half_spread for _ in g.edges]
         x, reason, r, _ = _min_norm_newton(system, x0, tol * scale)
+        if reason == "converged" and _collapsed(x[g.n:]):
+            reason = COLLAPSED
         if reason != "converged":
             last_err = reason
             continue
-        edges = np.abs(x[g.n:])
-        if np.any(edges < MIN_ENTRY):
-            last_err = "an edge entry collapsed below %g" % MIN_ENTRY
-            continue
         res, jacobian = system(x)
         dx = _min_norm_step(jacobian(), res, r)
-        if np.any(np.abs(dx[g.n:]) >= COLLAPSE_STEP * edges):
+        if np.any(np.abs(dx[g.n:]) >= COLLAPSE_STEP * np.abs(x[g.n:])):
             last_err = "collapsing limit"
             continue
         return _build_from_slots(g.n, slots, x)
@@ -478,10 +473,10 @@ def complete_pattern_low_rank(a0, h: Graph, tol: float = 1e-8,
     tolerances scale with s = max(1, max|eig(a0)|): eigenvalues of a0 at
     most tol * s count as zero, and Newton on V, with the closed-form
     Jacobian, drives the entries outside h's pattern to 1e-12 * s from a
-    perturbed factor of a0. An attempt that does not converge or leaves an
-    edge entry below MIN_ENTRY re-draws the start. The result's
-    off_pattern_residual is the Newton loop's final residual: the largest
-    |entry| of the output outside h's pattern, at most 1e-12 * s.
+    perturbed factor of a0. An attempt that fails by the module's attempt
+    contract re-draws the start. The result's off_pattern_residual is the
+    Newton loop's final residual: the largest |entry| of the output outside
+    h's pattern, at most 1e-12 * s.
     """
     _check_solver_args(tol, max_iter)
     vals, q = sym_eigen(a0)
@@ -494,18 +489,21 @@ def complete_pattern_low_rank(a0, h: Graph, tol: float = 1e-8,
     v0 = q[:, keep] * np.sqrt(np.abs(vals[keep]))
     system = _hole_system(n, signs, [(i - 1, j - 1) for (i, j) in h.nonedges()])
     rng = seeded_random(seed)
+    last_err = None
     for attempt in range(1, max_iter + 1):
         sd = 0.05 * (1 + attempt // 5)
         x0 = v0.reshape(-1) + [rng.gauss(0.0, sd) for _ in range(n * r)]
         x, reason, off, _ = _min_norm_newton(system, x0, 1e-12 * scale)
         if reason != "converged":
+            last_err = reason
             continue
         v = x.reshape(n, r)
         a = (v * signs) @ v.T
-        edge_min = min(abs(a[i - 1, j - 1]) for (i, j) in h.edges) if h.edges else 1.0
-        if edge_min < MIN_ENTRY:
+        if _collapsed([a[i - 1, j - 1] for i, j in h.edges]):
+            last_err = COLLAPSED
             continue
         pos = int(np.sum(signs > 0))
         return LowRankResult(a, h, r, (pos, r - pos), off, attempt)
-    raise RuntimeError("no completion with the required pattern in %d attempts"
-                       % max_iter)
+    raise RuntimeError(
+        "no completion with the required pattern in %d attempts (%s)"
+        % (max_iter, last_err))

@@ -521,15 +521,6 @@ def left_kernel_basis(m: RatMatrix) -> RatMatrix:
     return RatMatrix._wrap(len(basis), m.rows, basis)
 
 
-def col_space_contains(m: RatMatrix, x) -> bool:
-    """Decide x in Col(m): every column of x lies in the span of m's columns."""
-    if not isinstance(x, RatMatrix):
-        x = RatMatrix.column(x)
-    if x.rows != m.rows:
-        raise ValueError("vector length mismatch")
-    return _in_column_span(_scaled_to_integers(m.hstack(x))[1], m.cols)
-
-
 def _in_column_span(rows, ncols) -> bool:
     """Whether the columns past the first ncols lie in the span of the first
     ncols, for integer rows of [M | X] (each row may carry any nonzero

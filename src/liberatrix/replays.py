@@ -39,7 +39,7 @@ from functools import partial
 import numpy as np
 
 from . import REGISTRY
-from .continuation import (complete_pattern_low_rank, liberate,
+from .continuation import (MIN_ENTRY, complete_pattern_low_rank, liberate,
                            realize_in_pattern, realize_spectrum)
 from .directsum import directsum_liberation, sylvester_space
 from .exactla import RatMatrix, charpoly, direct_sum
@@ -245,7 +245,7 @@ def _run_k4k1(run, seed):
     dev = _spec_dev(lib.matrix, [0, 0, 0, 4, 4])
     run.check("grown matrix keeps the spectrum", dev <= 1e-9,
               "max eigenvalue deviation %.1e" % dev)
-    run.check("pattern entries stay alive", lib.min_pattern_entry >= 1e-6,
+    run.check("pattern entries stay alive", lib.min_pattern_entry >= MIN_ENTRY,
               "smallest entry %.2e" % lib.min_pattern_entry)
     run.check("off-pattern entries are exactly zero",
               in_class(lib.matrix, lib.graph, "S_cl", tol=0.0))
@@ -779,13 +779,13 @@ def _table6_row(name, seed, draws=2):
                 done.append("%s draw %d" % (mults, d))
             else:
                 errors.append("%s draw %d: %s" % (mults, d, detail))
-    return name, done, errors
+    return done, errors
 
 
 def _run_table6(run, seed):
     counts = {}
     for name in sorted(TABLE6):
-        _, done, errors = _table6_row(name, seed)
+        done, errors = _table6_row(name, seed)
         run.check("row %s holds %d list realizations" % (name, len(done)),
                   not errors,
                   "; ".join(errors) if errors else "every list at two draws")

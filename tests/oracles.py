@@ -10,7 +10,7 @@ echelon form, minimal liberation sets by testing every nonedge subset,
 genericity of a float basis by one determinant per row selection, and the
 sampled pattern-level verdict with a full certificate on every sample.
 connected_atlas gives the small connected graphs that the tests and the CI
-sweeps run over.
+sweeps run over, and REASONS the solvers' failure reasons they expect.
 """
 
 from fractions import Fraction
@@ -207,3 +207,16 @@ def connected_atlas(lo, hi):
     return {i: build_graph(len(g), [(u + 1, v + 1) for u, v in g.edges()])
             for i, g in enumerate(nx.graph_atlas_g())
             if lo <= len(g) <= hi and nx.is_connected(g)}
+
+
+# The attempt contract's failure reasons, written out: the three Newton
+# solvers share the first three, "collapsing limit" is realize_in_pattern's
+# alone and the re-check liberate's.
+REASONS = ("not converged", "non-finite step",
+           "an edge entry collapsed below 1e-06", "collapsing limit",
+           "output failed the strong-property re-check")
+
+
+def names_a_reason(err) -> bool:
+    """Whether a solver's RuntimeError ends naming one of REASONS."""
+    return str(err).endswith(tuple("(%s)" % r for r in REASONS))

@@ -24,8 +24,9 @@ refuse   realize_in_pattern refuses what no matrix realizes. Over every
          connected atlas graph on 3-5 vertices and every ordered
          multiplicity list whose largest multiplicity exceeds Z(G), with
          values from _draw_values and the pair's index as seed, it must
-         raise RuntimeError; the largest Newton step count per call is
-         printed.
+         raise RuntimeError whose message ends naming one of the solvers'
+         failure reasons (oracles.REASONS); the largest Newton step count
+         per call is printed.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from liberatrix import (REGISTRY, cartesian_product, continuation,
                         realize_in_pattern, reproduce, sym_eigen,
                         zero_forcing_number, zf_liberation)
 from liberatrix.replays import _draw_values, _realize_ssp
-from oracles import connected_atlas, graph_liberation_reference
+from oracles import (connected_atlas, graph_liberation_reference,
+                     names_a_reason)
 
 
 def replay():
@@ -124,22 +126,24 @@ def refuse():
         return out
 
     continuation._min_norm_newton = counting
-    realized, most = [], 0
+    realized, unnamed, most = [], [], 0
     for idx, (i, mults) in enumerate(pairs):
         values = _draw_values(random.Random(idx), len(mults))
         spectrum = [v for v, m in zip(values, mults) for _ in range(m)]
         steps[0] = 0
         try:
             realize_in_pattern(atlas[i], spectrum, seed=idx)
-        except RuntimeError:
-            pass
+        except RuntimeError as err:
+            if not names_a_reason(err):
+                unnamed.append("G%d %s: %s" % (i, list(mults), err))
         else:
             realized.append("G%d %s" % (i, list(mults)))
         most = max(most, steps[0])
-    if realized:
-        sys.exit("realized past Z(G): %s" % "; ".join(realized))
-    print("%d graphs, %d lists past Z(G): all refused, at most %d Newton "
-          "steps per call" % (len(atlas), len(pairs), most))
+    if realized or unnamed:
+        sys.exit("realized past Z(G): %s\nrefused naming no reason: %s"
+                 % ("; ".join(realized), "; ".join(unnamed)))
+    print("%d graphs, %d lists past Z(G): all refused naming a reason, at "
+          "most %d Newton steps per call" % (len(atlas), len(pairs), most))
 
 
 SWEEPS = {"replay": replay, "cover": cover, "sampled": sampled,

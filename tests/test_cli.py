@@ -63,6 +63,25 @@ def test_libset_check_and_enumerate(k4k1_matrix, capsys):
     assert "6 minimal" in capsys.readouterr().out
 
 
+def test_libset_enumerate_default_fits_the_nonedges(tmp_path, capsys):
+    # C4 has two nonedges, so the default max_size is 2, not 3
+    write_matrices(tmp_path, c4=[[0, 1, 0, 1], [1, 0, 1, 0],
+                                 [0, 1, 0, 1], [1, 0, 1, 0]],
+                   k4=[[1] * 4] * 4)
+    code, line, doc = run_json(["libset", "--enumerate", "--graph",
+                                "catalog:C4", "--matrix",
+                                str(tmp_path / "c4.txt")], tmp_path, capsys)
+    assert code == 0
+    assert line == "1 minimal liberation set(s) up to size 2"
+    assert doc["inputs"]["max_size"] == 2
+    assert doc["verdicts"]["sets"] == [[[1, 3], [2, 4]]]
+    # a complete graph has none, and no default fits it
+    code = main(["libset", "--enumerate", "--graph", "catalog:K4",
+                 "--matrix", str(tmp_path / "k4.txt")])
+    assert code == 2
+    assert "the nonedge count" in capsys.readouterr().err
+
+
 def test_libset_false_exits_one(k4k1_matrix):
     code = main(["libset", "--check", "--graph", "catalog:K4uK1",
                  "--matrix", k4k1_matrix, "--beta", "3-5"])

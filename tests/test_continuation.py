@@ -6,6 +6,7 @@ import warnings
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from liberatrix.liberation import is_liberation_set
 from liberatrix.patterns import SAMPLE_MODES, in_class, pattern_of, sample_S
 from liberatrix.replays import _subseed
 from liberatrix.strongprops import has_strong_property, psi
+from oracles import names_a_reason
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -300,7 +302,7 @@ def test_newton_builds_one_jacobian_per_step():
 
 def test_liberate_builds_one_jacobian_per_newton_step(monkeypatch):
     built, steps = [0], [0]
-    jacobian, newton = continuation._jacobian, continuation._newton
+    jacobian, newton = continuation._jacobian, continuation._min_norm_newton
 
     def counting_jacobian(*args):
         built[0] += 1
@@ -312,7 +314,7 @@ def test_liberate_builds_one_jacobian_per_newton_step(monkeypatch):
         return out
 
     monkeypatch.setattr(continuation, "_jacobian", counting_jacobian)
-    monkeypatch.setattr(continuation, "_newton", counting_newton)
+    monkeypatch.setattr(continuation, "_min_norm_newton", counting_newton)
     liberate(ones_block_plus(4), catalog("K4uK1"), [(3, 5), (4, 5)])
     assert built[0] == steps[0] > 0
 
@@ -326,6 +328,32 @@ def test_k4k1_liberate_never_calls_lstsq(seed, monkeypatch):
                    seed=seed)
     assert res.residual <= 1e-10
     assert calls[0] == 0
+
+
+def test_liberate_failure_names_attempts_and_reason(monkeypatch):
+    k4k1 = (ones_block_plus(4), catalog("K4uK1"), [(3, 5), (4, 5)])
+    # no float solve meets a tol of 1e-300
+    with pytest.raises(RuntimeError, match="in 2 attempts") as err:
+        liberate(*k4k1, tol=1e-300, max_iter=2)
+    assert str(err.value).endswith("(not converged)")
+    # the path 1-4-2 beside vertex 3, grown onto K4 less 3-4: at seed 0
+    # the first attempt ends with an edge entry at zero, the second holds
+    g = build_graph(4, [(1, 4), (2, 4)])
+    a = RatMatrix.from_rows([[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0],
+                             [1, 1, 0, 0]])
+    beta = [(2, 3), (1, 3), (1, 2)]
+    with pytest.raises(RuntimeError, match="in 1 attempts") as err:
+        liberate(a, g, beta, max_iter=1)
+    assert str(err.value).endswith("(an edge entry collapsed below 1e-06)")
+    assert liberate(a, g, beta, max_iter=2).attempts == 2
+    # a re-check that refuses every output fails every attempt on it
+    monkeypatch.setattr(continuation, "has_strong_property",
+                        lambda *args, **kw: SimpleNamespace(answer=False))
+    with pytest.raises(RuntimeError, match="in 3 attempts") as err:
+        liberate(*k4k1, max_iter=3)
+    assert str(err.value).endswith(
+        "(output failed the strong-property re-check)")
+    assert names_a_reason(err.value)
 
 
 def test_liberate_rejects_bad_set():
@@ -406,8 +434,9 @@ def test_liberate_precheck_matches_is_liberation_set(case, exact):
                  max_iter=1)
     except ValueError:
         assert not expect
-    except RuntimeError:
+    except RuntimeError as err:
         assert expect  # a solver outcome, only reachable past the precheck
+        assert names_a_reason(err)
     else:
         assert expect
 
@@ -574,10 +603,6 @@ def test_realize_in_pattern_converges_from_starts_in_the_pattern(
     assert sum(steps for _, steps in solves) <= REALIZE_STEPS[case]
 
 
-REASONS = ("not converged", "non-finite step",
-           "an edge entry collapsed below %g" % MIN_ENTRY, "collapsing limit")
-
-
 # Lists no matrix in S(G) has: C5 and P4 have Z(G) = 2, and the extreme
 # eigenvalues of a tree are simple
 @pytest.mark.parametrize("g, target", [
@@ -593,7 +618,7 @@ def test_realize_in_pattern_refuses_within_a_step_budget(g, target,
         del solves[:]
         with pytest.raises(RuntimeError, match="in 60 draws") as err:
             realize_in_pattern(g, target, seed=seed)
-        assert str(err.value).endswith(tuple("(%s)" % r for r in REASONS))
+        assert names_a_reason(err.value)
         assert sum(steps for _, steps in solves) <= 400
 
 
@@ -715,6 +740,19 @@ def test_complete_infeasible_pattern_raises():
     # rank one: v1 v3 = 0 on the hole kills an edge entry v1 v2 or v2 v3
     with pytest.raises(RuntimeError):
         complete_pattern_low_rank(np.diag([1.0, 0.0, 0.0]), path_graph(3))
+
+
+@pytest.mark.parametrize("a0, h", [
+    (np.zeros((6, 6)), catalog("prism")),
+    (np.diag([1.0, 0.0, 0.0]), path_graph(3)),
+], ids=["rank 0 on the prism", "rank 1 on P3"])
+def test_complete_failure_names_attempts_and_reason(a0, h):
+    # rank 0 converges at once to the zero matrix; on P3 the hole's
+    # v1 v3 = 0 zeroes v1 or v3, and with it an edge entry
+    with pytest.raises(RuntimeError, match="in 3 attempts") as err:
+        complete_pattern_low_rank(a0, h, max_iter=3)
+    assert names_a_reason(err.value)
+    assert str(err.value).endswith("(an edge entry collapsed below 1e-06)")
 
 
 def newton_step_is_onto(a, h):

@@ -11,11 +11,12 @@ from liberatrix.exactla import (
     RatMatrix,
     _column_echelon,
     _eliminate,
+    _in_column_span,
     _int_rows,
     _kernel_vectors,
     _reduce_row,
+    _scaled_to_integers,
     charpoly,
-    col_space_contains,
     column_echelon,
     commutator,
     direct_sum,
@@ -157,6 +158,12 @@ def test_kernel_basis_annihilates():
         lk = left_kernel_basis(m)
         if lk.rows:
             assert (lk @ m).is_zero()
+
+
+def col_space_contains(m, x):
+    """x in Col(m) by _in_column_span, the core of the witness re-check,
+    on the integer rows of [m | x]."""
+    return _in_column_span(_scaled_to_integers(m.hstack(x))[1], m.cols)
 
 
 def test_col_space_contains_vs_solver_oracle():
