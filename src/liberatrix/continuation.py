@@ -43,15 +43,26 @@ only). The RuntimeError names the attempt count and the last reason.
 Float input is checked by numla, the package's float layer: a matrix or
 target spectrum with a NaN or infinite entry raises ValueError before any
 solve. Each solver raises ValueError for a tol that is not finite and
-positive or a max_iter below 1. The Newton solver holds the free
-coordinates of a pattern as one (k, 2) array of 0-based (row, column)
-slots, the diagonal then the edges.
+positive or a max_iter below 1. The Newton solver holds the coordinates
+of a pattern as one (K, 2) array of 0-based (row, column) slots, the
+diagonal then the edges, built once per graph (_pattern_slots).
+
+liberate and realize_in_pattern take their steps through a Newton plan
+(_newton_plan), the index work of one isospectral step system built once
+and shared: the flat positions that scatter the free slots into A, the
+row of each diagonal residual, the four flat gathers from Q that make the
+Jacobian, and the weight 0.5 on each diagonal slot. A step is one scatter,
+one eigh, the residual written at its diagonal rows and one gather for J.
+A plan is keyed by the grown graph, the slot held fixed (liberate) or
+None (realize), and the target's cluster multiplicities, and up to 64 are
+cached; every array in it is read-only, as the cache shares them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,13 +93,13 @@ def _min_norm_newton(system, x, tol):
     x = np.array(x, dtype=float)
     for step in range(40):
         res, jacobian = system(x)
-        r = float(np.max(np.abs(res), initial=0.0))
+        r = float(np.abs(res).max(initial=0.0))
         if r <= tol:
             return x, "converged", r, step
         x -= _min_norm_step(jacobian(), res, r)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             return x, "non-finite step", math.inf, step + 1
-    r = float(np.max(np.abs(system(x)[0]), initial=0.0))
+    r = float(np.abs(system(x)[0]).max(initial=0.0))
     return x, "converged" if r <= tol else "not converged", r, 40
 
 
@@ -112,7 +123,7 @@ def _min_norm_step(jac, res, r):
             except np.linalg.LinAlgError:
                 pass
             else:
-                if np.max(np.abs(jac @ dx - res)) <= 1e-6 * r:
+                if np.abs(jac @ dx - res).max() <= 1e-6 * r:
                     return dx
     return np.linalg.lstsq(jac, res, rcond=None)[0]
 
@@ -130,72 +141,120 @@ def _check_solver_args(tol, max_iter):
         raise ValueError("max_iter must be at least 1, got %r" % (max_iter,))
 
 
+@lru_cache(maxsize=64)
 def _pattern_slots(g: Graph) -> np.ndarray:
     """Free coordinates of the closed class over g, diagonal then edges, as
-    a (k, 2) integer array of 0-based (row, column) pairs."""
+    a (K, 2) integer array of 0-based (row, column) pairs. Built once per
+    graph and read-only, as the cache shares it."""
     diag = np.arange(g.n)
     edges = np.array(g.edges, dtype=int).reshape(-1, 2) - 1
-    return np.vstack([np.column_stack([diag, diag]), edges])
+    slots = np.vstack([np.column_stack([diag, diag]), edges])
+    slots.flags.writeable = False
+    return slots
 
 
-def _build_from_slots(n, slots, x):
-    a = np.zeros((n, n))
-    a[slots[:, 0], slots[:, 1]] = x
-    a[slots[:, 1], slots[:, 0]] = x
-    return a
-
-
-def _read_target(target):
+def _read_target(tgt):
     """How the Newton solver reads a sorted target spectrum: its scale
-    max(1, max|target|), and the index pairs a <= b inside each cluster at
-    1e-8 * scale, one Newton equation each. eigh's error near 1e-15 * scale
-    keeps true repeats in one cluster."""
-    tgt = np.asarray(target, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(tgt))))
-    rows, cols, pos = [], [], 0
-    for m in multiplicity_list(tgt, 1e-8 * scale).multiplicities:
+    max(1, max|target|), and its cluster multiplicities at 1e-8 * scale,
+    one Newton equation per index pair a <= b inside a cluster. eigh's
+    error near 1e-15 * scale keeps true repeats in one cluster."""
+    scale = max(1.0, float(np.abs(tgt).max()))
+    return scale, multiplicity_list(tgt, 1e-8 * scale).multiplicities
+
+
+@dataclass(frozen=True, eq=False)
+class _NewtonPlan:
+    """The index arrays of one isospectral step system, as _newton_plan
+    builds them, all read-only. Over the K slots of the pattern, the k free
+    ones and the m pairs a <= b inside each target cluster, in order:
+
+    free (k,): the free slots' indices among the K;
+    slot_put (2, K) and put (2, k): the flat positions in A of every slot's
+      and every free slot's (i, j) and (j, i);
+    diag (n,): the residual row of each pair (a, a);
+    take (4, m, k): the flat positions in Q of Q_ia, Q_jb, Q_ja and Q_ib
+      for pair (a, b) and free slot (i, j);
+    half (k,): each free slot's weight, 0.5 on the diagonal and 1 off it.
+    """
+    n: int
+    free: np.ndarray
+    slot_put: np.ndarray
+    put: np.ndarray
+    diag: np.ndarray
+    take: np.ndarray
+    half: np.ndarray
+
+    def matrix(self, x):
+        """The symmetric matrix with value x[s] at each slot s, zero off
+        the pattern."""
+        a = np.zeros(self.n * self.n)
+        a[self.slot_put] = x
+        return a.reshape(self.n, self.n)
+
+    def jacobian(self, q):
+        """d (Q^T A(y) Q)_ab / d y_ij for the pairs (a, b) and the free slots
+        (i, j), an (m, k) array: Q_ia Q_jb + Q_ja Q_ib, halved on the
+        diagonal to Q_ia Q_ib."""
+        qia, qjb, qja, qib = q.take(self.take)
+        return (qia * qjb + qja * qib) * self.half
+
+
+@lru_cache(maxsize=64)
+def _newton_plan(g: Graph, frozen, multiplicities) -> _NewtonPlan:
+    """The plan of the Newton system over the pattern of g with every slot
+    of _pattern_slots(g) free but frozen (None: every slot), toward a
+    sorted target with the given cluster multiplicities."""
+    n = g.n
+    slots = _pattern_slots(g)
+    free = np.delete(np.arange(len(slots)), [] if frozen is None else frozen)
+    si, sj = slots[free, 0], slots[free, 1]
+    ra, rb, pos = [], [], 0
+    for m in multiplicities:
         for a in range(pos, pos + m):
             for b in range(a, pos + m):
-                rows.append(a)
-                cols.append(b)
+                ra.append(a)
+                rb.append(b)
         pos += m
-    return scale, (np.array(rows, dtype=int), np.array(cols, dtype=int))
+    ra = np.array(ra, dtype=int)[:, None]
+    rb = np.array(rb, dtype=int)[:, None]
+    slot_put = np.stack([slots[:, 0] * n + slots[:, 1],
+                         slots[:, 1] * n + slots[:, 0]])
+    plan = _NewtonPlan(
+        n, free, slot_put, slot_put[:, free], np.flatnonzero(ra == rb),
+        np.stack([si * n + ra, sj * n + rb, sj * n + ra, si * n + rb]),
+        np.where(si == sj, 0.5, 1.0))
+    for arr in (plan.free, plan.slot_put, plan.put, plan.diag, plan.take,
+                plan.half):
+        arr.flags.writeable = False
+    return plan
 
 
-def _jacobian(q, pairs, slots):
-    """d (Q^T A(x) Q)_ab / d x_ij for the within-cluster pairs (a, b) and
-    the slots (i, j): Q_ia Q_jb + Q_ja Q_ib, or Q_ia Q_ib on the diagonal.
-    The slots are a (k, 2) index array, as _pattern_slots gives."""
-    ra, rb = pairs
-    si, sj = slots[:, 0], slots[:, 1]
-    qi, qj = q[si], q[sj]
-    jac = qi[:, ra] * qj[:, rb] + qj[:, ra] * qi[:, rb]
-    jac[si == sj] *= 0.5
-    return jac.T
-
-
-def _isospectral_system(n, slots, free, target, full):
-    """(system, scale): the Newton system that moves the slots indexed by
-    free toward the sorted target, and the target's scale (_read_target's).
-    system(y) writes y into full's free slots and factors A = Q diag(lam)
-    Q^T, lam matched to the target in order. Over the pairs a <= b inside
-    each target cluster its residual is lam_a - target_a for a = b and 0
-    for a < b, and jacobian() gives d (Q^T A Q)_ab / d y; the eigenvector
-    rotation absorbs every entry between clusters. The system is onto
-    exactly when A has the strong spectral property relative to the free
-    slots, and there Newton converges quadratically."""
+def _isospectral_system(g, frozen, target, full):
+    """(system, plan, scale): the Newton system that moves every slot of
+    g's pattern but frozen (None: every slot) toward the sorted target,
+    its _newton_plan, and the target's scale (_read_target's).
+    system(y) writes y into the free slots of A, which holds full's values
+    at the other slots, and factors A = Q diag(lam) Q^T, lam matched to the
+    target in order. Over the pairs a <= b inside each target cluster its
+    residual is lam_a - target_a for a = b and 0 for a < b, and
+    jacobian() gives d (Q^T A Q)_ab / d y; the eigenvector rotation
+    absorbs every entry between clusters. The system is onto exactly when
+    A has the strong spectral property relative to the free slots, and
+    there Newton converges quadratically."""
     tgt = np.asarray(target, dtype=float)
-    scale, pairs = _read_target(tgt)
-    on_diag = pairs[0] == pairs[1]
-    free = np.asarray(free, dtype=int)
-    free_idx = slots[free]
+    scale, multiplicities = _read_target(tgt)
+    plan = _newton_plan(g, frozen, multiplicities)
+    a = plan.matrix(full)
+    flat = a.reshape(-1)   # a view of a: a step writes its slots through it
+    m = plan.take.shape[1]
 
     def system(y):
-        full[free] = y
-        vals, q = np.linalg.eigh(_build_from_slots(n, slots, full))
-        res = np.where(on_diag, vals[pairs[0]] - tgt[pairs[0]], 0.0)
-        return res, lambda: _jacobian(q, pairs, free_idx)
-    return system, scale
+        flat[plan.put] = y
+        vals, q = np.linalg.eigh(a)
+        res = np.zeros(m)
+        res[plan.diag] = vals - tgt
+        return res, lambda: plan.jacobian(q)
+    return system, plan, scale
 
 
 @dataclass(frozen=True)
@@ -261,17 +320,16 @@ def liberate(a, g: Graph, beta, tol: float = 1e-10, max_iter: int = 40,
             x += [rng.gauss(0.0, eps / 10.0) for _ in x]
         # hold one new pair at +-eps so the step system stays onto
         frozen = beta_slot_idx[(attempt - 1) % len(beta_slot_idx)]
-        free = [k for k in range(len(slots)) if k != frozen]
-        system, scale = _isospectral_system(g.n, slots, free, target_vals, x)
-        y, reason, res, _ = _min_norm_newton(system, x[free], tol * scale)
-        x[free] = y
+        system, plan, scale = _isospectral_system(h, frozen, target_vals, x)
+        y, reason, res, _ = _min_norm_newton(system, x[plan.free], tol * scale)
+        x[plan.free] = y
         # edge slots only: the diagonal is free and may pass through zero
         if reason == "converged" and _collapsed(x[g.n:]):
             reason = COLLAPSED
         if reason != "converged":
             last_err = reason
             continue
-        a_new = _build_from_slots(g.n, slots, x)
+        a_new = plan.matrix(x)
         if not has_strong_property(a_new, h, kind, tol=1e-8).answer:
             last_err = "output failed the strong-property re-check"
             continue
@@ -403,9 +461,8 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
     if len(values) != g.n:
         raise ValueError("spectrum size %d does not fit %d vertices"
                          % (len(values), g.n))
-    slots = _pattern_slots(g)
-    system, scale = _isospectral_system(g.n, slots, range(len(slots)), values,
-                                        np.zeros(len(slots)))
+    system, plan, scale = _isospectral_system(
+        g, None, values, np.zeros(len(_pattern_slots(g))))
     half_spread = max(1.0, values[-1] - values[0]) / 2
     rng = seeded_random(seed)
     last_err = None
@@ -424,7 +481,7 @@ def realize_in_pattern(g: Graph, spectrum, seed=0, tol: float = 1e-10,
         if np.any(np.abs(dx[g.n:]) >= COLLAPSE_STEP * np.abs(x[g.n:])):
             last_err = "collapsing limit"
             continue
-        return _build_from_slots(g.n, slots, x)
+        return plan.matrix(x)
     raise RuntimeError(
         "no matrix in the pattern reached the target spectrum in %d draws "
         "(%s)" % (max_iter, last_err))

@@ -201,8 +201,8 @@ class RatMatrix:
     def to_float(self):
         import numpy as np
         try:
-            return np.array([[float(x) for x in row] for row in self.data],
-                            dtype=float)
+            return np.array([[x.numerator / x.denominator for x in row]
+                             for row in self.data], dtype=float)
         except OverflowError:
             raise ValueError("matrix entry too large for a float") from None
 

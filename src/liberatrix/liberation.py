@@ -196,9 +196,12 @@ def enumerate_minimal_liberation_sets(a, g: Graph, kind: str = "ssp",
     (strongprops._drop_one_verdicts) on one shared verification matrix, which
     keeps the verdict of each row selection it ranks; candidates share those
     selections, so each distinct one is ranked once per call, exact or float
-    alike.
+    alike. A graph with no nonedges is refused before any other check: it
+    has nothing to liberate.
     """
     kind = normalize_kind(kind)
+    if not g.nonedges():
+        raise ValueError("the graph has no nonedges to liberate")
     vm = psi(a, g, kind)
     rows = vm.rows
     if not 1 <= max_size <= len(rows):

@@ -9,8 +9,10 @@ combines every entry of a row, kernels read off the Fraction reduced row
 echelon form, minimal liberation sets by testing every nonedge subset,
 genericity of a float basis by one determinant per row selection, and the
 sampled pattern-level verdict with a full certificate on every sample.
-connected_atlas gives the small connected graphs that the tests and the CI
-sweeps run over, and REASONS the solvers' failure reasons they expect.
+The isospectral Newton Jacobian is read off Q^T E Q, one symmetric unit
+matrix E per free slot. connected_atlas gives the small connected graphs
+that the tests and the CI sweeps run over, and REASONS the solvers'
+failure reasons they expect.
 """
 
 from fractions import Fraction
@@ -198,6 +200,27 @@ def graph_liberation_reference(g, beta, kind, trials, seed):
             return GraphLiberationVerdict(
                 "certified-counterexample", beta, kind, t + 1, seed, a, mode)
     return GraphLiberationVerdict("probabilistic-yes", beta, kind, trials, seed)
+
+
+def isospectral_jacobian(q, slots, multiplicities):
+    """d (Q^T A Q)_ab / d x_ij, one row per pair a <= b inside each cluster
+    of the given multiplicities and one column per 0-based slot (i, j) of
+    slots, where x_ij sets both A[i, j] and A[j, i]: entry (a, b) of
+    Q^T E Q for the symmetric unit matrix E of the slot."""
+    n = q.shape[0]
+    pairs, pos = [], 0
+    for m in multiplicities:
+        pairs += [(a, b) for a in range(pos, pos + m)
+                  for b in range(a, pos + m)]
+        pos += m
+    jac = np.zeros((len(pairs), len(slots)))
+    for s, (i, j) in enumerate(slots):
+        e = np.zeros((n, n))
+        e[i, j] = e[j, i] = 1.0
+        d = q.T @ e @ q
+        for p, (a, b) in enumerate(pairs):
+            jac[p, s] = d[a, b]
+    return jac
 
 
 def connected_atlas(lo, hi):

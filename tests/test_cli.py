@@ -75,11 +75,11 @@ def test_libset_enumerate_default_fits_the_nonedges(tmp_path, capsys):
     assert line == "1 minimal liberation set(s) up to size 2"
     assert doc["inputs"]["max_size"] == 2
     assert doc["verdicts"]["sets"] == [[[1, 3], [2, 4]]]
-    # a complete graph has none, and no default fits it
+    # a complete graph has none, and is refused for that
     code = main(["libset", "--enumerate", "--graph", "catalog:K4",
                  "--matrix", str(tmp_path / "k4.txt")])
     assert code == 2
-    assert "the nonedge count" in capsys.readouterr().err
+    assert "the graph has no nonedges to liberate" in capsys.readouterr().err
 
 
 def test_libset_false_exits_one(k4k1_matrix):
@@ -219,6 +219,7 @@ BAD_INPUT_FILES = {
     "two.txt": "2 2\n1 0\n0 2\n",
     "p3.txt": "3 3\n1 1 0\n1 1 1\n0 1 1\n",
     "k4k1.txt": "5 5\n" + "1 1 1 1 0\n" * 4 + "0 0 0 0 4\n",
+    "k4.txt": "4 4\n" + "1 1 1 1\n" * 4,
     "short-graph.txt": "4 2\n1 2\n",
     "token-graph.txt": "3 2\n1 2\n2 x\n",
     "short-row.txt": "2 2\n1 0\n0\n",
@@ -252,6 +253,8 @@ BAD_INPUTS = [
      " --matrix {d}/two.txt --max-size 0", None, "max_size must lie"),
     ("max-size-negative", "libset --enumerate --graph catalog:2K1"
      " --matrix {d}/two.txt --max-size -2", None, "max_size must lie"),
+    ("enumerate-without-nonedges", "libset --enumerate --graph catalog:K4"
+     " --matrix {d}/k4.txt", None, "the graph has no nonedges to liberate"),
 ] + [
     ("tol-%s" % tol, "directsum --matrix-a {d}/one.txt --matrix-b"
      " {d}/one.txt --beta 1-2 --tol %s" % tol, None, "--tol must be")

@@ -19,9 +19,9 @@ from liberatrix.continuation import (
     MIN_ENTRY,
     _hole_system,
     _isospectral_system,
-    _jacobian,
     _min_norm_newton,
     _min_norm_step,
+    _newton_plan,
     _pattern_slots,
     _read_target,
     complete_pattern_low_rank,
@@ -38,7 +38,7 @@ from liberatrix.liberation import is_liberation_set
 from liberatrix.patterns import SAMPLE_MODES, in_class, pattern_of, sample_S
 from liberatrix.replays import _subseed
 from liberatrix.strongprops import has_strong_property, psi
-from oracles import names_a_reason
+from oracles import isospectral_jacobian, names_a_reason
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -302,7 +302,8 @@ def test_newton_builds_one_jacobian_per_step():
 
 def test_liberate_builds_one_jacobian_per_newton_step(monkeypatch):
     built, steps = [0], [0]
-    jacobian, newton = continuation._jacobian, continuation._min_norm_newton
+    jacobian = continuation._NewtonPlan.jacobian
+    newton = continuation._min_norm_newton
 
     def counting_jacobian(*args):
         built[0] += 1
@@ -313,7 +314,8 @@ def test_liberate_builds_one_jacobian_per_newton_step(monkeypatch):
         steps[0] += out[3]
         return out
 
-    monkeypatch.setattr(continuation, "_jacobian", counting_jacobian)
+    monkeypatch.setattr(continuation._NewtonPlan, "jacobian",
+                        counting_jacobian)
     monkeypatch.setattr(continuation, "_min_norm_newton", counting_newton)
     liberate(ones_block_plus(4), catalog("K4uK1"), [(3, 5), (4, 5)])
     assert built[0] == steps[0] > 0
@@ -567,8 +569,8 @@ def test_realize_in_pattern_keeps_held_entries_held(case, monkeypatch):
         a = realize_in_pattern(g, target, seed=seed)
         assert_realizes(a, g, target)
         x = a[slots[:, 0], slots[:, 1]]
-        system, _ = _isospectral_system(g.n, slots, range(len(slots)),
-                                        sorted(target), np.zeros(len(slots)))
+        system, _, _ = _isospectral_system(g, None, sorted(target),
+                                           np.zeros(len(slots)))
         res, jacobian = system(x)
         r = float(np.max(np.abs(res)))
         if r > 0:
@@ -755,11 +757,77 @@ def test_complete_failure_names_attempts_and_reason(a0, h):
     assert str(err.value).endswith("(an edge entry collapsed below 1e-06)")
 
 
+def random_composition(rng, n):
+    """A random ordered list of positive multiplicities summing to n."""
+    cuts = sorted(rng.choice(np.arange(1, n), size=rng.integers(0, n),
+                             replace=False)) if n > 1 else []
+    return tuple(np.diff([0, *cuts, n]).tolist())
+
+
+@pytest.mark.parametrize("shape", ["realize", "liberate"])
+def test_newton_plan_jacobian_matches_the_reference(shape):
+    # realize frees every slot, liberate holds one edge slot; Q is any
+    # orthogonal matrix, the clusters any composition of n
+    rng = np.random.default_rng(SEED)
+    for _ in range(60):
+        n = int(rng.integers(2, 7))
+        pairs = list(combinations(range(1, n + 1), 2))
+        g = build_graph(n, [p for p in pairs if rng.random() < 0.6] or
+                        [pairs[0]])
+        slots = _pattern_slots(g)
+        frozen = (None if shape == "realize"
+                  else int(rng.integers(n, len(slots))))
+        mults = random_composition(rng, n)
+        plan = _newton_plan(g, frozen, mults)
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        want = isospectral_jacobian(q, slots[plan.free].tolist(), mults)
+        assert plan.jacobian(q).shape == want.shape
+        assert np.allclose(plan.jacobian(q), want, rtol=0.0, atol=1e-12)
+        # the plan writes each slot's value at (i, j) and (j, i), and a
+        # step writes the free slots over the held one
+        x = rng.normal(size=len(slots))
+        a = np.zeros((n, n))
+        for (i, j), v in zip(slots.tolist(), x):
+            a[i, j] = a[j, i] = v
+        assert np.array_equal(plan.matrix(x), a)
+        target = np.repeat(np.arange(len(mults), dtype=float), mults)
+        system, own, _ = _isospectral_system(g, frozen, target, x)
+        assert own is plan
+        y = rng.normal(size=len(plan.free))
+        x[plan.free] = y
+        vals, q = np.linalg.eigh(plan.matrix(x))
+        res, jacobian = system(y)
+        assert np.array_equal(jacobian(), plan.jacobian(q))
+        assert np.array_equal(res[plan.diag], vals - target)
+        assert not np.delete(res, plan.diag).any()
+
+
+def test_liberate_shares_one_plan_per_pattern():
+    # K4uK1 grown by {3-5, 4-5} takes one attempt at seeds 0 and 1, on one
+    # frozen slot and one target: one plan, built once
+    _newton_plan.cache_clear()
+    g, beta = catalog("K4uK1"), [(3, 5), (4, 5)]
+    for seed in range(2):
+        assert liberate(ones_block_plus(4), g, beta, seed=seed).attempts == 1
+    info = _newton_plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    # the cached arrays are shared, so none can be written
+    h = add_edges(g, beta)
+    plan = _newton_plan(h, 11, (3, 2))
+    assert _newton_plan.cache_info().hits == 2
+    shared = [_pattern_slots(h)] + [v for v in vars(plan).values()
+                                    if isinstance(v, np.ndarray)]
+    assert len(shared) == 7
+    for arr in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
 def newton_step_is_onto(a, h):
     """Full row rank of the Newton step system at a over the slots of h,
     with the target read as the solver reads it."""
     vals, q = sym_eigen(a.to_float())
-    jac = _jacobian(q, _read_target(vals)[1], _pattern_slots(h))
+    jac = _newton_plan(h, None, _read_target(vals)[1]).jacobian(q)
     tol = 1e-8 * np.linalg.norm(jac, 2)
     return np.linalg.matrix_rank(jac, tol=tol) == jac.shape[0]
 

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liberatrix.exactla import (
@@ -255,6 +255,35 @@ def test_matrix_text_round_trip():
     text = format_matrix_text(arr)
     assert text == "2 2\n0.1 -0.0\n1e-20 3.0\n"
     assert np.array_equal(parse_matrix_text(text).to_float(), arr)
+
+
+HUGE = 10 ** 400
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-HUGE, HUGE) | st.integers(-9, 9),
+                          st.integers(1, HUGE) | st.integers(1, 9)),
+                min_size=1, max_size=6))
+@example([(HUGE + 1, 10 ** 399)])          # both huge, about 10
+@example([(-1, 10 ** 320)])                # a subnormal
+@example([(1, HUGE)])                      # below the subnormals: 0.0
+@example([(3, 1), (10 ** 309, 1)])         # one entry past the largest float
+@example([(-(10 ** 400), 10 ** 91)])       # a negative past it
+def test_to_float_is_float_of_each_entry(pairs):
+    # bitwise float(Fraction) per entry, or the overflow refusal
+    entries = [Fraction(p, q) for p, q in pairs]
+    m = RatMatrix.from_rows([entries, entries[::-1]])
+    try:
+        want = np.array([[float(x) for x in entries],
+                         [float(x) for x in entries[::-1]]])
+    except OverflowError:
+        with pytest.raises(ValueError, match="matrix entry too large for a "
+                                             "float"):
+            m.to_float()
+        return
+    got = m.to_float()
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_zero_by_k_matrices_allowed():
